@@ -51,6 +51,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="sfs-norm",
                      description="Z/2-Thurston norms of small Seifert "
@@ -67,8 +77,8 @@ def build_parser():
     p.add_argument("presentation")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--notation", choices=NOTATIONS)
-    p.add_argument("--mu-window", type=int)
-    p.add_argument("--lambda-cap", type=int)
+    p.add_argument("--mu-window", type=_positive_int)
+    p.add_argument("--lambda-cap", type=_positive_int)
     p.add_argument("--out")
 
     p = sub.add_parser("convert", help="rewrite a presentation in "
@@ -79,9 +89,8 @@ def build_parser():
 
     p = sub.add_parser("scan", help="CSV sweep over presentation families")
     p.add_argument("specfile")
-    p.add_argument("--format", choices=("csv",), default="csv")
-    p.add_argument("--mu-window", type=int)
-    p.add_argument("--lambda-cap", type=int)
+    p.add_argument("--mu-window", type=_positive_int)
+    p.add_argument("--lambda-cap", type=_positive_int)
     p.add_argument("--out")
     return parser
 
@@ -90,10 +99,10 @@ def _budget_from(args):
     window = getattr(args, "mu_window", None)
     if window is None and os.environ.get(ENV_MU_WINDOW):
         try:
-            window = int(os.environ[ENV_MU_WINDOW])
-        except ValueError:
+            window = _positive_int(os.environ[ENV_MU_WINDOW])
+        except argparse.ArgumentTypeError:
             raise _UsageError(
-                f"{ENV_MU_WINDOW} must be an integer, got "
+                f"{ENV_MU_WINDOW} must be a positive integer, got "
                 f"{os.environ[ENV_MU_WINDOW]!r}")
     return SearchBudget(mu_window=window,
                         lambda_cap=getattr(args, "lambda_cap", None))
@@ -194,14 +203,22 @@ def _parse_scan_file(text):
             if not name.isidentifier():
                 raise NotationSyntaxError(
                     f"line {lineno}: bad variable name {name!r}", lineno)
+            if any(name == seen for seen, _, _ in grid):
+                raise NotationSyntaxError(
+                    f"line {lineno}: variable {name!r} ranged twice", lineno)
             grid.append((name, lo.strip(), hi.strip()))
         families.append((template, grid))
     return families
 
 
 def _cmd_scan(args):
-    with open(args.specfile, encoding="utf-8") as handle:
-        families = _parse_scan_file(handle.read())
+    try:
+        with open(args.specfile, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as err:
+        raise _UsageError(f"scan file {args.specfile} is not UTF-8 text: "
+                          f"{err.reason} at byte {err.start}")
+    families = _parse_scan_file(text)
     budget = _budget_from(args)
     rows = []
     for template, grid in families:

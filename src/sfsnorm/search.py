@@ -20,13 +20,17 @@ l_3 relative to the covering degree:
   which is asserted on every emitted candidate.
 
 The sweeps are infinite a priori.  Termination is by branch and bound:
-the capped-cover part of the genus prunes the degree loops, and each
-outward coefficient sweep stops once a slope-pencil certificate (exact
+the capped-cover part of the genus prunes the degree loops, and every
+outward coefficient sweep, the one of case 3 and both of case 1, runs
+through ``_sweep``.  It stops once a slope-pencil certificate (exact
 Euclid on linear forms, see ``pencils``) proves every further candidate
 exceeds the best genus known for the class the sweep feeds, confirmed by
-a run of consecutive candidates whose digit expansions extend the
+PREFIX_STOP_RUN consecutive steps whose digit expansions extend the
 certified prefix.  A sweep that instead hits the hard window cap marks
 its class non-exhaustive in the report; nothing is silently dropped.
+The sweeping enumerators price each candidate into the search state
+before yielding it, so the bounds they prune against are always
+current, whether they run inside ``compute_norms`` or on their own.
 """
 
 from __future__ import annotations
@@ -61,6 +65,8 @@ from .surfaces import (
 log = logging.getLogger(__name__)
 
 MAX_TIE_WITNESSES = 16
+# Consecutive prefix-certified steps a sweep direction needs to stop.
+PREFIX_STOP_RUN = 8
 
 
 @dataclass(frozen=True)
@@ -69,17 +75,15 @@ class SearchBudget:
 
     ``mu_window`` is the half-width of every coefficient sweep (default
     64 * max(alpha)); ``lambda_cap`` bounds the covering degree when no
-    candidate has bounded it yet (default derived from the presentation);
-    ``prefix_stop_run`` is the number of consecutive prefix-certified
-    candidates required before a sweep direction stops early.
+    candidate has bounded it yet (default derived from the presentation).
+    A sweep that reaches either cap marks its class non-exhaustive.
     """
 
     mu_window: int | None = None
     lambda_cap: int | None = None
-    prefix_stop_run: int = 8
 
     def __post_init__(self):
-        for name in ("mu_window", "lambda_cap", "prefix_stop_run"):
+        for name in ("mu_window", "lambda_cap"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise PresentationError(f"{name} must be positive")
@@ -99,8 +103,7 @@ class SearchBudget:
 class _SearchState:
     """Best genus, tie witnesses and exhaustiveness flags per class."""
 
-    def __init__(self, classes):
-        self.classes = tuple(classes)
+    def __init__(self):
         self.best = {}
         self.witnesses = {}
         self.kind_best = {}
@@ -180,6 +183,70 @@ def enumerate_case4(presentation):
     return out
 
 
+def _price(presentation, state, params):
+    """Offer the surface ``params`` to ``state`` if it exists.
+
+    Returns ``(params,)`` when it does and ``()`` when it does not, for a
+    sweep to ``yield from``.
+    """
+    if not ph_exists(presentation, params):
+        return ()
+    _check_shape(params)
+    state.offer(horizontal_report(presentation, params))
+    return (params,)
+
+
+def _sweep(state, cls, lam, base, legs, center, window, visit):
+    """Certified outward coefficient sweep at degree ``lam``, both ways.
+
+    The sweep parameter mu runs from ``center`` in steps of 2 and from
+    ``center - 2`` in steps of -2 while it stays within ``window`` of the
+    center.  Each leg ``(fiber, offset, sign)`` is a slope of coefficient
+    ``offset + sign*mu`` on that fiber.  At every mu where all leg
+    coefficients are prime to ``lam`` this yields what ``visit(mu)``
+    returns.  A direction stops once the legs' pencil certificates put
+    ``base`` plus their N bounds above the best genus of ``cls``, after
+    PREFIX_STOP_RUN consecutive such steps whose cap digits extend the
+    certified prefixes; a direction that runs out of window instead
+    marks ``cls`` capped.
+    """
+    for step in (2, -2):
+        mu = center if step > 0 else center - 2
+        certs = [certified_tail(*slope_pencil(fiber, lam, offset + sign * mu,
+                                              sign * step))
+                 for fiber, offset, sign in legs]
+        # Without a certificate on every leg the direction never stops early.
+        t_min = max(cert.t_min for cert in certs) if None not in certs \
+            else inf
+        run = 0
+        t = 0
+        while abs(mu - center) <= window:
+            for _, offset, sign in legs:
+                if gcd(lam, offset + sign * mu) != 1:
+                    break
+            else:
+                yield from visit(mu)
+                if t >= t_min:
+                    run += 1
+                    for cert, (fiber, offset, sign) in zip(certs, legs):
+                        digits = _cap_digits(fiber, lam, offset + sign * mu)
+                        if not digits or not cert.matches(digits):
+                            run = 0
+                            log.warning("prefix certificate missed at step "
+                                        "%d of a degree-%d sweep", t, lam)
+                            break
+            if run >= PREFIX_STOP_RUN:
+                bound = base
+                for cert in certs:
+                    bound += cert.bound_at(t)
+                if bound > state.need(cls):
+                    break
+            mu += step
+            t += 1
+        else:
+            state.capped.add(cls)
+
+
 def _case3_class(structure, i):
     if structure.case is HomologyCase.KLEIN_FOUR:
         return Z2Class(tuple(0 if x == i else 1 for x in range(3)))
@@ -195,14 +262,14 @@ def enumerate_case3(presentation, budget=None, state=None):
     mu_k determined by the zero-sum identity.  Parity prunes most p; the
     degree loop stops when the capped-cover genus p*(a_i - 1) alone
     reaches the best genus known for the class this sweep represents.
+    Each candidate is priced into ``state`` (a fresh one when omitted)
+    before it is yielded, so the bounds prune the rest of the stream.
     """
     budget = budget if budget is not None else SearchBudget()
     structure = homology_structure(presentation)
     if not structure.nonzero_classes:
         return
-    self_drive = state is None
-    if state is None:
-        state = _SearchState(structure.nonzero_classes)
+    state = state if state is not None else _SearchState()
     window = budget.window(presentation)
     degree_cap = budget.degree_cap(presentation)
     fibers = presentation.fibers
@@ -226,64 +293,33 @@ def enumerate_case3(presentation, budget=None, state=None):
                 p += 1
                 continue
             total = -p * fi.beta  # mu_j + mu_k
-            center = _parity_center(total // 2, fj.beta)
-            for step in (2, -2):
-                mu0 = center if step > 0 else center - 2
-                cert_j = certified_tail(*slope_pencil(fj, lam, mu0, step))
-                cert_k = certified_tail(
-                    *slope_pencil(fk, lam, total - mu0, -step))
-                certs = None if cert_j is None or cert_k is None \
-                    else (cert_j, cert_k)
-                t_min = certs and max(cert_j.t_min, cert_k.t_min)
-                run = 0
-                t = 0
-                certified_stop = False
-                while abs(mu0 + step * t - center) <= window:
-                    mu_j = mu0 + step * t
-                    mu_k = total - mu_j
-                    if gcd(lam, mu_j) == 1 and gcd(lam, mu_k) == 1:
-                        pairs = [None, None, None]
-                        pairs[i] = fi.pair
-                        pairs[j] = (lam, mu_j)
-                        pairs[k] = (lam, mu_k)
-                        params = PHParams(tuple(pairs))
-                        if ph_exists(presentation, params):
-                            _check_shape(params)
-                            yield params
-                            if self_drive:
-                                state.offer(horizontal_report(presentation,
-                                                              params))
-                        if certs and t >= t_min:
-                            dj = _cap_digits(fj, lam, mu_j)
-                            dk = _cap_digits(fk, lam, mu_k)
-                            if dj and dk and cert_j.matches(dj) \
-                                    and cert_k.matches(dk):
-                                run += 1
-                            else:
-                                run = 0
-                                log.warning(
-                                    "prefix certificate missed at step %d "
-                                    "of a degree-%d sweep", t, lam)
-                    if certs and t >= t_min \
-                            and run >= budget.prefix_stop_run \
-                            and base + cert_j.bound_at(t) \
-                            + cert_k.bound_at(t) > state.need(cls):
-                        certified_stop = True
-                        break
-                    t += 1
-                if not certified_stop:
-                    state.capped.add(cls)
+
+            def visit(mu_j):
+                pairs = [None, None, None]
+                pairs[i] = fi.pair
+                pairs[j] = (lam, mu_j)
+                pairs[k] = (lam, total - mu_j)
+                return _price(presentation, state, PHParams(tuple(pairs)))
+
+            yield from _sweep(state, cls, lam, base,
+                              ((fj, 0, 1), (fk, total, -1)),
+                              _parity_center(total // 2, fj.beta), window,
+                              visit)
             p += 1
 
 
 def enumerate_case1(presentation, budget=None, state=None):
     """Candidates with all three multiplicities equal to an odd degree.
 
-    Possible only when every fiber multiplicity is odd; the coefficients
-    sum to zero and match the beta parities.  Two nested sweeps run with
-    their pencil certificates; the degree loop stops at best genus + 1
-    since even the all-disk cover already costs lam - 1.
+    Possible only when every multiplicity is odd; the coefficients sum
+    to zero and match the beta parities.  At each degree mu_1 sweeps
+    outward, and at each of its steps mu_2 sweeps with mu_3 = -mu_1 -
+    mu_2; the degree loop stops at best genus + 1 since even the
+    all-disk cover already costs lam - 1.  Candidates are priced into
+    ``state`` as in ``enumerate_case3``.
     """
+    from .lens import n_genus
+
     budget = budget if budget is not None else SearchBudget()
     fibers = presentation.fibers
     if any(f.alpha % 2 == 0 for f in fibers):
@@ -292,9 +328,7 @@ def enumerate_case1(presentation, budget=None, state=None):
     if not structure.nonzero_classes:
         return  # odd beta sum: parity excludes every candidate
     cls = structure.nonzero_classes[0]
-    self_drive = state is None
-    if state is None:
-        state = _SearchState(structure.nonzero_classes)
+    state = state if state is not None else _SearchState()
     window = budget.window(presentation)
     degree_cap = budget.degree_cap(presentation)
     f1, f2, f3 = fibers
@@ -305,83 +339,24 @@ def enumerate_case1(presentation, budget=None, state=None):
         if lam > degree_cap:
             state.capped.add(cls)
             break
-        center1 = _parity_center(Fraction(lam * f1.beta, f1.alpha), f1.beta)
-        for step1 in (2, -2):
-            mu0_1 = center1 if step1 > 0 else center1 - 2
-            cert1 = certified_tail(*slope_pencil(f1, lam, mu0_1, step1))
-            run1 = 0
-            t1 = 0
-            certified_stop1 = False
-            while abs(mu0_1 + step1 * t1 - center1) <= window:
-                mu1 = mu0_1 + step1 * t1
-                if gcd(lam, mu1) == 1:
-                    yield from _case1_inner(presentation, budget, state, cls,
-                                            lam, mu1, window, self_drive)
-                    if cert1 is not None and t1 >= cert1.t_min:
-                        d1 = _cap_digits(f1, lam, mu1)
-                        if d1 and cert1.matches(d1):
-                            run1 += 1
-                        else:
-                            run1 = 0
-                            log.warning("outer prefix certificate missed "
-                                        "at step %d, degree %d", t1, lam)
-                if cert1 is not None and t1 >= cert1.t_min \
-                        and run1 >= budget.prefix_stop_run \
-                        and lam - 1 + cert1.bound_at(t1) > state.need(cls):
-                    certified_stop1 = True
-                    break
-                t1 += 1
-            if not certified_stop1:
-                state.capped.add(cls)
+        center2 = _parity_center(Fraction(lam * f2.beta, f2.alpha), f2.beta)
+
+        def visit(mu1):
+            def price(mu2):
+                return _price(presentation, state, PHParams(
+                    ((lam, mu1), (lam, mu2), (lam, -mu1 - mu2))))
+
+            n1 = n_genus(LensCurve(mu1 * f1.alpha - lam * f1.beta,
+                                   lam * f1.delta - mu1 * f1.gamma))
+            return _sweep(state, cls, lam, lam - 1 + n1,
+                          ((f2, 0, 1), (f3, -mu1, -1)), center2, window,
+                          price)
+
+        yield from _sweep(
+            state, cls, lam, lam - 1, ((f1, 0, 1),),
+            _parity_center(Fraction(lam * f1.beta, f1.alpha), f1.beta),
+            window, visit)
         lam += 2
-
-
-def _case1_inner(presentation, budget, state, cls, lam, mu1, window,
-                 self_drive):
-    from .lens import n_genus
-
-    f1, f2, f3 = presentation.fibers
-    n1 = n_genus(LensCurve(mu1 * f1.alpha - lam * f1.beta,
-                           lam * f1.delta - mu1 * f1.gamma))
-    floor_genus = lam - 1 + n1
-    center2 = _parity_center(Fraction(lam * f2.beta, f2.alpha), f2.beta)
-    for step2 in (2, -2):
-        mu0_2 = center2 if step2 > 0 else center2 - 2
-        cert2 = certified_tail(*slope_pencil(f2, lam, mu0_2, step2))
-        cert3 = certified_tail(*slope_pencil(f3, lam, -mu1 - mu0_2, -step2))
-        certs = None if cert2 is None or cert3 is None else (cert2, cert3)
-        t_min = certs and max(cert2.t_min, cert3.t_min)
-        run = 0
-        t = 0
-        certified_stop = False
-        while abs(mu0_2 + step2 * t - center2) <= window:
-            mu2 = mu0_2 + step2 * t
-            mu3 = -mu1 - mu2
-            if gcd(lam, mu2) == 1 and gcd(lam, mu3) == 1:
-                params = PHParams(((lam, mu1), (lam, mu2), (lam, mu3)))
-                if ph_exists(presentation, params):
-                    _check_shape(params)
-                    yield params
-                    if self_drive:
-                        state.offer(horizontal_report(presentation, params))
-                if certs and t >= t_min:
-                    d2 = _cap_digits(f2, lam, mu2)
-                    d3 = _cap_digits(f3, lam, mu3)
-                    if d2 and d3 and cert2.matches(d2) \
-                            and cert3.matches(d3):
-                        run += 1
-                    else:
-                        run = 0
-                        log.warning("inner prefix certificate missed at "
-                                    "step %d, degree %d", t, lam)
-            if certs and t >= t_min and run >= budget.prefix_stop_run \
-                    and floor_genus + cert2.bound_at(t) \
-                    + cert3.bound_at(t) > state.need(cls):
-                certified_stop = True
-                break
-            t += 1
-        if not certified_stop:
-            state.capped.add(cls)
 
 
 @dataclass(frozen=True)
@@ -471,16 +446,17 @@ def compute_norms(presentation, budget=None):
         raise PresentationError(f"not a presentation: {presentation!r}")
     budget = budget if budget is not None else SearchBudget()
     structure = homology_structure(presentation)
-    state = _SearchState(structure.nonzero_classes)
+    state = _SearchState()
     if structure.nonzero_classes:
         for report in vertical_surfaces(presentation):
             state.offer(report)
         for params in enumerate_case4(presentation):
             state.offer(horizontal_report(presentation, params))
-        for params in enumerate_case3(presentation, budget, state):
-            state.offer(horizontal_report(presentation, params))
-        for params in enumerate_case1(presentation, budget, state):
-            state.offer(horizontal_report(presentation, params))
+        # The sweeping enumerators price into ``state`` themselves.
+        for _ in enumerate_case3(presentation, budget, state):
+            pass
+        for _ in enumerate_case1(presentation, budget, state):
+            pass
     entries = []
     for cls in structure.nonzero_classes:
         witnesses = state.witnesses.get(cls)
@@ -539,6 +515,8 @@ def _eval_int(expr, bindings):
             if isinstance(node.op, ast.Mult):
                 return left * right
             if isinstance(node.op, ast.FloorDiv):
+                if right == 0:
+                    raise PresentationError(f"division by zero in {expr!r}")
                 return left // right
         raise PresentationError(f"unsupported arithmetic in {expr!r}")
 
@@ -546,7 +524,8 @@ def _eval_int(expr, bindings):
 
 
 def _instantiate(template, bindings):
-    parts = re.split(r"([()\[\],;/\s])", template)
+    # A single "/" is Hatcher's fraction bar; "//" is floor division.
+    parts = re.split(r"([()\[\],;\s]|(?<!/)/(?!/))", template)
     out = []
     for part in parts:
         if part and re.search("[a-zA-Z]", part) and \

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from sfsnorm.cli import main
 from sfsnorm.search import SCAN_CSV_HEADER, compute_norms, \
     norm_report_from_json
@@ -86,9 +88,10 @@ class TestNorm:
         assert json.loads(out)["exhaustive"] is False
 
     def test_bad_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SFS_NORM_MU_WINDOW", "many")
-        code, _, err = run(capsys, "norm", "S2((2,-1),(2,1),(6,1))")
-        assert code == 1 and "SFS_NORM_MU_WINDOW" in err
+        for value in ("many", "0"):
+            monkeypatch.setenv("SFS_NORM_MU_WINDOW", value)
+            code, _, err = run(capsys, "norm", "S2((2,-1),(2,1),(6,1))")
+            assert code == 1 and "SFS_NORM_MU_WINDOW" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -163,6 +166,28 @@ class TestScan:
         rows = list(csv.reader(io.StringIO(target.read_text())))
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("content, code, fragment", [
+        (b"S2((2,-1),(3,1),(n//1,1)) | n=8..8\n", 0, None),
+        (b"S2((2,-1),(3,1),(n,1)) | n=4..4//0\n", 2, "division by zero"),
+        (b"S2((2,-1),(3,1),(n//0,1)) | n=8..8\n", 2, "division by zero"),
+        (b"S2((2,-1),(3,1),(8,1))\n\xff\xfe\n", 1, "not UTF-8"),
+        (b"S2((2,-1),(3,1),(n,1)) | n=8..9 | n=8..8\n", 1, "line 1"),
+    ], ids=["floor_div_slot", "zero_range_bound", "zero_slot",
+            "not_utf8", "repeated_variable"])
+    def test_scan_file_defects(self, capsys, tmp_path, content, code,
+                               fragment):
+        spec = tmp_path / "fam.txt"
+        spec.write_bytes(content)
+        got, out, err = run(capsys, "scan", str(spec))
+        assert got == code
+        if code == 0:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0] == list(SCAN_CSV_HEADER)
+            assert rows[1][0] == "[-1; (2,1),(3,1),(8,1)]"
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert fragment in err and "Traceback" not in err
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -173,3 +198,15 @@ class TestUsage:
 
     def test_bad_argument_type(self, capsys):
         assert run(capsys, "n-genus", "x", "1")[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("norm", "S2((2,-1),(3,1),(8,1))", "--mu-window", "0"),
+        ("norm", "S2((2,-1),(3,1),(8,1))", "--lambda-cap", "-3"),
+        ("scan", "{spec}", "--mu-window", "-1"),
+        ("scan", "{spec}", "--format", "csv"),
+    ], ids=["zero_window", "negative_cap", "scan_window", "scan_format"])
+    def test_bad_option_exit_1(self, capsys, tmp_path, argv):
+        spec = tmp_path / "fam.txt"
+        spec.write_text("S2((2,-1),(3,1),(8,1))\n")
+        code, _, err = run(capsys, *(a.format(spec=spec) for a in argv))
+        assert code == 1 and err.startswith("error: ")

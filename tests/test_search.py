@@ -10,6 +10,7 @@ from sfsnorm.errors import PresentationError
 from sfsnorm.search import (
     SCAN_CSV_HEADER,
     SearchBudget,
+    _SearchState,
     compute_norms,
     enumerate_case1,
     enumerate_case3,
@@ -27,6 +28,7 @@ def M(*pairs):
 
 M_238 = M((2, -1), (3, 1), (8, 1))
 M_PRISM6 = M((2, -1), (2, 1), (6, 1))
+M_ODD = M((3, 2), (5, 2), (7, 4))  # all multiplicities odd: case 1 runs
 
 
 def random_presentations(count, seed, max_alpha=12):
@@ -164,6 +166,21 @@ class TestComputeNorms:
         labels = {e.z2class.label: e.min_genus for e in report.entries}
         assert labels == {"110": 2, "101": 4, "011": 4}
 
+    @pytest.mark.parametrize("budget, exhaustive", [
+        (SearchBudget(), True),
+        (SearchBudget(mu_window=2), False),
+        (SearchBudget(lambda_cap=1), False),
+    ], ids=["default", "mu_window", "lambda_cap"])
+    def test_case1_cap_sets_flag(self, budget, exhaustive):
+        report = compute_norms(M_ODD, budget)
+        assert [(e.min_genus, e.exhaustive) for e in report.entries] == \
+            [(4, exhaustive)]
+        # The case-1 sweeps mark the class themselves, not only case 3.
+        state = _SearchState()
+        assert list(enumerate_case1(M_ODD, budget, state))
+        capped = set() if exhaustive else {report.entries[0].z2class}
+        assert state.capped == capped
+
     def test_budget_monotonicity(self):
         small = compute_norms(M_PRISM6, SearchBudget(mu_window=24))
         large = compute_norms(M_PRISM6, SearchBudget(mu_window=512))
@@ -211,13 +228,10 @@ class TestBudget:
     def test_defaults(self):
         budget = SearchBudget()
         assert budget.window(M_238) == 64 * 8
-        assert budget.prefix_stop_run == 8
 
     def test_validation(self):
         with pytest.raises(PresentationError):
             SearchBudget(mu_window=0)
-        with pytest.raises(PresentationError):
-            SearchBudget(prefix_stop_run=0)
 
 
 class TestFamilyScan:
