@@ -27,5 +27,9 @@ class PresentationError(SfsNormError):
     """Structurally valid input that is not a small Seifert presentation."""
 
 
+class NoSurfaceError(PresentationError):
+    """Slopes that bound no pseudo-horizontal surface in the presentation."""
+
+
 class InternalInvariantError(AssertionError):
     """A computation produced a state that valid inputs can never reach."""

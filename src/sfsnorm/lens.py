@@ -151,12 +151,27 @@ def normalize_lens(curve):
     0 < q <= k (q = k only for the slope (2, 1)); the meridian
     normalizes to (0, 1).
     """
-    curve, _ = normalize_lens_steps(curve)
-    return curve
+    return LensCurve(*_normal_pair(curve))
+
+
+def _normal_pair(curve):
+    # (2k, q) of normalize_lens(curve), without building the curve.
+    if not isinstance(curve, LensCurve):
+        raise LensCurveError(f"expected a LensCurve, got {curve!r}")
+    twok, q = curve.twok, curve.q
+    if twok == 0:
+        return 0, 1
+    if twok < 0:
+        twok, q = -twok, -q
+    q %= twok
+    if q > twok // 2:
+        q = twok - q
+    return twok, q
 
 
 def normalize_lens_steps(curve):
-    """Like ``normalize_lens`` but also reports the rules applied."""
+    """Like ``normalize_lens`` but also reports the rules applied, as the
+    text ``n-genus --explain`` prints."""
     if not isinstance(curve, LensCurve):
         raise LensCurveError(f"expected a LensCurve, got {curve!r}")
     twok, q = curve.twok, curve.q
@@ -190,8 +205,7 @@ def n_genus(curve):
 
     Continued fraction route: normalize, expand 2k/q, skip sum.
     """
-    c = normalize_lens(curve)
-    return _n_normalized(c.twok, c.q)
+    return _n_normalized(*_normal_pair(curve))
 
 
 def n_genus_oracle(curve):

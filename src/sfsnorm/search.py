@@ -28,9 +28,11 @@ exceeds the best genus known for the class the sweep feeds, confirmed by
 PREFIX_STOP_RUN consecutive steps whose digit expansions extend the
 certified prefix.  A sweep that instead hits the hard window cap marks
 its class non-exhaustive in the report; nothing is silently dropped.
-The sweeping enumerators price each candidate into the search state
-before yielding it, so the bounds they prune against are always
-current, whether they run inside ``compute_norms`` or on their own.
+Every enumerator prices each candidate into the search state as it
+finds it, so the bounds the sweeps prune against are always current,
+whether they run inside ``compute_norms`` or on their own.  Pricing is
+one existence check and one integer genus count per candidate, against
+the homology structure the state holds for the presentation.
 """
 
 from __future__ import annotations
@@ -41,7 +43,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
 
-from .errors import InternalInvariantError, PresentationError, SfsNormError
+from .errors import (
+    InternalInvariantError,
+    NoSurfaceError,
+    PresentationError,
+    SfsNormError,
+)
 from .lens import LensCurve, cf_expand, normalize_lens
 from .notation import canonical_form, format_presentation, parse_presentation
 from .pencils import certified_tail, slope_pencil
@@ -57,7 +64,7 @@ from .surfaces import (
     PHParams,
     SurfaceReport,
     horizontal_report,
-    ph_exists,
+    ph_exists,  # noqa: F401 - unused here; perfbench/tracer.py patches it
     surface_report_from_json,
     vertical_surfaces,
 )
@@ -101,9 +108,11 @@ class SearchBudget:
 
 
 class _SearchState:
-    """Best genus, tie witnesses and exhaustiveness flags per class."""
+    """Best genus, tie witnesses and exhaustiveness flags per class, for
+    the presentation whose homology ``structure`` it holds."""
 
-    def __init__(self):
+    def __init__(self, structure):
+        self.structure = structure
         self.best = {}
         self.witnesses = {}
         self.kind_best = {}
@@ -150,15 +159,18 @@ def _cap_digits(fiber, lam, mu):
     return cf_expand(curve.twok, curve.q).digits
 
 
-def enumerate_case4(presentation):
+def enumerate_case4(presentation, state=None):
     """Candidates whose three slope multiplicities are strictly ordered.
 
     For each fiber pair (i, j) with a_i < a_j the two lower slopes are
     the fiber pairs themselves and the remaining slope is the zero-sum
     complement in lowest terms; the candidate survives when that slope
     is strictly the largest and the existence conditions hold.  At most
-    six candidates, no sweep.
+    six candidates, no sweep.  Each survivor is priced into ``state`` (a
+    fresh one when omitted), and the list of survivors is returned.
     """
+    if state is None:
+        state = _SearchState(homology_structure(presentation))
     fibers = presentation.fibers
     out = []
     for i in range(3):
@@ -176,10 +188,7 @@ def enumerate_case4(presentation):
             pairs[k] = (rest.denominator, rest.numerator)
             if not fibers[j].alpha < rest.denominator:
                 continue
-            params = PHParams(tuple(pairs))
-            if ph_exists(presentation, params):
-                _check_shape(params)
-                out.append(params)
+            out.extend(_price(presentation, state, PHParams(tuple(pairs))))
     return out
 
 
@@ -187,12 +196,15 @@ def _price(presentation, state, params):
     """Offer the surface ``params`` to ``state`` if it exists.
 
     Returns ``(params,)`` when it does and ``()`` when it does not, for a
-    sweep to ``yield from``.
+    sweep to ``yield from``.  ``horizontal_report`` checks existence once
+    and raises ``NoSurfaceError`` for slopes that bound no surface.
     """
-    if not ph_exists(presentation, params):
+    try:
+        report = horizontal_report(presentation, params, state.structure)
+    except NoSurfaceError:
         return ()
     _check_shape(params)
-    state.offer(horizontal_report(presentation, params))
+    state.offer(report)
     return (params,)
 
 
@@ -266,10 +278,11 @@ def enumerate_case3(presentation, budget=None, state=None):
     before it is yielded, so the bounds prune the rest of the stream.
     """
     budget = budget if budget is not None else SearchBudget()
-    structure = homology_structure(presentation)
+    if state is None:
+        state = _SearchState(homology_structure(presentation))
+    structure = state.structure
     if not structure.nonzero_classes:
         return
-    state = state if state is not None else _SearchState()
     window = budget.window(presentation)
     degree_cap = budget.degree_cap(presentation)
     fibers = presentation.fibers
@@ -324,11 +337,11 @@ def enumerate_case1(presentation, budget=None, state=None):
     fibers = presentation.fibers
     if any(f.alpha % 2 == 0 for f in fibers):
         return
-    structure = homology_structure(presentation)
-    if not structure.nonzero_classes:
+    if state is None:
+        state = _SearchState(homology_structure(presentation))
+    if not state.structure.nonzero_classes:
         return  # odd beta sum: parity excludes every candidate
-    cls = structure.nonzero_classes[0]
-    state = state if state is not None else _SearchState()
+    cls = state.structure.nonzero_classes[0]
     window = budget.window(presentation)
     degree_cap = budget.degree_cap(presentation)
     f1, f2, f3 = fibers
@@ -446,13 +459,12 @@ def compute_norms(presentation, budget=None):
         raise PresentationError(f"not a presentation: {presentation!r}")
     budget = budget if budget is not None else SearchBudget()
     structure = homology_structure(presentation)
-    state = _SearchState()
+    state = _SearchState(structure)
     if structure.nonzero_classes:
         for report in vertical_surfaces(presentation):
             state.offer(report)
-        for params in enumerate_case4(presentation):
-            state.offer(horizontal_report(presentation, params))
-        # The sweeping enumerators price into ``state`` themselves.
+        # The enumerators price into ``state`` themselves.
+        enumerate_case4(presentation, state)
         for _ in enumerate_case3(presentation, budget, state):
             pass
         for _ in enumerate_case1(presentation, budget, state):

@@ -11,15 +11,16 @@ l_i > 0 written against the horizontal/vertical curve basis.
 Existence of the pseudo-horizontal surface with given slopes is an
 if-and-only-if list of elementary conditions; its genus follows from the
 Riemann-Hurwitz count of the covering plus one N-term per solid torus.
+Every l_i divides the covering degree lam, so both are integer sums of
+the terms lam // l_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .errors import InternalInvariantError, PresentationError
+from .errors import InternalInvariantError, NoSurfaceError, PresentationError
 from .lens import LensCurve, n_genus
 from .seifert import HomologyCase, Z2Class, homology_structure
 
@@ -34,6 +35,7 @@ class PHParams:
     cover over the base sphere."""
 
     pairs: tuple
+    lam: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = tuple((int(l), int(m)) for l, m in self.pairs)
@@ -45,13 +47,7 @@ class PHParams:
                 raise PresentationError(f"slope ({l}, {m}) needs l > 0")
             if gcd(l, m) != 1:
                 raise PresentationError(f"slope ({l}, {m}) is not coprime")
-
-    @property
-    def lam(self):
-        return lcm(*(l for l, _ in self.pairs))
-
-    def slope_sum(self):
-        return sum((Fraction(m, l) for l, m in self.pairs), Fraction(0))
+        object.__setattr__(self, "lam", lcm(*(l for l, _ in pairs)))
 
 
 @dataclass(frozen=True)
@@ -138,16 +134,18 @@ def ph_obstruction(presentation, params):
     one solid torus would intersect); l_i = a_i and m_i = b_i mod 2; and
     not every slope is its fiber pair, which would cap every boundary by
     disks and produce an orientable horizontal surface, impossible in a
-    small manifold.
+    small manifold.  The slopes sum to zero exactly when the integers
+    m_i * (lam // l_i) do.
     """
     pairs = params.pairs
-    if params.slope_sum() != 0:
+    lam = params.lam
+    (l1, m1), (l2, m2), (l3, m3) = pairs
+    if m1 * (lam // l1) + m2 * (lam // l2) + m3 * (lam // l3) != 0:
         return REASON_SLOPE_SUM
     evens = sum(1 for l, _ in pairs if l % 2 == 0)
-    mu_sum = sum(m for _, m in pairs)
+    mu_sum = m1 + m2 + m3
     if not (evens == 2 or (evens == 0 and mu_sum % 2 == 0) or evens == 3):
         return REASON_PARITY
-    lam = params.lam
     fixed = [pairs[i] == presentation.fibers[i].pair for i in range(3)]
     for i in range(3):
         if pairs[i][0] != lam and not fixed[i]:
@@ -180,39 +178,51 @@ def cap_slopes(presentation, params):
     return tuple(out)
 
 
-def ph_genus(presentation, params):
-    """Genus of the pseudo-horizontal surface with the given slopes.
-
-    2 + lam*(1 - sum(1/l_i)) counts the capped-off branched cover by
-    Riemann-Hurwitz; each solid torus then swaps a disk for a one-sided
-    surface of genus N(cap slope).  Exact rational arithmetic throughout,
-    with integrality asserted.
-    """
+def _require_surface(presentation, params):
     reason = ph_obstruction(presentation, params)
     if reason is not None:
-        raise PresentationError(
+        raise NoSurfaceError(
             f"no pseudo-horizontal surface with these slopes: {reason}")
+
+
+def _genus(presentation, params):
+    # The genus of ``ph_genus`` for slopes already known to exist.
     lam = params.lam
-    cover = 2 + lam * (1 - sum(Fraction(1, l) for l, _ in params.pairs))
-    if cover.denominator != 1:
-        raise InternalInvariantError(
-            f"non-integral covering genus {cover} for {params.pairs}")
-    genus = int(cover) + sum(n_genus(c)
-                             for c in cap_slopes(presentation, params))
+    (l1, _), (l2, _), (l3, _) = params.pairs
+    genus = 2 + lam - lam // l1 - lam // l2 - lam // l3
+    for curve in cap_slopes(presentation, params):
+        genus += n_genus(curve)
     if genus < 1:
         raise InternalInvariantError(
             f"nonpositive genus {genus} for {params.pairs}")
     return genus
 
 
-def ph_class(presentation, params):
+def ph_genus(presentation, params):
+    """Genus of the pseudo-horizontal surface with the given slopes.
+
+    2 + lam*(1 - sum(1/l_i)) = 2 + lam - sum(lam // l_i) counts the
+    capped-off branched cover by Riemann-Hurwitz; each solid torus then
+    swaps a disk for a one-sided surface of genus N(cap slope).  Integer
+    arithmetic throughout: every l_i divides lam.  Raises
+    ``NoSurfaceError`` (a ``PresentationError``) when the slopes bound
+    no surface.
+    """
+    _require_surface(presentation, params)
+    return _genus(presentation, params)
+
+
+def ph_class(presentation, params, structure=None):
     """The Z/2 class represented by the pseudo-horizontal surface.
 
     When H_2 is cyclic the surface represents its only nonzero class.
     In the Klein four case the class is read off from the parities of the
     intersection numbers with the h-curves, m_i * lam / l_i.
+    ``structure`` is ``homology_structure(presentation)``, computed here
+    when not given.
     """
-    structure = homology_structure(presentation)
+    if structure is None:
+        structure = homology_structure(presentation)
     if structure.case is HomologyCase.TRIVIAL:
         raise PresentationError(
             "H_2(M; Z/2) = 0: no nonzero class to represent")
@@ -227,10 +237,14 @@ def ph_class(presentation, params):
     return cls
 
 
-def horizontal_report(presentation, params):
+def horizontal_report(presentation, params, structure=None):
+    """The priced surface with these slopes: one existence check, then
+    its genus and class.  Raises ``NoSurfaceError`` as ``ph_genus`` does;
+    ``structure`` is passed on to ``ph_class``."""
+    _require_surface(presentation, params)
     return SurfaceReport(HORIZONTAL, None, params,
-                         ph_genus(presentation, params),
-                         ph_class(presentation, params))
+                         _genus(presentation, params),
+                         ph_class(presentation, params, structure))
 
 
 def vertical_surfaces(presentation):

@@ -71,6 +71,7 @@ class TestNormalize:
                       LensCurve(twok, q + 2 * twok)):
                 n = normalize_lens(c)
                 assert normalize_lens(n) == n
+                assert normalize_lens_steps(c)[0] == n
                 assert n.twok > 0 and 0 < n.q <= n.twok // 2 + (n.twok == 2)
                 assert 2 * n.q <= n.twok
 

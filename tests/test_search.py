@@ -6,6 +6,8 @@ from math import gcd
 
 import pytest
 
+import sfsnorm.search
+import sfsnorm.surfaces
 from sfsnorm.errors import PresentationError
 from sfsnorm.search import (
     SCAN_CSV_HEADER,
@@ -18,7 +20,7 @@ from sfsnorm.search import (
     family_scan,
     norm_report_from_json,
 )
-from sfsnorm.seifert import SeifertPresentation
+from sfsnorm.seifert import SeifertPresentation, homology_structure
 from sfsnorm.surfaces import PHParams, ph_exists, ph_genus
 
 
@@ -176,7 +178,7 @@ class TestComputeNorms:
         assert [(e.min_genus, e.exhaustive) for e in report.entries] == \
             [(4, exhaustive)]
         # The case-1 sweeps mark the class themselves, not only case 3.
-        state = _SearchState()
+        state = _SearchState(homology_structure(M_ODD))
         assert list(enumerate_case1(M_ODD, budget, state))
         capped = set() if exhaustive else {report.entries[0].z2class}
         assert state.capped == capped
@@ -284,3 +286,38 @@ class TestInvariants:
         m = M_PRISM6
         for p in list(enumerate_case3(m))[:40]:
             assert ph_genus(m, p) >= 2
+
+
+class TestWorkCounts:
+    """Pricing work per candidate and per presentation stays bounded."""
+
+    @staticmethod
+    def record(monkeypatch, module, name, calls):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    @pytest.mark.parametrize("pairs", [
+        ((2, -1), (3, 1), (200, 1)),
+        ((31, 2), (33, 5), (29, -3)),
+    ], ids=["tall_two_even", "all_odd"])
+    def test_one_check_per_candidate(self, monkeypatch, pairs):
+        obstructions, reports, exists, homology = [], [], [], []
+        search, surfaces = sfsnorm.search, sfsnorm.surfaces
+        self.record(monkeypatch, surfaces, "ph_obstruction", obstructions)
+        self.record(monkeypatch, search, "horizontal_report", reports)
+        self.record(monkeypatch, search, "ph_exists", exists)
+        for module in (search, surfaces):
+            self.record(monkeypatch, module, "homology_structure", homology)
+        compute_norms(M(*pairs))
+        # Every existence check, whether through ph_exists or the check
+        # inside horizontal_report, runs the obstruction test once, and
+        # no candidate is tested twice.
+        assert reports
+        assert len(obstructions) == len(reports) + len(exists)
+        checked = [args[1] for args in obstructions]
+        assert len(checked) == len(set(checked))
+        assert len(homology) <= 4

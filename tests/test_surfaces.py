@@ -1,14 +1,23 @@
 """Tests for pseudo-horizontal and pseudo-vertical surface machinery."""
 
+import random
+from collections import Counter
+from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
 
-from sfsnorm.errors import PresentationError
-from sfsnorm.lens import LensCurve
+from sfsnorm.errors import NoSurfaceError, PresentationError
+from sfsnorm.lens import LensCurve, n_genus
 from sfsnorm.seifert import SeifertPresentation, homology_structure
 from sfsnorm.surfaces import (
     HORIZONTAL,
     VERTICAL,
     PHParams,
+    REASON_ALL_FIXED,
+    REASON_CONGRUENCE,
+    REASON_LCM,
+    REASON_PARITY,
     REASON_SLOPE_SUM,
     cap_slopes,
     horizontal_report,
@@ -107,8 +116,11 @@ class TestPhGenus:
         assert ph_genus(m, P((3, -1), (4, 1), (12, 1))) == 7
 
     def test_rejects_nonexistent(self):
+        p = P((2, -1), (3, 1), (8, 1))
         with pytest.raises(PresentationError):
-            ph_genus(M_238, P((2, -1), (3, 1), (8, 1)))
+            ph_genus(M_238, p)
+        with pytest.raises(NoSurfaceError):
+            horizontal_report(M_238, p)
 
     def test_closed_form_families(self):
         # Witness slopes of the three example families and their genus
@@ -209,3 +221,101 @@ class TestSurfaceReport:
         r = horizontal_report(m, P((2, -1), (4, 1), (4, 1)))
         assert r.kind == HORIZONTAL
         assert r.genus == 4
+
+
+def reference_slope_sum(params):
+    return sum((Fraction(m, l) for l, m in params.pairs), Fraction(0))
+
+
+def reference_obstruction(presentation, params, slope_sum):
+    """The existence check as it stood with ``Fraction`` slope sums;
+    ``slope_sum`` is ``reference_slope_sum(params)``."""
+    pairs = params.pairs
+    if slope_sum != 0:
+        return REASON_SLOPE_SUM
+    evens = sum(1 for l, _ in pairs if l % 2 == 0)
+    mu_sum = sum(m for _, m in pairs)
+    if not (evens == 2 or (evens == 0 and mu_sum % 2 == 0) or evens == 3):
+        return REASON_PARITY
+    lam = lcm(*(l for l, _ in pairs))
+    fixed = [pairs[i] == presentation.fibers[i].pair for i in range(3)]
+    for i in range(3):
+        if pairs[i][0] != lam and not fixed[i]:
+            return REASON_LCM
+    for i, (l, m) in enumerate(pairs):
+        f = presentation.fibers[i]
+        if (l - f.alpha) % 2 != 0 or (m - f.beta) % 2 != 0:
+            return REASON_CONGRUENCE
+    if all(fixed):
+        return REASON_ALL_FIXED
+    return None
+
+
+def reference_cover(params):
+    """Riemann-Hurwitz genus of the capped cover, in fractions."""
+    lam = lcm(*(l for l, _ in params.pairs))
+    return 2 + lam * (1 - sum(Fraction(1, l) for l, _ in params.pairs))
+
+
+class TestIntegerPricing:
+    """The integer existence check and genus against the fraction ones."""
+
+    BOUND = 12
+
+    def box(self):
+        """Every triple of box slopes (l <= 12, |m| <= 12) summing to
+        zero, where all later conditions are reached, and a seeded sample
+        of arbitrary box triples."""
+        slopes = [(l, m) for l in range(1, self.BOUND + 1)
+                  for m in range(-self.BOUND, self.BOUND + 1)
+                  if gcd(l, m) == 1]
+        in_box = set(slopes)
+        zero_sum = []
+        for a in slopes:
+            for b in slopes:
+                rest = -(Fraction(a[1], a[0]) + Fraction(b[1], b[0]))
+                c = (rest.denominator, rest.numerator)
+                if c in in_box:
+                    zero_sum.append(P(a, b, c))
+        rng = random.Random(5)
+        sample = [P(*(rng.choice(slopes) for _ in range(3)))
+                  for _ in range(1000)]
+        return zero_sum + sample
+
+    def presentations(self, count):
+        rng = random.Random(17)
+        found = []
+        while len(found) < count:
+            pairs = []
+            for _ in range(3):
+                a = rng.randrange(2, self.BOUND + 1)
+                b = rng.choice([b for b in range(-a + 1, a)
+                                if gcd(a, b) == 1])
+                pairs.append((a, b))
+            try:
+                found.append(M(*pairs))
+            except PresentationError:
+                continue
+        return found
+
+    def test_matches_fraction_reference(self):
+        box = [(p, reference_slope_sum(p)) for p in self.box()]
+        reasons = Counter()
+        for m in self.presentations(50):
+            structure = homology_structure(m)
+            for p, slope_sum in box:
+                reason = ph_obstruction(m, p)
+                assert reason == reference_obstruction(m, p, slope_sum), \
+                    (m, p)
+                reasons[reason] += 1
+                if reason is not None:
+                    continue
+                cover = reference_cover(p)
+                assert cover.denominator == 1
+                assert ph_genus(m, p) == cover + sum(
+                    n_genus(c) for c in cap_slopes(m, p))
+                assert ph_class(m, p, structure) == ph_class(m, p)
+        # Every reachable outcome occurs; all-fixed slopes sum to the
+        # nonzero Euler number, so that reason never does.
+        assert set(reasons) == {None, REASON_SLOPE_SUM,
+                                REASON_LCM, REASON_CONGRUENCE}
