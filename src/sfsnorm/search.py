@@ -28,6 +28,10 @@ exceeds the best genus known for the class the sweep feeds, confirmed by
 PREFIX_STOP_RUN consecutive steps whose digit expansions extend the
 certified prefix.  A sweep that instead hits the hard window cap marks
 its class non-exhaustive in the report; nothing is silently dropped.
+Case 1 also bounds the caps before it prices them: N >= 1 for every cap
+slope but the meridian, which the slope (lam, m_j) gives only when lam =
+a_j.  That floor of one per off-meridian cap prunes the case-1 degree
+loop, the outer sweep and each inner sweep.
 Every enumerator prices each candidate into the search state as it
 finds it, so the bounds the sweeps prune against are always current,
 whether they run inside ``compute_norms`` or on their own.  Pricing is
@@ -327,9 +331,15 @@ def enumerate_case1(presentation, budget=None, state=None):
     Possible only when every multiplicity is odd; the coefficients sum
     to zero and match the beta parities.  At each degree mu_1 sweeps
     outward, and at each of its steps mu_2 sweeps with mu_3 = -mu_1 -
-    mu_2; the degree loop stops at best genus + 1 since even the
-    all-disk cover already costs lam - 1.  Candidates are priced into
-    ``state`` as in ``enumerate_case3``.
+    mu_2.  A candidate costs lam - 1 + N_1 + N_2 + N_3, and N_j >= 1
+    unless the cap slope on fiber j is the meridian, which needs lam =
+    a_j; the three caps are never all meridians.  With these floors the
+    degree loop stops once lam - 1 plus the floors (at least 1) reaches
+    the best genus, a bound that never falls as lam grows; the outer
+    sweep's certificate counts the floors of the two inner legs; and the
+    inner sweep at mu_1 is skipped when lam - 1 + N_1 plus those floors
+    exceeds the best genus.  Candidates are priced into ``state`` as in
+    ``enumerate_case3``.
     """
     from .lens import n_genus
 
@@ -347,11 +357,16 @@ def enumerate_case1(presentation, budget=None, state=None):
     f1, f2, f3 = fibers
     lam = 1
     while True:
-        if lam - 1 >= state.need(cls):
+        floor1, floor2, floor3 = (0 if lam == f.alpha else 1 for f in fibers)
+        # N_j >= 1 unless lam == a_j, and the three caps are never all
+        # meridians.  The bound at lam + 2 is at least its largest value
+        # here, so the break covers every higher degree too.
+        if lam - 1 + max(1, floor1 + floor2 + floor3) >= state.need(cls):
             break
         if lam > degree_cap:
             state.capped.add(cls)
             break
+        outer_base = lam - 1 + floor2 + floor3
         center2 = _parity_center(Fraction(lam * f2.beta, f2.alpha), f2.beta)
 
         def visit(mu1):
@@ -361,12 +376,14 @@ def enumerate_case1(presentation, budget=None, state=None):
 
             n1 = n_genus(LensCurve(mu1 * f1.alpha - lam * f1.beta,
                                    lam * f1.delta - mu1 * f1.gamma))
+            if outer_base + n1 > state.need(cls):
+                return ()
             return _sweep(state, cls, lam, lam - 1 + n1,
                           ((f2, 0, 1), (f3, -mu1, -1)), center2, window,
                           price)
 
         yield from _sweep(
-            state, cls, lam, lam - 1, ((f1, 0, 1),),
+            state, cls, lam, outer_base, ((f1, 0, 1),),
             _parity_center(Fraction(lam * f1.beta, f1.alpha), f1.beta),
             window, visit)
         lam += 2
@@ -374,7 +391,15 @@ def enumerate_case1(presentation, budget=None, state=None):
 
 @dataclass(frozen=True)
 class ClassNorm:
-    """Search result for one nonzero Z/2 class."""
+    """Search result for one nonzero Z/2 class.
+
+    ``min_vertical_genus`` and ``min_horizontal_genus`` are the least
+    genus of each kind the search priced.  The vertical one is exact,
+    since every pseudo-vertical surface is priced.  The horizontal one
+    is exact only when it equals ``min_genus``; otherwise it is an upper
+    bound, because the search prunes every candidate that cannot beat
+    the class minimum.
+    """
 
     z2class: Z2Class
     min_genus: int
@@ -568,8 +593,11 @@ def family_scan(template, grid, budget=None):
     slots (for example ``S2((2,-1),(2*m+1,m),(2*n,1))``); ``grid`` is an
     ordered list of (name, lo, hi) with bounds that may use earlier
     variables.  Instances that fail to parse or validate are skipped and
-    logged.  The gap column is vertical minus horizontal minimal genus
-    when both kinds produced a candidate in the class.
+    logged.  The gap column is ``min_vertical_genus`` minus
+    ``min_horizontal_genus`` when both kinds produced a candidate in the
+    class.  A gap >= 0 is exact; a negative gap is only a lower bound on
+    the true one, which lies between it and 0, because the horizontal
+    minimum is then an upper bound (see ``ClassNorm``).
     """
     rows = []
     for bindings in _grid_bindings(list(grid)):

@@ -118,7 +118,6 @@ def surface_report_from_json(data):
 
 # Reason codes, in the order the conditions are tested.
 REASON_SLOPE_SUM = "slope_sum_nonzero"
-REASON_PARITY = "parity_trichotomy"
 REASON_LCM = "lcm_restriction"
 REASON_CONGRUENCE = "fiber_congruence"
 REASON_ALL_FIXED = "orientable_horizontal"
@@ -127,25 +126,27 @@ REASON_ALL_FIXED = "orientable_horizontal"
 def ph_obstruction(presentation, params):
     """First failed existence condition, or None when the surface exists.
 
-    The conditions: the slopes sum to zero; their parities fall in one of
-    the three admissible patterns (all l odd with even m-sum, exactly two
-    l even, all l even); every l_i either equals the covering degree or
-    the slope is the fiber pair itself (two parallel one-sided caps in
-    one solid torus would intersect); l_i = a_i and m_i = b_i mod 2; and
-    not every slope is its fiber pair, which would cap every boundary by
-    disks and produce an orientable horizontal surface, impossible in a
-    small manifold.  The slopes sum to zero exactly when the integers
-    m_i * (lam // l_i) do.
+    The conditions: the slopes sum to zero; every l_i either equals the
+    covering degree or the slope is the fiber pair itself (two parallel
+    one-sided caps in one solid torus would intersect); l_i = a_i and
+    m_i = b_i mod 2; and not every slope is its fiber pair, which would
+    cap every boundary by disks and produce an orientable horizontal
+    surface, impossible in a small manifold.  The slopes sum to zero
+    exactly when the integers m_i * (lam // l_i) do.
+
+    The existence theorem also asks the parities to fall in one of three
+    patterns (all l odd with even m-sum, exactly two l even, all l even).
+    A zero slope sum implies this, so it is not tested.  With exactly one
+    even l_i, lam // l_i is odd for it and even for the two odd l, and
+    its m_i is odd (coprime to an even l_i), so the integer sum is odd.
+    With every l_i odd, each lam // l_i is odd, so the sum has the parity
+    of the m-sum.
     """
     pairs = params.pairs
     lam = params.lam
     (l1, m1), (l2, m2), (l3, m3) = pairs
     if m1 * (lam // l1) + m2 * (lam // l2) + m3 * (lam // l3) != 0:
         return REASON_SLOPE_SUM
-    evens = sum(1 for l, _ in pairs if l % 2 == 0)
-    mu_sum = m1 + m2 + m3
-    if not (evens == 2 or (evens == 0 and mu_sum % 2 == 0) or evens == 3):
-        return REASON_PARITY
     fixed = [pairs[i] == presentation.fibers[i].pair for i in range(3)]
     for i in range(3):
         if pairs[i][0] != lam and not fixed[i]:

@@ -31,6 +31,7 @@ def M(*pairs):
 M_238 = M((2, -1), (3, 1), (8, 1))
 M_PRISM6 = M((2, -1), (2, 1), (6, 1))
 M_ODD = M((3, 2), (5, 2), (7, 4))  # all multiplicities odd: case 1 runs
+M_ODD_TALL = M((31, 2), (33, 5), (29, -3))  # genus 10, at degree 1
 
 
 def random_presentations(count, seed, max_alpha=12):
@@ -168,19 +169,24 @@ class TestComputeNorms:
         labels = {e.z2class.label: e.min_genus for e in report.entries}
         assert labels == {"110": 2, "101": 4, "011": 4}
 
-    @pytest.mark.parametrize("budget, exhaustive", [
-        (SearchBudget(), True),
-        (SearchBudget(mu_window=2), False),
-        (SearchBudget(lambda_cap=1), False),
-    ], ids=["default", "mu_window", "lambda_cap"])
-    def test_case1_cap_sets_flag(self, budget, exhaustive):
-        report = compute_norms(M_ODD, budget)
+    @pytest.mark.parametrize("m, budget, genus, exhaustive, case1_capped", [
+        (M_ODD, SearchBudget(), 4, True, False),
+        (M_ODD, SearchBudget(mu_window=2), 4, False, True),
+        # The N floors close the case-1 degree loop at degree 3
+        # (3 - 1 + 3 >= 4) before the cap binds; case 3 still hits it.
+        (M_ODD, SearchBudget(lambda_cap=1), 4, False, False),
+        (M_ODD_TALL, SearchBudget(lambda_cap=1), 10, False, True),
+    ], ids=["default", "mu_window", "lambda_cap", "lambda_cap_binds"])
+    def test_case1_cap_sets_flag(self, m, budget, genus, exhaustive,
+                                 case1_capped):
+        report = compute_norms(m, budget)
         assert [(e.min_genus, e.exhaustive) for e in report.entries] == \
-            [(4, exhaustive)]
+            [(genus, exhaustive)]
         # The case-1 sweeps mark the class themselves, not only case 3.
-        state = _SearchState(homology_structure(M_ODD))
-        assert list(enumerate_case1(M_ODD, budget, state))
-        capped = set() if exhaustive else {report.entries[0].z2class}
+        state = _SearchState(homology_structure(m))
+        assert list(enumerate_case1(m, budget, state))
+        assert state.best == {report.entries[0].z2class: genus}
+        capped = {report.entries[0].z2class} if case1_capped else set()
         assert state.capped == capped
 
     def test_budget_monotonicity(self):
@@ -321,3 +327,14 @@ class TestWorkCounts:
         checked = [args[1] for args in obstructions]
         assert len(checked) == len(set(checked))
         assert len(homology) <= 4
+
+    def test_case1_floors_bound_sweep_steps(self, monkeypatch):
+        # The sweeps make the search's gcd calls, at least one a step.
+        # The N floors of the case-1 degree loop, outer sweep and inner
+        # sweeps hold this case to 4,668 calls; without them, 16,822.
+        calls = []
+        self.record(monkeypatch, sfsnorm.search, "gcd", calls)
+        report = compute_norms(M_ODD_TALL)
+        assert [(e.min_genus, e.exhaustive) for e in report.entries] == \
+            [(10, True)]
+        assert len(calls) <= 6000

@@ -17,7 +17,6 @@ from sfsnorm.surfaces import (
     REASON_ALL_FIXED,
     REASON_CONGRUENCE,
     REASON_LCM,
-    REASON_PARITY,
     REASON_SLOPE_SUM,
     cap_slopes,
     horizontal_report,
@@ -228,15 +227,17 @@ def reference_slope_sum(params):
 
 
 def reference_obstruction(presentation, params, slope_sum):
-    """The existence check as it stood with ``Fraction`` slope sums;
-    ``slope_sum`` is ``reference_slope_sum(params)``."""
+    """The existence check as it stood with ``Fraction`` slope sums and
+    the parity condition, which a zero slope sum implies and
+    ``ph_obstruction`` no longer tests; ``slope_sum`` is
+    ``reference_slope_sum(params)``."""
     pairs = params.pairs
     if slope_sum != 0:
         return REASON_SLOPE_SUM
     evens = sum(1 for l, _ in pairs if l % 2 == 0)
     mu_sum = sum(m for _, m in pairs)
     if not (evens == 2 or (evens == 0 and mu_sum % 2 == 0) or evens == 3):
-        return REASON_PARITY
+        return "parity_trichotomy"
     lam = lcm(*(l for l, _ in pairs))
     fixed = [pairs[i] == presentation.fibers[i].pair for i in range(3)]
     for i in range(3):
