@@ -18,10 +18,8 @@ from .lens import (
     LensCurve,
     b_sequence,
     cf_expand,
-    cf_value,
     n_genus,
     n_genus_oracle,
-    n_lower_bound_reached,
     normalize_lens,
     normalize_lens_steps,
     skip_sum,
@@ -51,7 +49,6 @@ from .seifert import (
     Z2Class,
     complete_matrix,
     homology_structure,
-    normalize_even_betas,
     to_orlik_normal_form,
 )
 from .surfaces import (
@@ -91,7 +88,6 @@ __all__ = [
     "b_sequence",
     "canonical_form",
     "cf_expand",
-    "cf_value",
     "complete_matrix",
     "compute_norms",
     "detect_notation",
@@ -104,9 +100,7 @@ __all__ = [
     "horizontal_report",
     "n_genus",
     "n_genus_oracle",
-    "n_lower_bound_reached",
     "norm_report_from_json",
-    "normalize_even_betas",
     "normalize_lens",
     "normalize_lens_steps",
     "parse_presentation",

@@ -5,10 +5,11 @@
     sfs-norm convert "S2(...)" martelli|hatcher|orlik
     sfs-norm scan FAMILIES.txt [--out FILE]
 
-Exit codes: 0 on success, 1 for usage or syntax errors, 2 for inputs that
-are not valid small Seifert presentations or slopes, 3 for internal
-invariant breaches.  SFS_NORM_MU_WINDOW overrides the default sweep
-window when --mu-window is not given.
+Exit codes: 0 on success, 1 for usage or syntax errors and for files that
+cannot be read or written, 2 for inputs that are not valid small Seifert
+presentations or slopes, 3 for internal invariant breaches.
+SFS_NORM_MU_WINDOW overrides the default sweep window when --mu-window is
+not given.
 """
 
 from __future__ import annotations
@@ -251,13 +252,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except NotationSyntaxError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+    except (_UsageError, NotationSyntaxError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (LensCurveError, PresentationError, SfsNormError) as err:

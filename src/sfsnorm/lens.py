@@ -99,15 +99,6 @@ def cf_expand(numerator, denominator):
     return CFDigits(tuple(digits))
 
 
-def cf_value(digits):
-    """Rebuild the fraction (numerator, denominator) from its digits."""
-    ds = tuple(digits)
-    n, d = ds[-1], 1
-    for a in reversed(ds[:-1]):
-        n, d = a * n + d, n
-    return n, d
-
-
 def b_sequence(digits):
     """The Bredon-Wood summation sequence b0, ..., bn.
 
@@ -235,21 +226,3 @@ def n_genus_oracle(curve):
         else:
             raise LensCurveError(
                 f"no recursion step in range for ({c.twok}, {c.q})")
-
-
-def n_lower_bound_reached(curve, target):
-    """True when the digits of ``target`` are a strict prefix of ``curve``'s.
-
-    The skip sum is causal in the digits: the shared prefix contributes
-    the same b-values to both slopes and the extra digits of ``curve``
-    contribute nonnegatively, so a strict prefix certifies
-    N(curve) >= N(target).  A False return proves nothing.
-    """
-    if normalize_lens(target) != target:
-        raise LensCurveError(f"target {target} is not normalized")
-    c = normalize_lens(curve)
-    if c.twok == 0 or target.twok == 0:
-        return False
-    cd = cf_expand(c.twok, c.q).digits
-    td = cf_expand(target.twok, target.q).digits
-    return len(td) < len(cd) and cd[:len(td)] == td

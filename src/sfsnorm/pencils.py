@@ -87,15 +87,6 @@ class TailCertificate:
         digit = max(0, (a * t + b) // c)
         return (self.base_half + digit + 1) // 2
 
-    def grows(self):
-        return self.growth is not None and self.growth[0] > 0
-
-    def matches(self, digits):
-        """True when ``digits`` strictly extends the stable prefix."""
-        ds = tuple(digits)
-        return len(ds) > len(self.prefix) and \
-            ds[:len(self.prefix)] == self.prefix
-
 
 def _constant_pair_certificate(twok, second):
     """Certificate for a pencil whose first entry is the constant 2k > 0.
@@ -127,7 +118,12 @@ def certified_tail(first, second):
     Returns a TailCertificate, or None when no certificate exists (the
     pencil degenerates; callers then fall back to the hard sweep cap).
     The certificate is sound for every t >= t_min at which the pair is a
-    valid slope; steps with a common factor are simply not slopes.
+    valid slope; steps with a common factor are simply not slopes.  Each
+    eventual floor, sign and comparison the digits rest on goes through
+    ``need``, which records the step from which that linear form stays
+    nonnegative, and t_min is the largest of these onsets.  From t_min
+    on every decision therefore holds exactly, so the normalized digits
+    strictly extend ``prefix`` and N is at least ``bound_at(t)``.
     """
     thresholds = [0]
 

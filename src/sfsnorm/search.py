@@ -22,12 +22,12 @@ l_3 relative to the covering degree:
 The sweeps are infinite a priori.  Termination is by branch and bound:
 the capped-cover part of the genus prunes the degree loops, and every
 outward coefficient sweep, the one of case 3 and both of case 1, runs
-through ``_sweep``.  It stops once a slope-pencil certificate (exact
-Euclid on linear forms, see ``pencils``) proves every further candidate
-exceeds the best genus known for the class the sweep feeds, confirmed by
-PREFIX_STOP_RUN consecutive steps whose digit expansions extend the
-certified prefix.  A sweep that instead hits the hard window cap marks
-its class non-exhaustive in the report; nothing is silently dropped.
+through ``_sweep``.  Its one stop rule is a slope-pencil certificate
+(exact Euclid on linear forms, see ``pencils``), whose N bound holds at
+every step from its threshold t_min on: a direction stops once that
+bound proves every further candidate exceeds the best genus known for
+the class the sweep feeds.  A sweep that instead hits the hard window
+cap marks its class non-exhaustive; nothing is silently dropped.
 Case 1 also bounds the caps before it prices them: N >= 1 for every cap
 slope but the meridian, which the slope (lam, m_j) gives only when lam =
 a_j.  That floor of one per off-meridian cap prunes the case-1 degree
@@ -53,7 +53,7 @@ from .errors import (
     PresentationError,
     SfsNormError,
 )
-from .lens import LensCurve, cf_expand, normalize_lens
+from .lens import LensCurve
 from .notation import canonical_form, format_presentation, parse_presentation
 from .pencils import certified_tail, slope_pencil
 from .seifert import (
@@ -76,8 +76,6 @@ from .surfaces import (
 log = logging.getLogger(__name__)
 
 MAX_TIE_WITNESSES = 16
-# Consecutive prefix-certified steps a sweep direction needs to stop.
-PREFIX_STOP_RUN = 8
 
 
 @dataclass(frozen=True)
@@ -155,14 +153,6 @@ def _parity_center(value, parity_like):
     return center
 
 
-def _cap_digits(fiber, lam, mu):
-    curve = normalize_lens(LensCurve(mu * fiber.alpha - lam * fiber.beta,
-                                     lam * fiber.delta - mu * fiber.gamma))
-    if curve.twok == 0:
-        return None
-    return cf_expand(curve.twok, curve.q).digits
-
-
 def enumerate_case4(presentation, state=None):
     """Candidates whose three slope multiplicities are strictly ordered.
 
@@ -220,11 +210,11 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
     center.  Each leg ``(fiber, offset, sign)`` is a slope of coefficient
     ``offset + sign*mu`` on that fiber.  At every mu where all leg
     coefficients are prime to ``lam`` this yields what ``visit(mu)``
-    returns.  A direction stops once the legs' pencil certificates put
-    ``base`` plus their N bounds above the best genus of ``cls``, after
-    PREFIX_STOP_RUN consecutive such steps whose cap digits extend the
-    certified prefixes; a direction that runs out of window instead
-    marks ``cls`` capped.
+    returns.  The one stop rule: at every step t >= the largest
+    ``t_min`` of the legs' pencil certificates, a direction stops once
+    ``base`` plus their N bounds at t, which hold at every later step,
+    exceed the best genus of ``cls``.  A direction that runs out of
+    window instead marks ``cls`` capped.
     """
     for step in (2, -2):
         mu = center if step > 0 else center - 2
@@ -234,7 +224,6 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
         # Without a certificate on every leg the direction never stops early.
         t_min = max(cert.t_min for cert in certs) if None not in certs \
             else inf
-        run = 0
         t = 0
         while abs(mu - center) <= window:
             for _, offset, sign in legs:
@@ -242,16 +231,7 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
                     break
             else:
                 yield from visit(mu)
-                if t >= t_min:
-                    run += 1
-                    for cert, (fiber, offset, sign) in zip(certs, legs):
-                        digits = _cap_digits(fiber, lam, offset + sign * mu)
-                        if not digits or not cert.matches(digits):
-                            run = 0
-                            log.warning("prefix certificate missed at step "
-                                        "%d of a degree-%d sweep", t, lam)
-                            break
-            if run >= PREFIX_STOP_RUN:
+            if t >= t_min:
                 bound = base
                 for cert in certs:
                     bound += cert.bound_at(t)

@@ -208,32 +208,6 @@ def homology_structure(presentation):
                               Z2Class((0, 1, 1))))
 
 
-def normalize_even_betas(presentation):
-    """Fiber moves making every beta even, when parity allows it.
-
-    Requires all alphas odd and an even beta sum.  A compensating pair of
-    moves beta_i += alpha_i, beta_j -= alpha_j flips the two odd
-    parities and preserves sum(beta/alpha).
-    """
-    if any(a % 2 == 0 for a in presentation.alphas):
-        raise PresentationError("fiber moves cannot fix parities unless "
-                                "all alphas are odd")
-    if sum(presentation.betas) % 2 != 0:
-        raise PresentationError("odd beta sum: no fiber moves make all "
-                                "betas even")
-    odd = [i for i, b in enumerate(presentation.betas) if b % 2 != 0]
-    if not odd:
-        return presentation
-    i, j = odd
-    pairs = list(presentation.pairs())
-    pairs[i] = (pairs[i][0], pairs[i][1] + pairs[i][0])
-    pairs[j] = (pairs[j][0], pairs[j][1] - pairs[j][0])
-    moved = SeifertPresentation.from_pairs(pairs)
-    if moved.euler_sum() != presentation.euler_sum():
-        raise PresentationError("fiber move changed the Euler sum")
-    return moved
-
-
 def to_orlik_normal_form(presentation):
     """(e, ((a1,b1'),(a2,b2'),(a3,b3'))) with 0 < b' < a.
 

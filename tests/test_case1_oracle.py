@@ -17,6 +17,13 @@ from sfsnorm.surfaces import PHParams, ph_exists, ph_genus
 
 MAX_ALPHA = 9
 MU_MAX = 16
+# Case-1 minima above degree 1 (genus 6 at degree 3, 6 and 8 at degree
+# 5), which a floor over-claimed by one prunes.
+HIGH_DEGREE = [SeifertPresentation.from_pairs(pairs) for pairs in (
+    ((7, -4), (11, 3), (7, 1)),
+    ((7, 1), (5, -2), (13, 3)),
+    ((13, 10), (7, -1), (13, -7)),
+)]
 
 
 def all_odd_presentations(count, seed):
@@ -60,7 +67,7 @@ def brute_case1(presentation, lam_max, mu_max):
 
 
 def test_pruned_search_never_exceeds_box():
-    for m in all_odd_presentations(40, seed=4):
+    for m in all_odd_presentations(40, seed=4) + HIGH_DEGREE:
         (entry,) = compute_norms(m).entries
         assert entry.exhaustive
         box = brute_case1(m, entry.min_genus + 1, MU_MAX)

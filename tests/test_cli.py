@@ -210,3 +210,12 @@ class TestUsage:
         spec.write_text("S2((2,-1),(3,1),(8,1))\n")
         code, _, err = run(capsys, *(a.format(spec=spec) for a in argv))
         assert code == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "{dir}"),
+        ("norm", "S2((2,-1),(3,1),(8,1))", "--out", "{dir}"),
+    ], ids=["scan_directory", "out_directory"])
+    def test_os_error_exit_1(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert code == 1 and err.startswith("error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err

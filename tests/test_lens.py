@@ -10,10 +10,8 @@ from sfsnorm.lens import (
     LensCurve,
     b_sequence,
     cf_expand,
-    cf_value,
     n_genus,
     n_genus_oracle,
-    n_lower_bound_reached,
     normalize_lens,
     normalize_lens_steps,
     skip_sum,
@@ -27,6 +25,34 @@ def hand_euclid(n, d):
         out.append(n // d)
         n, d = d, n % d
     return out
+
+
+def cf_value(digits):
+    """Rebuild the fraction (numerator, denominator) from its digits."""
+    ds = tuple(digits)
+    n, d = ds[-1], 1
+    for a in reversed(ds[:-1]):
+        n, d = a * n + d, n
+    return n, d
+
+
+def n_lower_bound_reached(curve, target):
+    """True when the digits of ``target`` are a strict prefix of ``curve``'s.
+
+    The skip sum is causal in the digits: the shared prefix contributes
+    the same b-values to both slopes and the extra digits of ``curve``
+    contribute nonnegatively, so a strict prefix certifies
+    N(curve) >= N(target).  This is the step the slope-pencil bound
+    rests on.  A False return proves nothing.
+    """
+    if normalize_lens(target) != target:
+        raise LensCurveError(f"target {target} is not normalized")
+    c = normalize_lens(curve)
+    if c.twok == 0 or target.twok == 0:
+        return False
+    cd = cf_expand(c.twok, c.q).digits
+    td = cf_expand(target.twok, target.q).digits
+    return len(td) < len(cd) and cd[:len(td)] == td
 
 
 def valid_slopes(limit):

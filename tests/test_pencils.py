@@ -3,9 +3,28 @@
 import random
 from math import gcd
 
+import sfsnorm.search
+from sfsnorm.errors import PresentationError
 from sfsnorm.lens import LensCurve, cf_expand, n_genus, normalize_lens
 from sfsnorm.pencils import Lin, certified_tail, slope_pencil
-from sfsnorm.seifert import complete_matrix
+from sfsnorm.search import compute_norms
+from sfsnorm.seifert import (
+    HomologyCase,
+    SeifertPresentation,
+    complete_matrix,
+    homology_structure,
+)
+
+
+def grows(cert):
+    return cert.growth is not None and cert.growth[0] > 0
+
+
+def matches(cert, digits):
+    """True when ``digits`` strictly extends the certified prefix."""
+    ds = tuple(digits)
+    return len(ds) > len(cert.prefix) and \
+        ds[:len(cert.prefix)] == cert.prefix
 
 
 def check_certificate(first, second, horizon=160):
@@ -24,8 +43,8 @@ def check_certificate(first, second, horizon=160):
         norm = normalize_lens(curve)
         if norm.twok > 0:
             digits = cf_expand(norm.twok, norm.q).digits
-            assert cert.matches(digits), (first, second, t, digits,
-                                          cert.prefix)
+            assert matches(cert, digits), (first, second, t, digits,
+                                           cert.prefix)
         checked += 1
     return checked
 
@@ -53,7 +72,7 @@ class TestCertifiedTail:
         fiber = complete_matrix(3, 1)
         first, second = slope_pencil(fiber, 1, 1, 2)
         cert = certified_tail(first, second)
-        assert cert is not None and cert.grows()
+        assert cert is not None and grows(cert)
         assert cert.prefix == (2, 1)
         t = cert.t_min
         assert cert.bound_at(t + 100) > cert.bound_at(t) + 50
@@ -70,7 +89,7 @@ class TestCertifiedTail:
         fiber = complete_matrix(8, 1)
         first, second = slope_pencil(fiber, 6, 1, 2)
         cert = certified_tail(first, second)
-        assert cert is not None and not cert.grows()
+        assert cert is not None and not grows(cert)
         assert cert.prefix == (7, 1)
         assert cert.bound_at(cert.t_min) == 4
 
@@ -110,3 +129,45 @@ class TestCertifiedTail:
             actual = n_genus(LensCurve(2 * n - 12, 13 - 2 * n))
             assert actual == n - 6
             assert cert.bound_at(t) <= actual
+
+
+def presentations_by_case(per_case, seed, max_alpha=12):
+    """``per_case`` seeded presentations of each homology case."""
+    rng = random.Random(seed)
+    found = {case: [] for case in HomologyCase}
+    while any(len(ms) < per_case for ms in found.values()):
+        pairs = []
+        for _ in range(3):
+            a = rng.randrange(2, max_alpha + 1)
+            b = rng.choice([b for b in range(-a + 1, a) if gcd(a, b) == 1])
+            pairs.append((a, b))
+        try:
+            m = SeifertPresentation.from_pairs(pairs)
+        except PresentationError:
+            continue
+        ms = found[homology_structure(m).case]
+        if len(ms) < per_case:
+            ms.append(m)
+    return [m for ms in found.values() for m in ms]
+
+
+def test_search_pencils_hold_from_t_min(monkeypatch):
+    # A sweep stops on its certificates alone, so every pencil the
+    # search builds must keep its digit prefix and N bound from t_min on.
+    pencils = []
+
+    def recording(*args):
+        pencil = slope_pencil(*args)
+        pencils.append(pencil)
+        return pencil
+    monkeypatch.setattr(sfsnorm.search, "slope_pencil", recording)
+    corpus = presentations_by_case(5, seed=1)
+    # All-odd: case 1 sweeps it at the degrees 1, 3, 5 and 7.
+    corpus.append(SeifertPresentation.from_pairs([(31, 2), (33, 5),
+                                                  (29, -3)]))
+    for m in corpus:
+        compute_norms(m)
+    assert len(pencils) >= 300
+    checked = sum(check_certificate(first, second, horizon=40)
+                  for first, second in pencils)
+    assert checked >= 10000

@@ -328,13 +328,20 @@ class TestWorkCounts:
         assert len(checked) == len(set(checked))
         assert len(homology) <= 4
 
-    def test_case1_floors_bound_sweep_steps(self, monkeypatch):
+    @pytest.mark.parametrize("pairs, genus, limit", [
+        (((31, 2), (33, 5), (29, -3)), 10, 3000),
+        (((2, -1), (3, 1), (200, 1)), 99, 5500),
+    ], ids=["all_odd", "tall_two_even"])
+    def test_case1_floors_bound_sweep_steps(self, monkeypatch, pairs, genus,
+                                            limit):
         # The sweeps make the search's gcd calls, at least one a step.
-        # The N floors of the case-1 degree loop, outer sweep and inner
-        # sweeps hold this case to 4,668 calls; without them, 16,822.
+        # The N floors of case 1 and a sweep that stops on its pencil
+        # certificates alone hold these cases to 2,142 and 4,933 calls;
+        # a run of 8 confirming steps before each stop made 4,668 and
+        # 6,444, and without the floors the first case made 16,822.
         calls = []
         self.record(monkeypatch, sfsnorm.search, "gcd", calls)
-        report = compute_norms(M_ODD_TALL)
+        report = compute_norms(M(*pairs))
         assert [(e.min_genus, e.exhaustive) for e in report.entries] == \
-            [(10, True)]
-        assert len(calls) <= 6000
+            [(genus, True)]
+        assert len(calls) <= limit

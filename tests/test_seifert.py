@@ -11,7 +11,6 @@ from sfsnorm.seifert import (
     Z2Class,
     complete_matrix,
     homology_structure,
-    normalize_even_betas,
     to_orlik_normal_form,
 )
 
@@ -87,27 +86,10 @@ class TestOrlikNormalForm:
         assert total == m.euler_sum()
 
     def test_constant_on_fiber_move_orbits(self):
+        # The fiber moves b_1 += a_1, b_2 -= a_2 keep sum(b_i/a_i).
         m = M((3, 1), (5, 1), (7, 2))
         assert to_orlik_normal_form(m) == \
-            to_orlik_normal_form(normalize_even_betas(m))
-
-
-class TestNormalizeEvenBetas:
-    def test_paired_move(self):
-        moved = normalize_even_betas(M((3, 1), (5, 1), (7, 2)))
-        assert moved.pairs() == ((3, 4), (5, -4), (7, 2))
-
-    def test_already_even(self):
-        m = M((3, 2), (5, 2), (7, 4))
-        assert normalize_even_betas(m) is m
-
-    def test_rejects_odd_beta_sum(self):
-        with pytest.raises(PresentationError):
-            normalize_even_betas(M((3, 1), (5, 2), (7, 2)))
-
-    def test_rejects_even_alpha(self):
-        with pytest.raises(PresentationError):
-            normalize_even_betas(M((2, 1), (5, 1), (7, 2)))
+            to_orlik_normal_form(M((3, 4), (5, -4), (7, 2)))
 
 
 class TestHomologyStructure:
