@@ -12,7 +12,9 @@ without giving up exhaustiveness.
 Everything here is exact integer arithmetic on linear forms.  Each
 "eventual" decision (a floor, a sign, a comparison) also yields the onset
 step from which it is valid, so the returned certificate carries a hard
-threshold t_min, not an asymptotic promise.
+threshold t_min, not an asymptotic promise.  Before t_min,
+``lead_floor`` bounds N over a whole span of steps by the leading digit
+alone.
 """
 
 from __future__ import annotations
@@ -193,6 +195,51 @@ def certified_tail(first, second):
     skipped = bool(digits) and bs[-1] == digits[-1] and base_half % 2 == 0
     return TailCertificate(tuple(digits), max(thresholds), base_half,
                            None if skipped else growth)
+
+
+def lead_floor(first, second, t0, t1):
+    """Lower bound on N(first(t), second(t)) over the steps t0..t1.
+
+    The leading digit a0 of the normalized slope (2k, q) is always kept
+    by the skip rule, so N >= ceil(a0/2) at every step that is a slope.
+    On a single step that is the bound itself; the meridian and a step
+    with an odd longitude coefficient get 0.  On a longer span the
+    longitude form X = first must keep one strict sign and floor(Y/X),
+    Y = second, one value m at both ends.  Then Y/X is monotone, so
+    r = Y - m*X stays in [0, X) and u = r/X is monotone; q/X = min(u,
+    1 - u) is at most min(max u, 1 - min u), taken at the endpoints,
+    which bounds a0 = floor(X/q) below over the whole span.  In every
+    other case the bound is 0.
+    """
+    a, b = first
+    c, d = second
+    x0, y0 = a * t0 + b, c * t0 + d
+    if t0 == t1:
+        if x0 == 0 or x0 % 2 != 0:
+            return 0
+        if x0 < 0:
+            x0, y0 = -x0, -y0
+        r = y0 % x0
+        q = min(r, x0 - r)
+        return 0 if q == 0 else (x0 // q + 1) // 2
+    x1, y1 = a * t1 + b, c * t1 + d
+    if x0 < 0 and x1 < 0:
+        x0, x1, y0, y1 = -x0, -x1, -y0, -y1
+    elif x0 <= 0 or x1 <= 0:
+        return 0
+    m = y0 // x0
+    if y1 // x1 != m:
+        return 0
+    r0, r1 = y0 - m * x0, y1 - m * x1
+    # max u = hn/hd and 1 - min u = ln/ld, each taken at an endpoint.
+    hn, hd = (r0, x0) if r0 * x1 >= r1 * x0 else (r1, x1)
+    s0, s1 = x0 - r0, x1 - r1
+    ln, ld = (s0, x0) if s0 * x1 >= s1 * x0 else (s1, x1)
+    if hn * ld > ln * hd:
+        hn, hd = ln, ld
+    if hn == 0:
+        return 0  # r = 0 throughout: no step is a slope
+    return (hd // hn + 1) // 2
 
 
 def slope_pencil(fiber, lam, mu0, step):

@@ -28,6 +28,16 @@ every step from its threshold t_min on: a direction stops once that
 bound proves every further candidate exceeds the best genus known for
 the class the sweep feeds.  A sweep that instead hits the hard window
 cap marks its class non-exhaustive; nothing is silently dropped.
+Before t_min no certificate holds, but the leading continued-fraction
+digit a0 of a cap slope (2k, q) still gives N >= ceil(a0/2), and on a
+span of steps where the integer part of q/2k stays fixed that floor
+holds for the whole span (``pencils.lead_floor``).  The sweep bisects
+its steps before t_min and skips every span and step whose floor
+prices it above the best horizontal genus of the class.  A skipped
+candidate then costs more than a horizontal surface already priced, so
+it could change no minimum of either kind, no witness and no
+exhaustive flag: every output is the same as when those steps are
+priced one by one.
 Case 1 also bounds the caps before it prices them: N >= 1 for every cap
 slope but the meridian, which the slope (lam, m_j) gives only when lam =
 a_j.  That floor of one per off-meridian cap prunes the case-1 degree
@@ -42,9 +52,9 @@ the homology structure the state holds for the presentation.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, inf
 
 from .errors import (
@@ -55,7 +65,7 @@ from .errors import (
 )
 from .lens import LensCurve
 from .notation import canonical_form, format_presentation, parse_presentation
-from .pencils import certified_tail, slope_pencil
+from .pencils import certified_tail, lead_floor, slope_pencil
 from .seifert import (
     HomologyCase,
     SeifertPresentation,
@@ -76,6 +86,8 @@ from .surfaces import (
 log = logging.getLogger(__name__)
 
 MAX_TIE_WITNESSES = 16
+# Spans before t_min of at most this many steps are stepped through.
+LEAD_SPAN = 8
 
 
 @dataclass(frozen=True)
@@ -84,7 +96,7 @@ class SearchBudget:
 
     ``mu_window`` is the half-width of every coefficient sweep (default
     64 * max(alpha)); ``lambda_cap`` bounds the covering degree when no
-    candidate has bounded it yet (default derived from the presentation).
+    candidate has bounded it yet (default 8 * sum(alpha) + 64).
     A sweep that reaches either cap marks its class non-exhaustive.
     """
 
@@ -146,8 +158,15 @@ def _check_shape(params):
             f"impossible: {params.pairs}")
 
 
-def _parity_center(value, parity_like):
-    center = round(value) if isinstance(value, Fraction) else value
+def _round_half_even(num, den):
+    """round(num/den) for den > 0, ties to even as ``round`` does."""
+    quo, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and quo % 2 != 0):
+        quo += 1
+    return quo
+
+
+def _parity_center(center, parity_like):
     if (center - parity_like) % 2 != 0:
         center += 1
     return center
@@ -172,15 +191,19 @@ def enumerate_case4(presentation, state=None):
             if i == j or not fibers[i].alpha < fibers[j].alpha:
                 continue
             k = 3 - i - j
-            rest = -(Fraction(fibers[i].beta, fibers[i].alpha)
-                     + Fraction(fibers[j].beta, fibers[j].alpha))
-            if rest == 0:
+            # rest = -(b_i/a_i + b_j/a_j) in lowest terms, den > 0.
+            num = -(fibers[i].beta * fibers[j].alpha
+                    + fibers[j].beta * fibers[i].alpha)
+            if num == 0:
                 continue
+            den = fibers[i].alpha * fibers[j].alpha
+            g = math.gcd(num, den)  # not the sweeps' traced ``gcd``
+            num, den = num // g, den // g
             pairs = [None, None, None]
             pairs[i] = fibers[i].pair
             pairs[j] = fibers[j].pair
-            pairs[k] = (rest.denominator, rest.numerator)
-            if not fibers[j].alpha < rest.denominator:
+            pairs[k] = (den, num)
+            if not fibers[j].alpha < den:
                 continue
             out.extend(_price(presentation, state, PHParams(tuple(pairs))))
     return out
@@ -208,39 +231,90 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
     The sweep parameter mu runs from ``center`` in steps of 2 and from
     ``center - 2`` in steps of -2 while it stays within ``window`` of the
     center.  Each leg ``(fiber, offset, sign)`` is a slope of coefficient
-    ``offset + sign*mu`` on that fiber.  At every mu where all leg
+    ``offset + sign*mu`` on that fiber, and a candidate at mu costs at
+    least ``base`` plus the N of its legs.  At every mu where all leg
     coefficients are prime to ``lam`` this yields what ``visit(mu)``
     returns.  The one stop rule: at every step t >= the largest
     ``t_min`` of the legs' pencil certificates, a direction stops once
     ``base`` plus their N bounds at t, which hold at every later step,
     exceed the best genus of ``cls``.  A direction that runs out of
-    window instead marks ``cls`` capped.
+    window instead marks ``cls`` capped.  The steps before t_min go
+    through ``_lead_steps``, which skips those the legs' leading-digit
+    floors price above the best horizontal genus of ``cls``.
     """
     for step in (2, -2):
-        mu = center if step > 0 else center - 2
-        certs = [certified_tail(*slope_pencil(fiber, lam, offset + sign * mu,
-                                              sign * step))
-                 for fiber, offset, sign in legs]
+        mu0 = center if step > 0 else center - 2
+        pencils = [slope_pencil(fiber, lam, offset + sign * mu0, sign * step)
+                   for fiber, offset, sign in legs]
+        certs = [certified_tail(*pencil) for pencil in pencils]
         # Without a certificate on every leg the direction never stops early.
         t_min = max(cert.t_min for cert in certs) if None not in certs \
             else inf
-        t = 0
-        while abs(mu - center) <= window:
-            for _, offset, sign in legs:
-                if gcd(lam, offset + sign * mu) != 1:
-                    break
-            else:
+        steps = (window - abs(mu0 - center)) // 2 + 1  # mu within window
+        lead = min(t_min, steps)
+        yield from _lead_steps(state, cls, lam, base, legs, pencils, mu0,
+                               step, lead, visit)
+        for t in range(lead, steps):
+            mu = mu0 + step * t
+            if _coprime(lam, legs, mu):
                 yield from visit(mu)
-            if t >= t_min:
-                bound = base
-                for cert in certs:
-                    bound += cert.bound_at(t)
-                if bound > state.need(cls):
-                    break
-            mu += step
-            t += 1
+            bound = base
+            for cert in certs:
+                bound += cert.bound_at(t)
+            if bound > state.need(cls):
+                break
         else:
             state.capped.add(cls)
+
+
+def _lead_steps(state, cls, lam, base, legs, pencils, mu0, step, end,
+                visit):
+    """Steps 0..end-1 of one ``_sweep`` direction, in order.
+
+    The steps are bisected left-first.  A span is dropped when ``base``
+    plus the legs' ``lead_floor`` over it exceeds the best horizontal
+    genus of ``cls``, read afresh at each span.  A span of at most
+    ``LEAD_SPAN`` steps is stepped through, skipping each step that the
+    same floor rules out on its own.  Every skipped candidate costs more
+    than that horizontal best, which is at least the class best, so it
+    could move no minimum, witness or flag.  The one ``visit`` that does
+    more than price, the case-1 outer sweep's, returns at once above
+    the class best without running its inner sweep, so a skip marks no
+    class capped either.
+    """
+    key = (cls, HORIZONTAL)
+    spans = [(0, end - 1)] if end > 0 else []
+    while spans:
+        t0, t1 = spans.pop()
+        if _lead_bound(base, pencils, t0, t1) > state.kind_best.get(key, inf):
+            continue
+        if t1 - t0 >= LEAD_SPAN:
+            mid = (t0 + t1) // 2
+            spans.append((mid + 1, t1))
+            spans.append((t0, mid))
+            continue
+        for t in range(t0, t1 + 1):
+            if _lead_bound(base, pencils, t, t) > \
+                    state.kind_best.get(key, inf):
+                continue
+            mu = mu0 + step * t
+            if _coprime(lam, legs, mu):
+                yield from visit(mu)
+
+
+def _lead_bound(base, pencils, t0, t1):
+    total = base
+    for first, second in pencils:
+        total += lead_floor(first, second, t0, t1)
+    return total
+
+
+def _coprime(lam, legs, mu):
+    # One search ``gcd`` call per leg up to the first common factor.
+    for _, offset, sign in legs:
+        if gcd(lam, offset + sign * mu) != 1:
+            return False
+    return True
 
 
 def _case3_class(structure, i):
@@ -347,7 +421,8 @@ def enumerate_case1(presentation, budget=None, state=None):
             state.capped.add(cls)
             break
         outer_base = lam - 1 + floor2 + floor3
-        center2 = _parity_center(Fraction(lam * f2.beta, f2.alpha), f2.beta)
+        center2 = _parity_center(_round_half_even(lam * f2.beta, f2.alpha),
+                                 f2.beta)
 
         def visit(mu1):
             def price(mu2):
@@ -364,7 +439,8 @@ def enumerate_case1(presentation, budget=None, state=None):
 
         yield from _sweep(
             state, cls, lam, outer_base, ((f1, 0, 1),),
-            _parity_center(Fraction(lam * f1.beta, f1.alpha), f1.beta),
+            _parity_center(_round_half_even(lam * f1.beta, f1.alpha),
+                           f1.beta),
             window, visit)
         lam += 2
 

@@ -6,7 +6,7 @@ from math import gcd
 import sfsnorm.search
 from sfsnorm.errors import PresentationError
 from sfsnorm.lens import LensCurve, cf_expand, n_genus, normalize_lens
-from sfsnorm.pencils import Lin, certified_tail, slope_pencil
+from sfsnorm.pencils import Lin, certified_tail, lead_floor, slope_pencil
 from sfsnorm.search import compute_norms
 from sfsnorm.seifert import (
     HomologyCase,
@@ -151,9 +151,8 @@ def presentations_by_case(per_case, seed, max_alpha=12):
     return [m for ms in found.values() for m in ms]
 
 
-def test_search_pencils_hold_from_t_min(monkeypatch):
-    # A sweep stops on its certificates alone, so every pencil the
-    # search builds must keep its digit prefix and N bound from t_min on.
+def search_pencils(monkeypatch, corpus):
+    """Every pencil ``compute_norms`` builds on ``corpus``."""
     pencils = []
 
     def recording(*args):
@@ -161,13 +160,83 @@ def test_search_pencils_hold_from_t_min(monkeypatch):
         pencils.append(pencil)
         return pencil
     monkeypatch.setattr(sfsnorm.search, "slope_pencil", recording)
-    corpus = presentations_by_case(5, seed=1)
-    # All-odd: case 1 sweeps it at the degrees 1, 3, 5 and 7.
-    corpus.append(SeifertPresentation.from_pairs([(31, 2), (33, 5),
-                                                  (29, -3)]))
     for m in corpus:
         compute_norms(m)
+    return pencils
+
+
+# All-odd: case 1 sweeps it at the degrees 1, 3, 5 and 7.
+ALL_ODD = SeifertPresentation.from_pairs([(31, 2), (33, 5), (29, -3)])
+# Criterion 4, genus 399: nearly all its sweep steps lie before t_min.
+TALL = SeifertPresentation.from_pairs([(2, -1), (3, 1), (800, 1)])
+
+
+def test_search_pencils_hold_from_t_min(monkeypatch):
+    # A sweep stops on its certificates alone, so every pencil the
+    # search builds must keep its digit prefix and N bound from t_min on.
+    corpus = presentations_by_case(5, seed=1) + [ALL_ODD]
+    pencils = search_pencils(monkeypatch, corpus)
     assert len(pencils) >= 300
     checked = sum(check_certificate(first, second, horizon=40)
                   for first, second in pencils)
     assert checked >= 10000
+
+
+def slope_n(first, second, t):
+    """N at step t, or None when the step is not a slope."""
+    a, b = first.at(t), second.at(t)
+    if a % 2 != 0 or gcd(a, b) != 1:
+        return None
+    return n_genus(LensCurve(a, b))
+
+
+def test_lead_floor_one_step_is_half_leading_digit():
+    # b0 = a0 is always kept, so N >= ceil(a0/2) on every slope.
+    for twok in range(2, 201, 2):
+        for q in range(1, twok // 2 + 1):
+            if gcd(twok, q) != 1:
+                continue
+            floor = (cf_expand(twok, q).digits[0] + 1) // 2
+            assert floor <= n_genus(LensCurve(twok, q))
+            for sign in (1, -1):
+                for shift in (0, twok, -3 * twok):
+                    assert lead_floor(Lin(0, sign * twok),
+                                      Lin(0, sign * (q + shift)), 0, 0) \
+                        == floor, (twok, q)
+    # The meridian and an odd longitude coefficient get 0, never raise.
+    assert lead_floor(Lin(0, 0), Lin(0, 1), 0, 0) == 0
+    assert lead_floor(Lin(0, 7), Lin(0, 2), 0, 0) == 0
+    assert lead_floor(Lin(1, 0), Lin(0, 1), 0, 3) == 0
+
+
+def test_search_pencils_lead_floor_before_t_min(monkeypatch):
+    # A sweep skips steps before t_min on these floors, so on every
+    # pencil the search builds they must stay at or below N there, on
+    # single steps and on spans.
+    corpus = presentations_by_case(5, seed=2) + [ALL_ODD, TALL]
+    pencils = search_pencils(monkeypatch, corpus)
+    rng = random.Random(7)
+    compared = 0
+    for first, second in pencils:
+        cert = certified_tail(first, second)
+        end = cert.t_min if cert is not None else 400
+        if end == 0:
+            continue
+        steps = list(range(min(end, 80)))
+        steps += [rng.randrange(end) for _ in range(30)]
+        for t in steps:
+            n = slope_n(first, second, t)
+            if n is not None:
+                assert lead_floor(first, second, t, t) <= n, \
+                    (first, second, t)
+                compared += 1
+        for _ in range(16):
+            t0 = rng.randrange(end)
+            t1 = min(end - 1, t0 + rng.randrange(1, 48))
+            floor = lead_floor(first, second, t0, t1)
+            for t in range(t0, t1 + 1):
+                n = slope_n(first, second, t)
+                if n is not None:
+                    assert floor <= n, (first, second, t0, t1, t)
+                    compared += 1
+    assert compared >= 100000

@@ -2,7 +2,8 @@
 
 import json
 import random
-from math import gcd
+from fractions import Fraction
+from math import gcd, inf
 
 import pytest
 
@@ -12,6 +13,7 @@ from sfsnorm.errors import PresentationError
 from sfsnorm.search import (
     SCAN_CSV_HEADER,
     SearchBudget,
+    _round_half_even,
     _SearchState,
     compute_norms,
     enumerate_case1,
@@ -73,6 +75,16 @@ class TestCase4:
             assert len(cands) <= 6
             for p in cands:
                 assert ph_exists(m, p)
+
+    def test_complement_in_lowest_terms(self):
+        # The third slope is -(b_i/a_i + b_j/a_j) in lowest terms.
+        count = 0
+        for m in random_presentations(60, seed=12, max_alpha=30):
+            for p in enumerate_case4(m):
+                assert sum(Fraction(mu, lam) for lam, mu in p.pairs) == 0
+                assert all(gcd(lam, mu) == 1 for lam, mu in p.pairs)
+                count += 1
+        assert count >= 20
 
 
 class TestCase3:
@@ -242,6 +254,14 @@ class TestBudget:
             SearchBudget(mu_window=0)
 
 
+class TestCenters:
+    def test_round_half_even_matches_fraction(self):
+        for den in range(1, 41):
+            for num in range(-300, 301):
+                assert _round_half_even(num, den) == \
+                    round(Fraction(num, den)), (num, den)
+
+
 class TestFamilyScan:
     def test_family_with_constraint_violations(self):
         rows = family_scan("S2((2,-1),(2*m+1,m),(2*n,1))",
@@ -293,6 +313,57 @@ class TestInvariants:
         for p in list(enumerate_case3(m))[:40]:
             assert ph_genus(m, p) >= 2
 
+    def test_sweeps_price_their_own_class(self, monkeypatch):
+        # A sweep prunes against the best genus of its class, so every
+        # candidate it prices must land in that class.
+        sweep, report = sfsnorm.search._sweep, sfsnorm.search.horizontal_report
+        active, priced = [], []
+
+        def recording_sweep(state, cls, *args):
+            *rest, visit = args
+
+            def in_class(mu):
+                active.append(cls)
+                try:
+                    return visit(mu)
+                finally:
+                    active.pop()
+            return sweep(state, cls, *rest, in_class)
+
+        def recording_report(*args):
+            result = report(*args)
+            if active:
+                priced.append((active[-1], result.z2class))
+            return result
+        monkeypatch.setattr(sfsnorm.search, "_sweep", recording_sweep)
+        monkeypatch.setattr(sfsnorm.search, "horizontal_report",
+                            recording_report)
+        corpus = random_presentations(300, seed=41)
+        corpus += random_presentations(60, seed=42, max_alpha=60)
+        corpus += [m for m in random_presentations(500, seed=43,
+                                                   max_alpha=25)
+                   if all(f.alpha % 2 for f in m.fibers)]
+        for m in corpus:
+            compute_norms(m)
+        assert len(priced) >= 8000
+        assert [p for p in priced if p[0] != p[1]] == []
+
+
+class TestLeadSkip:
+    def test_skip_leaves_reports_unchanged(self, monkeypatch):
+        # Skipping steps before t_min must not change any output, the
+        # tie witnesses included: compare against sweeps that step
+        # through every one (a floor of -inf never allows a skip).
+        corpus = random_presentations(120, seed=51)
+        corpus += random_presentations(30, seed=52, max_alpha=40)
+        corpus += [m for m in random_presentations(300, seed=53,
+                                                   max_alpha=21)
+                   if all(f.alpha % 2 for f in m.fibers)]
+        corpus += [M((2, -1), (3, 1), (2 * n, 1)) for n in (5, 40, 100)]
+        skipped = [compute_norms(m).to_json_dict() for m in corpus]
+        monkeypatch.setattr(sfsnorm.search, "lead_floor", lambda *args: -inf)
+        assert [compute_norms(m).to_json_dict() for m in corpus] == skipped
+
 
 class TestWorkCounts:
     """Pricing work per candidate and per presentation stays bounded."""
@@ -328,6 +399,27 @@ class TestWorkCounts:
         assert len(checked) == len(set(checked))
         assert len(homology) <= 4
 
+    @pytest.mark.parametrize("pairs, genus, gcd_limit, report_limit", [
+        (((2, -1), (3, 1), (800, 1)), 399, 1000, 400),
+        (((2, -1), (3, 1), (3200, 1)), 1599, 4000, 1500),
+    ], ids=["tall_800", "tall_3200"])
+    def test_lead_floors_skip_before_t_min(self, monkeypatch, pairs, genus,
+                                           gcd_limit, report_limit):
+        # Almost every step of these sweeps lies before t_min, where the
+        # leading-digit floors price it above the horizontal best.  They
+        # make 363 and 1,463 gcd calls and 134 and 534 pricings; stepping
+        # through took 79,974 and 1,284,740 gcd calls and 20,346 and
+        # 324,378 pricings.
+        calls, reports = [], []
+        self.record(monkeypatch, sfsnorm.search, "gcd", calls)
+        self.record(monkeypatch, sfsnorm.search, "horizontal_report",
+                    reports)
+        report = compute_norms(M(*pairs))
+        assert [(e.min_genus, e.exhaustive) for e in report.entries] == \
+            [(genus, True)]
+        assert len(calls) <= gcd_limit
+        assert len(reports) <= report_limit
+
     @pytest.mark.parametrize("pairs, genus, limit", [
         (((31, 2), (33, 5), (29, -3)), 10, 3000),
         (((2, -1), (3, 1), (200, 1)), 99, 5500),
@@ -336,9 +428,11 @@ class TestWorkCounts:
                                             limit):
         # The sweeps make the search's gcd calls, at least one a step.
         # The N floors of case 1 and a sweep that stops on its pencil
-        # certificates alone hold these cases to 2,142 and 4,933 calls;
-        # a run of 8 confirming steps before each stop made 4,668 and
-        # 6,444, and without the floors the first case made 16,822.
+        # certificates alone hold these cases to 2,142 and 4,933 calls
+        # (88 for the second once the steps before t_min are skipped on
+        # their leading-digit floors); a run of 8 confirming steps
+        # before each stop made 4,668 and 6,444, and without the floors
+        # the first case made 16,822.
         calls = []
         self.record(monkeypatch, sfsnorm.search, "gcd", calls)
         report = compute_norms(M(*pairs))
