@@ -8,8 +8,6 @@
 Exit codes: 0 on success, 1 for usage or syntax errors and for files that
 cannot be read or written, 2 for inputs that are not valid small Seifert
 presentations or slopes, 3 for internal invariant breaches.
-SFS_NORM_MU_WINDOW overrides the default sweep window when --mu-window is
-not given.
 """
 
 from __future__ import annotations
@@ -19,16 +17,9 @@ import csv
 import io
 import json
 import logging
-import os
 import sys
 
-from .errors import (
-    InternalInvariantError,
-    LensCurveError,
-    NotationSyntaxError,
-    PresentationError,
-    SfsNormError,
-)
+from .errors import NotationSyntaxError, SfsNormError
 from .lens import (
     LensCurve,
     b_sequence,
@@ -39,8 +30,6 @@ from .lens import (
 from .notation import NOTATIONS, canonical_form, format_presentation, \
     parse_presentation
 from .search import SCAN_CSV_HEADER, SearchBudget, compute_norms, family_scan
-
-ENV_MU_WINDOW = "SFS_NORM_MU_WINDOW"
 
 
 class _UsageError(Exception):
@@ -97,16 +86,7 @@ def build_parser():
 
 
 def _budget_from(args):
-    window = getattr(args, "mu_window", None)
-    if window is None and os.environ.get(ENV_MU_WINDOW):
-        try:
-            window = _positive_int(os.environ[ENV_MU_WINDOW])
-        except argparse.ArgumentTypeError:
-            raise _UsageError(
-                f"{ENV_MU_WINDOW} must be a positive integer, got "
-                f"{os.environ[ENV_MU_WINDOW]!r}")
-    return SearchBudget(mu_window=window,
-                        lambda_cap=getattr(args, "lambda_cap", None))
+    return SearchBudget(mu_window=args.mu_window, lambda_cap=args.lambda_cap)
 
 
 def _write_out(args, text):
@@ -255,10 +235,10 @@ def main(argv=None):
     except (_UsageError, NotationSyntaxError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (LensCurveError, PresentationError, SfsNormError) as err:
+    except SfsNormError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (InternalInvariantError, AssertionError) as err:
+    except AssertionError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
 

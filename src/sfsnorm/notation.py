@@ -47,7 +47,12 @@ class _Cursor:
             self.pos += 1
         if self.pos == digits:
             raise NotationSyntaxError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            raise NotationSyntaxError(
+                f"integer of {self.pos - digits} digits is too long",
+                start) from None
 
     def pair(self):
         self.expect("(")

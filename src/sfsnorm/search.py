@@ -42,11 +42,12 @@ Case 1 also bounds the caps before it prices them: N >= 1 for every cap
 slope but the meridian, which the slope (lam, m_j) gives only when lam =
 a_j.  That floor of one per off-meridian cap prunes the case-1 degree
 loop, the outer sweep and each inner sweep.
-Every enumerator prices each candidate into the search state as it
-finds it, so the bounds the sweeps prune against are always current,
-whether they run inside ``compute_norms`` or on their own.  Pricing is
-one existence check and one integer genus count per candidate, against
-the homology structure the state holds for the presentation.
+Every enumerator is a plain call that prices each candidate into the
+search state as it finds it, so the bounds the sweeps prune against are
+always current, whether they run inside ``compute_norms`` or on their
+own, and returns the list of candidates it priced.  Pricing is one
+existence check and one integer genus count per candidate, against the
+homology structure the state holds for the presentation.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ from .surfaces import (
 
 log = logging.getLogger(__name__)
 
-MAX_TIE_WITNESSES = 16
 # Spans before t_min of at most this many steps are stepped through.
 LEAD_SPAN = 8
 
@@ -122,13 +122,20 @@ class SearchBudget:
 
 
 class _SearchState:
-    """Best genus, tie witnesses and exhaustiveness flags per class, for
-    the presentation whose homology ``structure`` it holds."""
+    """Search results per class, for the presentation whose homology
+    ``structure`` it holds.
+
+    ``best[cls]`` is the least genus offered, ``witness[cls]`` the first
+    report offered at that genus and ``kinds[cls]`` the set of kinds that
+    reach it; ``kind_best[(cls, kind)]`` is the least genus of each kind
+    and ``capped`` holds the classes whose sweeps hit a cap.
+    """
 
     def __init__(self, structure):
         self.structure = structure
         self.best = {}
-        self.witnesses = {}
+        self.witness = {}
+        self.kinds = {}
         self.kind_best = {}
         self.capped = set()
 
@@ -140,14 +147,12 @@ class _SearchState:
         key = (cls, report.kind)
         if report.genus < self.kind_best.get(key, inf):
             self.kind_best[key] = report.genus
-        cur = self.best.get(cls)
-        if cur is None or report.genus < cur:
+        if report.genus < self.need(cls):
             self.best[cls] = report.genus
-            self.witnesses[cls] = [report]
-        elif report.genus == cur:
-            ws = self.witnesses[cls]
-            if report not in ws and len(ws) < MAX_TIE_WITNESSES:
-                ws.append(report)
+            self.witness[cls] = report
+            self.kinds[cls] = {report.kind}
+        elif report.genus == self.best[cls]:
+            self.kinds[cls].add(report.kind)
 
 
 def _check_shape(params):
@@ -205,24 +210,25 @@ def enumerate_case4(presentation, state=None):
             pairs[k] = (den, num)
             if not fibers[j].alpha < den:
                 continue
-            out.extend(_price(presentation, state, PHParams(tuple(pairs))))
+            _price(presentation, state, PHParams(tuple(pairs)), out)
     return out
 
 
-def _price(presentation, state, params):
-    """Offer the surface ``params`` to ``state`` if it exists.
+def _price(presentation, state, params, out):
+    """Offer the surface ``params`` to ``state`` and append it to ``out``
+    if it exists.
 
-    Returns ``(params,)`` when it does and ``()`` when it does not, for a
-    sweep to ``yield from``.  ``horizontal_report`` checks existence once
-    and raises ``NoSurfaceError`` for slopes that bound no surface.
+    ``horizontal_report`` checks existence once and raises
+    ``NoSurfaceError`` for slopes that bound no surface, which are
+    dropped.
     """
     try:
         report = horizontal_report(presentation, params, state.structure)
     except NoSurfaceError:
-        return ()
+        return
     _check_shape(params)
     state.offer(report)
-    return (params,)
+    out.append(params)
 
 
 def _sweep(state, cls, lam, base, legs, center, window, visit):
@@ -233,14 +239,15 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
     center.  Each leg ``(fiber, offset, sign)`` is a slope of coefficient
     ``offset + sign*mu`` on that fiber, and a candidate at mu costs at
     least ``base`` plus the N of its legs.  At every mu where all leg
-    coefficients are prime to ``lam`` this yields what ``visit(mu)``
-    returns.  The one stop rule: at every step t >= the largest
-    ``t_min`` of the legs' pencil certificates, a direction stops once
-    ``base`` plus their N bounds at t, which hold at every later step,
-    exceed the best genus of ``cls``.  A direction that runs out of
-    window instead marks ``cls`` capped.  The steps before t_min go
-    through ``_lead_steps``, which skips those the legs' leading-digit
-    floors price above the best horizontal genus of ``cls``.
+    coefficients are prime to ``lam`` it calls ``visit(mu)``, which
+    prices what it finds into ``state``.  The one stop rule: at every
+    step t >= the largest ``t_min`` of the legs' pencil certificates, a
+    direction stops once ``base`` plus their N bounds at t, which hold at
+    every later step, exceed the best genus of ``cls``.  A direction that
+    runs out of window instead marks ``cls`` capped.  The steps before
+    t_min go through ``_lead_steps``, which skips those the legs'
+    leading-digit floors price above the best horizontal genus of
+    ``cls``.
     """
     for step in (2, -2):
         mu0 = center if step > 0 else center - 2
@@ -252,12 +259,12 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
             else inf
         steps = (window - abs(mu0 - center)) // 2 + 1  # mu within window
         lead = min(t_min, steps)
-        yield from _lead_steps(state, cls, lam, base, legs, pencils, mu0,
-                               step, lead, visit)
+        _lead_steps(state, cls, lam, base, legs, pencils, mu0, step, lead,
+                    visit)
         for t in range(lead, steps):
             mu = mu0 + step * t
             if _coprime(lam, legs, mu):
-                yield from visit(mu)
+                visit(mu)
             bound = base
             for cert in certs:
                 bound += cert.bound_at(t)
@@ -299,7 +306,7 @@ def _lead_steps(state, cls, lam, base, legs, pencils, mu0, step, end,
                 continue
             mu = mu0 + step * t
             if _coprime(lam, legs, mu):
-                yield from visit(mu)
+                visit(mu)
 
 
 def _lead_bound(base, pencils, t0, t1):
@@ -332,15 +339,17 @@ def enumerate_case3(presentation, budget=None, state=None):
     mu_k determined by the zero-sum identity.  Parity prunes most p; the
     degree loop stops when the capped-cover genus p*(a_i - 1) alone
     reaches the best genus known for the class this sweep represents.
-    Each candidate is priced into ``state`` (a fresh one when omitted)
-    before it is yielded, so the bounds prune the rest of the stream.
+    Each candidate is priced into ``state`` (a fresh one when omitted) as
+    it is found, so the bounds prune the rest of the search, and the list
+    of candidates priced is returned.
     """
     budget = budget if budget is not None else SearchBudget()
     if state is None:
         state = _SearchState(homology_structure(presentation))
     structure = state.structure
+    out = []
     if not structure.nonzero_classes:
-        return
+        return out
     window = budget.window(presentation)
     degree_cap = budget.degree_cap(presentation)
     fibers = presentation.fibers
@@ -370,13 +379,12 @@ def enumerate_case3(presentation, budget=None, state=None):
                 pairs[i] = fi.pair
                 pairs[j] = (lam, mu_j)
                 pairs[k] = (lam, total - mu_j)
-                return _price(presentation, state, PHParams(tuple(pairs)))
+                _price(presentation, state, PHParams(tuple(pairs)), out)
 
-            yield from _sweep(state, cls, lam, base,
-                              ((fj, 0, 1), (fk, total, -1)),
-                              _parity_center(total // 2, fj.beta), window,
-                              visit)
+            _sweep(state, cls, lam, base, ((fj, 0, 1), (fk, total, -1)),
+                   _parity_center(total // 2, fj.beta), window, visit)
             p += 1
+    return out
 
 
 def enumerate_case1(presentation, budget=None, state=None):
@@ -399,12 +407,13 @@ def enumerate_case1(presentation, budget=None, state=None):
 
     budget = budget if budget is not None else SearchBudget()
     fibers = presentation.fibers
+    out = []
     if any(f.alpha % 2 == 0 for f in fibers):
-        return
+        return out
     if state is None:
         state = _SearchState(homology_structure(presentation))
     if not state.structure.nonzero_classes:
-        return  # odd beta sum: parity excludes every candidate
+        return out  # odd beta sum: parity excludes every candidate
     cls = state.structure.nonzero_classes[0]
     window = budget.window(presentation)
     degree_cap = budget.degree_cap(presentation)
@@ -426,23 +435,21 @@ def enumerate_case1(presentation, budget=None, state=None):
 
         def visit(mu1):
             def price(mu2):
-                return _price(presentation, state, PHParams(
-                    ((lam, mu1), (lam, mu2), (lam, -mu1 - mu2))))
+                _price(presentation, state, PHParams(
+                    ((lam, mu1), (lam, mu2), (lam, -mu1 - mu2))), out)
 
             n1 = n_genus(LensCurve(mu1 * f1.alpha - lam * f1.beta,
                                    lam * f1.delta - mu1 * f1.gamma))
-            if outer_base + n1 > state.need(cls):
-                return ()
-            return _sweep(state, cls, lam, lam - 1 + n1,
-                          ((f2, 0, 1), (f3, -mu1, -1)), center2, window,
-                          price)
+            if outer_base + n1 <= state.need(cls):
+                _sweep(state, cls, lam, lam - 1 + n1,
+                       ((f2, 0, 1), (f3, -mu1, -1)), center2, window, price)
 
-        yield from _sweep(
-            state, cls, lam, outer_base, ((f1, 0, 1),),
-            _parity_center(_round_half_even(lam * f1.beta, f1.alpha),
-                           f1.beta),
-            window, visit)
+        _sweep(state, cls, lam, outer_base, ((f1, 0, 1),),
+               _parity_center(_round_half_even(lam * f1.beta, f1.alpha),
+                              f1.beta),
+               window, visit)
         lam += 2
+    return out
 
 
 @dataclass(frozen=True)
@@ -546,22 +553,18 @@ def compute_norms(presentation, budget=None):
             state.offer(report)
         # The enumerators price into ``state`` themselves.
         enumerate_case4(presentation, state)
-        for _ in enumerate_case3(presentation, budget, state):
-            pass
-        for _ in enumerate_case1(presentation, budget, state):
-            pass
+        enumerate_case3(presentation, budget, state)
+        enumerate_case1(presentation, budget, state)
     entries = []
     for cls in structure.nonzero_classes:
-        witnesses = state.witnesses.get(cls)
-        if not witnesses:
+        if cls not in state.witness:
             raise InternalInvariantError(
                 f"class {cls.label} ended with no representative")
-        kinds = tuple(sorted({w.kind for w in witnesses}))
         entries.append(ClassNorm(
             z2class=cls,
             min_genus=state.best[cls],
-            witness=witnesses[0],
-            witness_kinds=kinds,
+            witness=state.witness[cls],
+            witness_kinds=tuple(sorted(state.kinds[cls])),
             min_vertical_genus=state.kind_best.get((cls, VERTICAL)),
             min_horizontal_genus=state.kind_best.get((cls, HORIZONTAL)),
             exhaustive=cls not in state.capped,
@@ -580,11 +583,6 @@ def _eval_int(expr, bindings):
 
     if not _ALLOWED_EXPR.match(expr):
         raise PresentationError(f"bad arithmetic expression {expr!r}")
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as err:
-        raise PresentationError(f"bad arithmetic expression {expr!r}") \
-            from err
 
     def walk(node):
         if isinstance(node, ast.Expression):
@@ -613,7 +611,12 @@ def _eval_int(expr, bindings):
                 return left // right
         raise PresentationError(f"unsupported arithmetic in {expr!r}")
 
-    return walk(tree)
+    # Too deep a nesting raises RecursionError in the parse or the walk.
+    try:
+        return walk(ast.parse(expr, mode="eval"))
+    except (SyntaxError, RecursionError) as err:
+        raise PresentationError(f"bad arithmetic expression {expr!r}") \
+            from err
 
 
 def _instantiate(template, bindings):
@@ -623,7 +626,12 @@ def _instantiate(template, bindings):
     for part in parts:
         if part and re.search("[a-zA-Z]", part) and \
                 any(name in part for name in bindings):
-            out.append(str(_eval_int(part, bindings)))
+            value = _eval_int(part, bindings)
+            try:
+                out.append(str(value))
+            except ValueError as err:  # more digits than str() converts
+                raise PresentationError(f"value of {part!r} is too large") \
+                    from err
         else:
             out.append(part)
     return "".join(out)

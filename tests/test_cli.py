@@ -80,19 +80,6 @@ class TestNorm:
         assert code == 0
         assert json.loads(out)["exhaustive"] is False
 
-    def test_mu_window_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SFS_NORM_MU_WINDOW", "2")
-        code, out, _ = run(capsys, "norm", "S2((2,-1),(2,1),(6,1))",
-                           "--format", "json")
-        assert code == 0
-        assert json.loads(out)["exhaustive"] is False
-
-    def test_bad_env_is_usage_error(self, capsys, monkeypatch):
-        for value in ("many", "0"):
-            monkeypatch.setenv("SFS_NORM_MU_WINDOW", value)
-            code, _, err = run(capsys, "norm", "S2((2,-1),(2,1),(6,1))")
-            assert code == 1 and "SFS_NORM_MU_WINDOW" in err
-
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "norm", "S2((2,-1),(3,1),(8,1))",
@@ -219,3 +206,42 @@ class TestUsage:
         code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
         assert code == 1 and err.startswith("error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# Expressions past the interpreter's limits: more digits than int() and
+# str() convert, and nesting deeper than the parser's recursion limit.
+HOSTILE = {
+    "long_literal": "1" * 5000,
+    "deep_unary": "2*n+" + "-" * 3000 + "8",
+    "long_chain": "+".join(["1"] * 5000),
+    "huge_value": "n*" + "9" * 4000 + "*" + "9" * 4000,
+}
+
+
+class TestHostileInput:
+    """No input ends in a traceback: each exits 1 or 2 with one line."""
+
+    # A huge grid bound is a valid, if endless, range.
+    @pytest.mark.parametrize("place, name", [
+        (place, name)
+        for place in ("norm", "convert", "scan_template", "scan_bound")
+        for name in sorted(HOSTILE)
+        if (place, name) != ("scan_bound", "huge_value")])
+    def test_one_line_error(self, capsys, tmp_path, place, name):
+        expr = HOSTILE[name]
+        text = f"S2((2,-1),(3,1),({expr},1))"
+        spec = tmp_path / "fam.txt"
+        if place == "scan_template":
+            spec.write_text(f"S2((2,-1),(3,1),(n+{expr},1)) | n=4..4\n")
+        else:
+            spec.write_text(f"S2((2,-1),(3,1),(n,1)) | n=4..{expr}\n")
+        argv = {
+            "norm": ("norm", text),
+            "convert": ("convert", text, "orlik"),
+            "scan_template": ("scan", str(spec)),
+            "scan_bound": ("scan", str(spec)),
+        }[place]
+        code, out, err = run(capsys, *argv)
+        assert code in (1, 2) and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -352,8 +352,9 @@ class TestInvariants:
 class TestLeadSkip:
     def test_skip_leaves_reports_unchanged(self, monkeypatch):
         # Skipping steps before t_min must not change any output, the
-        # tie witnesses included: compare against sweeps that step
-        # through every one (a floor of -inf never allows a skip).
+        # witness and the kinds that reach the minimum included: compare
+        # against sweeps that step through every one (a floor of -inf
+        # never allows a skip).
         corpus = random_presentations(120, seed=51)
         corpus += random_presentations(30, seed=52, max_alpha=40)
         corpus += [m for m in random_presentations(300, seed=53,

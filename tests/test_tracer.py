@@ -6,13 +6,17 @@ benchmark run; this test makes it break the test suite first.
 """
 
 import importlib.util
+import logging
 import sys
 from pathlib import Path
+
+import pytest
 
 import sfsnorm.cli
 import sfsnorm.lens
 import sfsnorm.search
 import sfsnorm.surfaces
+from sfsnorm.seifert import SeifertPresentation
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -57,3 +61,47 @@ def test_tracer_installs_and_counts(monkeypatch):
     opened = {name for _, _, name in tracer_module.SPANS} - idle
     assert opened <= set(own)
     assert tracer.cumulative("search.compute_norms") > 0
+
+
+# A plain benchmark pass (perfbench/one_pass.py) does not install the
+# tracer.  It times each presentation by wrapping
+# ``sfsnorm.search.compute_norms`` and counts skipped instances on the
+# ``sfsnorm.search`` logger, so both must stay where it looks.
+SCAN_LINE = "S2((2,-1),(3,1),(n,1)) | n=1..4\n"  # n = 1 is no presentation
+
+
+def test_plain_pass_times_every_presentation(monkeypatch, tmp_path):
+    compute_norms, seen = sfsnorm.search.compute_norms, []
+
+    def wrapper(presentation, *args, **kwargs):
+        seen.append(presentation.pairs())
+        return compute_norms(presentation, *args, **kwargs)
+    monkeypatch.setattr(sfsnorm.search, "compute_norms", wrapper)
+    spec = tmp_path / "fam.txt"
+    spec.write_text(SCAN_LINE)
+    assert sfsnorm.cli.main(["scan", str(spec)]) == 0
+    assert seen == [((2, -1), (3, 1), (n, 1)) for n in (2, 3, 4)]
+
+
+def test_plain_pass_sees_skips(caplog, tmp_path):
+    spec = tmp_path / "fam.txt"
+    spec.write_text(SCAN_LINE)
+    with caplog.at_level(logging.WARNING, logger="sfsnorm.search"):
+        assert sfsnorm.cli.main(["scan", str(spec)]) == 0
+    skipped = [record.args[0] for record in caplog.records
+               if record.name == "sfsnorm.search"]
+    assert skipped == ["S2((2,-1),(3,1),(1,1))"]
+
+
+@pytest.mark.parametrize("pairs", [
+    ((2, -1), (3, 1), (8, 1)),
+    ((3, 2), (5, 2), (7, 4)),
+], ids=["case4_and_3", "all_odd"])
+def test_enumerators_return_lists(pairs):
+    # The tracer counts the candidates of an enumerator that returns
+    # rather than yields with len().
+    m = SeifertPresentation.from_pairs(pairs)
+    for enumerate_case in (sfsnorm.search.enumerate_case4,
+                           sfsnorm.search.enumerate_case3,
+                           sfsnorm.search.enumerate_case1):
+        assert isinstance(enumerate_case(m), list)
