@@ -9,13 +9,15 @@ meridian case is N(0, 1) = 0, the slope bounding a disk.
 
 Two independent evaluation routes are implemented:
 
-* ``n_genus`` expands 2k/q as a continued fraction and applies the
-  Bredon-Wood skip sum to the digits;
+* ``n_genus`` runs Euclid on 2k/q and the Bredon-Wood skip sum on its
+  continued fraction digits in one integer loop;
 * ``n_genus_oracle`` runs the one-step recursion N(2k, 1) = k,
   N(2k, q) = N(2(k - Q), q - 2m) + 1 with 2km - Qq = +-1 and 0 < Q < k.
 
 They must agree everywhere; the test suite checks this exhaustively on a
-grid.  Everything is exact integer arithmetic.
+grid.  ``cf_expand`` and ``b_sequence`` spell the first route out digit
+by digit for ``n-genus --explain``.  Everything is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -118,22 +120,6 @@ def b_sequence(digits):
     return bs
 
 
-def skip_sum(digits):
-    """Half the b-sequence sum.  Rejects digit lists with odd total.
-
-    An odd total cannot arise from digits of a normalized even slope, so
-    it signals an invariant breach upstream rather than a usage error.
-    """
-    if not isinstance(digits, CFDigits):
-        digits = CFDigits(tuple(digits))
-    total = sum(b_sequence(digits))
-    if total % 2 != 0:
-        raise ValueError(
-            f"b-sequence of {list(digits)} has odd sum {total}; "
-            "the source fraction is not an even slope")
-    return total // 2
-
-
 def normalize_lens(curve):
     """Unique representative of a slope under lens space equivalences.
 
@@ -184,11 +170,29 @@ def normalize_lens_steps(curve):
     return LensCurve(twok, q), steps
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)  # bounded: a long scan meets ever new slopes
 def _n_normalized(twok, q):
+    # Half the b-sequence sum of cf_expand(twok, q), in one loop: a digit
+    # is skipped when the one before was kept and the running sum is even.
     if twok == 0:
         return 0
-    return skip_sum(cf_expand(twok, q))
+    if twok < 1 or q < 1:
+        raise ValueError(f"fraction must be positive, got {twok}/{q}")
+    n, d = twok, q
+    total = 0
+    kept = False
+    while d:
+        if kept and total % 2 == 0:
+            kept = False
+        else:
+            total += n // d
+            kept = True
+        n, d = d, n % d
+    if n != 1:  # n is now gcd(twok, q)
+        raise ValueError(f"fraction {twok}/{q} is not in lowest terms")
+    if total % 2 != 0:  # an invariant breach: 2k/q is not an even slope
+        raise ValueError(f"b-sequence of {twok}/{q} has odd sum {total}")
+    return total // 2
 
 
 def n_genus(curve):

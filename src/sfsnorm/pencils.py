@@ -9,20 +9,19 @@ prefix pins down a lower bound for N that (usually) grows without bound,
 which is what lets an outward mu-sweep stop after finitely many steps
 without giving up exhaustiveness.
 
-Everything here is exact integer arithmetic on linear forms.  Each
-"eventual" decision (a floor, a sign, a comparison) also yields the onset
-step from which it is valid, so the returned certificate carries a hard
-threshold t_min, not an asymptotic promise.  Before t_min,
-``lead_floor`` bounds N over a whole span of steps by the leading digit
-alone.
+Everything here is exact integer arithmetic on linear forms, which
+``slope_pencil`` hands out as ``Lin`` pairs and ``certified_tail`` runs
+through Euclid as plain pairs of ints.  Each "eventual" decision (a
+floor, a sign, a comparison) also yields the onset step from which it is
+valid, so the returned certificate carries a hard threshold t_min, not
+an asymptotic promise.  Before t_min, ``lead_floor`` bounds N over a
+whole span of steps by the leading digit alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from .lens import b_sequence
 
 
 class Lin(NamedTuple):
@@ -33,35 +32,6 @@ class Lin(NamedTuple):
 
     def at(self, t):
         return self.a * t + self.b
-
-
-def _neg(f):
-    return Lin(-f.a, -f.b)
-
-
-def _sub(f, g):
-    return Lin(f.a - g.a, f.b - g.b)
-
-
-def _scale(f, c):
-    return Lin(f.a * c, f.b * c)
-
-
-def _onset_nonneg(f):
-    """Least T >= 0 with f(t) >= 0 for every t >= T, or None."""
-    if f.a > 0:
-        return max(0, -(f.b // f.a))
-    if f.a == 0 and f.b >= 0:
-        return 0
-    return None
-
-
-def _eventual_floor(num, den):
-    """floor(num(t)/den(t)) for all large t; den must have positive slope."""
-    if num.a % den.a == 0:
-        m = num.a // den.a
-        return m if num.b - m * den.b >= 0 else m - 1
-    return num.a // den.a
 
 
 @dataclass(frozen=True)
@@ -90,10 +60,10 @@ class TailCertificate:
         return (self.base_half + digit + 1) // 2
 
 
-def _constant_pair_certificate(twok, second):
-    """Certificate for a pencil whose first entry is the constant 2k > 0.
+def _constant_pair_certificate(twok, c, d):
+    """Certificate for the pencil (2k, c*t + d) with constant 2k > 0.
 
-    N then depends only on second(t) mod 2k, which ranges over a single
+    N then depends only on c*t + d mod 2k, which ranges over a single
     residue class; the exact minimum of N over the coprime residues in
     that class is a bound valid from t = 0 on.
     """
@@ -101,10 +71,10 @@ def _constant_pair_certificate(twok, second):
 
     from .lens import LensCurve, n_genus
 
-    g = gcd(second.a, twok)
+    g = gcd(c, twok)
     best = None
     for r in range(twok):
-        if (r - second.b) % g != 0 or gcd(r, twok) != 1:
+        if (r - d) % g != 0 or gcd(r, twok) != 1:
             continue
         val = n_genus(LensCurve(twok, r))
         best = val if best is None else min(best, val)
@@ -120,81 +90,86 @@ def certified_tail(first, second):
     Returns a TailCertificate, or None when no certificate exists (the
     pencil degenerates; callers then fall back to the hard sweep cap).
     The certificate is sound for every t >= t_min at which the pair is a
-    valid slope; steps with a common factor are simply not slopes.  Each
-    eventual floor, sign and comparison the digits rest on goes through
-    ``need``, which records the step from which that linear form stays
-    nonnegative, and t_min is the largest of these onsets.  From t_min
-    on every decision therefore holds exactly, so the normalized digits
-    strictly extend ``prefix`` and N is at least ``bound_at(t)``.
+    valid slope; steps with a common factor are simply not slopes.
+
+    Euclid runs on forms x = (xa, xb), y = (ya, yb) with ya > 0.  Each
+    quotient q is the eventual floor of x(t)/y(t), so 0 <= rem(t) and
+    rem(t) <= y(t) - 1 for rem = x - q*y and all large t.  Each such form
+    p*t + c (p >= 0, and c >= 0 if p = 0) holds from step -(c // p) on,
+    and t_min is the largest of these onsets.  From t_min on the digits
+    therefore strictly extend ``prefix`` and N is at least ``bound_at``.
     """
-    thresholds = [0]
-
-    def need(f):
-        t = _onset_nonneg(f)
-        if t is None:
-            return False
-        thresholds.append(t)
-        return True
-
-    if first.a < 0 or (first.a == 0 and first.b < 0):
-        first, second = _neg(first), _neg(second)
-    if first.a == 0:
-        if first.b == 0:
+    xa, xb = first
+    ya, yb = second
+    if xa < 0 or (xa == 0 and xb < 0):
+        xa, xb, ya, yb = -xa, -xb, -ya, -yb
+    if xa == 0:
+        if xb == 0:
             return None
-        return _constant_pair_certificate(first.b, second)
-    if not need(Lin(first.a, first.b - 1)):
-        return None
+        return _constant_pair_certificate(xb, ya, yb)
+    # first(t) >= 1.
+    t_min = max(0, -((xb - 1) // xa))
 
-    # second mod first, i.e. one eventual-floor reduction.
-    q = _eventual_floor(second, first)
-    r = _sub(second, _scale(first, q))
-    if not (need(r) and need(_sub(_sub(first, r), Lin(0, 1)))):
-        return None
-    if r.a == 0 and r.b == 0:
-        return None
+    # second mod first: 0 <= r(t) <= first(t) - 1.
+    q = ya // xa
+    ra, rb = ya - q * xa, yb - q * xb
+    if ra == 0 and rb <= 0:
+        if rb == 0:
+            return None
+        ra, rb = xa, rb + xb
+    if ra and (t := -(rb // ra)) > t_min:
+        t_min = t
+    if ra < xa and (t := -((xb - rb - 1) // (xa - ra))) > t_min:
+        t_min = t
 
     # Reflect into 0 < q <= k: replace r by first - r when 2r > first.
-    s = _sub(_scale(r, 2), first)
-    if s.a > 0 or (s.a == 0 and s.b > 0):
-        if not need(_sub(s, Lin(0, 1))):
-            return None
-        r = _sub(first, r)
-    elif s.a == 0 and s.b == 0:
+    sa, sb = 2 * ra - xa, 2 * rb - xb
+    if sa == 0 and sb == 0:
         return None
+    if sa > 0 or (sa == 0 and sb > 0):
+        ra, rb = xa - ra, xb - rb
     else:
-        if not need(_sub(_neg(s), Lin(0, 1))):
-            return None
+        sa, sb = -sa, -sb
+    if sa and (t := -((sb - 1) // sa)) > t_min:
+        t_min = t
 
-    # Euclidean digits of (first, r) until the divisor has constant slope.
+    # Euclidean digits of (first, r) until the divisor has constant
+    # slope, with the b-sequence summed alongside.
+    ya, yb = ra, rb
     digits = []
-    x, y = first, r
-    growth = None
-    while True:
-        if y.a == 0:
-            c = y.b
-            if c < 1:
+    total = 0
+    kept = False
+    while ya:
+        q = xa // ya
+        rema, remb = xa - q * ya, xb - q * yb
+        if rema == 0 and remb <= 0:  # x = q*y exactly, or x < q*y for good
+            if remb == 0:
                 return None
-            # The next digit is floor(x(t)/c) >= (x(t) - c + 1)//c.  For
-            # c = 1 the expansion ends exactly there; for c > 1 later
-            # digits depend on t mod c and are not stable.
-            growth = (x.a, x.b - c + 1, c)
-            break
-        q = _eventual_floor(x, y)
+            q, rema, remb = q - 1, ya, remb + yb
         if q < 1:
             return None
-        rem = _sub(x, _scale(y, q))
-        if not (need(rem) and need(_sub(_sub(y, rem), Lin(0, 1)))):
-            return None
-        if rem.a == 0 and rem.b == 0:
-            return None
+        if rema and (t := -(remb // rema)) > t_min:
+            t_min = t
+        if rema < ya and (t := -((yb - remb - 1) // (ya - rema))) > t_min:
+            t_min = t
         digits.append(q)
-        x, y = y, rem
+        if kept and total % 2 == 0:
+            kept = False
+        else:
+            total += q
+            kept = True
+        xa, xb, ya, yb = ya, yb, rema, remb
 
-    bs = b_sequence(digits) if digits else []
-    base_half = sum(bs)
-    skipped = bool(digits) and bs[-1] == digits[-1] and base_half % 2 == 0
-    return TailCertificate(tuple(digits), max(thresholds), base_half,
-                           None if skipped else growth)
+    # The next digit is floor(x(t)/c) >= (x(t) - c + 1)//c.  For c = 1
+    # the expansion ends exactly there; for c > 1 later digits depend on
+    # t mod c and are not stable.  A last digit kept with an even sum
+    # makes the skip rule zero the next one.
+    c = yb
+    if c < 1:
+        return None
+    skipped = kept and total % 2 == 0
+    return TailCertificate(tuple(digits), t_min, total,
+                           None if skipped else (xa, xb - c + 1, c))
 
 
 def lead_floor(first, second, t0, t1):

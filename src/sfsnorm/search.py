@@ -577,12 +577,22 @@ SCAN_CSV_HEADER = ("canonical_form", "class", "e1", "e2", "e3",
 
 _ALLOWED_EXPR = re.compile(r"^[0-9a-zA-Z_+\-*/() ]*$")
 
+MAX_SCAN_INSTANCES = 10 ** 6
+
+
+def _clip(text):
+    """``text`` quoted, cut to its first 40 characters if longer."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
 
 def _eval_int(expr, bindings):
     import ast
 
+    shown = _clip(expr)
     if not _ALLOWED_EXPR.match(expr):
-        raise PresentationError(f"bad arithmetic expression {expr!r}")
+        raise PresentationError(f"bad arithmetic expression {shown}")
 
     def walk(node):
         if isinstance(node, ast.Expression):
@@ -591,7 +601,7 @@ def _eval_int(expr, bindings):
             return node.value
         if isinstance(node, ast.Name):
             if node.id not in bindings:
-                raise PresentationError(f"unbound variable {node.id!r}")
+                raise PresentationError(f"unbound variable {_clip(node.id)}")
             return bindings[node.id]
         if isinstance(node, ast.UnaryOp) and \
                 isinstance(node.op, (ast.USub, ast.UAdd)):
@@ -607,15 +617,15 @@ def _eval_int(expr, bindings):
                 return left * right
             if isinstance(node.op, ast.FloorDiv):
                 if right == 0:
-                    raise PresentationError(f"division by zero in {expr!r}")
+                    raise PresentationError(f"division by zero in {shown}")
                 return left // right
-        raise PresentationError(f"unsupported arithmetic in {expr!r}")
+        raise PresentationError(f"unsupported arithmetic in {shown}")
 
     # Too deep a nesting raises RecursionError in the parse or the walk.
     try:
         return walk(ast.parse(expr, mode="eval"))
     except (SyntaxError, RecursionError) as err:
-        raise PresentationError(f"bad arithmetic expression {expr!r}") \
+        raise PresentationError(f"bad arithmetic expression {shown}") \
             from err
 
 
@@ -630,14 +640,15 @@ def _instantiate(template, bindings):
             try:
                 out.append(str(value))
             except ValueError as err:  # more digits than str() converts
-                raise PresentationError(f"value of {part!r} is too large") \
-                    from err
+                raise PresentationError(
+                    f"value of {_clip(part)} is too large") from err
         else:
             out.append(part)
     return "".join(out)
 
 
-def _grid_bindings(grid, bindings=None, index=0):
+def _grid_bindings(grid, bindings=None, index=0, room=MAX_SCAN_INSTANCES):
+    # room: the cap divided by the sizes of the enclosing ranges.
     bindings = dict(bindings or {})
     if index == len(grid):
         yield bindings
@@ -645,9 +656,13 @@ def _grid_bindings(grid, bindings=None, index=0):
     name, lo_expr, hi_expr = grid[index]
     lo = _eval_int(str(lo_expr), bindings)
     hi = _eval_int(str(hi_expr), bindings)
+    size = max(0, hi - lo + 1)
+    if size > room:
+        raise PresentationError(f"range of {name!r} takes the family past "
+                                f"{MAX_SCAN_INSTANCES} instances")
     for value in range(lo, hi + 1):
         bindings[name] = value
-        yield from _grid_bindings(grid, bindings, index + 1)
+        yield from _grid_bindings(grid, bindings, index + 1, room // size)
 
 
 def family_scan(template, grid, budget=None):
@@ -656,15 +671,20 @@ def family_scan(template, grid, budget=None):
     ``template`` is a presentation string with integer arithmetic in the
     slots (for example ``S2((2,-1),(2*m+1,m),(2*n,1))``); ``grid`` is an
     ordered list of (name, lo, hi) with bounds that may use earlier
-    variables.  Instances that fail to parse or validate are skipped and
-    logged.  The gap column is ``min_vertical_genus`` minus
-    ``min_horizontal_genus`` when both kinds produced a candidate in the
-    class.  A gap >= 0 is exact; a negative gap is only a lower bound on
-    the true one, which lies between it and 0, because the horizontal
-    minimum is then an upper bound (see ``ClassNorm``).
+    variables.  A grid whose ranges multiply past ``MAX_SCAN_INSTANCES``
+    raises PresentationError before any instance runs.  Instances that
+    fail to parse or validate are skipped and logged.  The gap column is
+    ``min_vertical_genus`` minus ``min_horizontal_genus`` when both kinds
+    produced a candidate in the class.  A gap >= 0 is exact; a negative
+    gap is only a lower bound on the true one, which lies between it and
+    0, because the horizontal minimum is then an upper bound (see
+    ``ClassNorm``).
     """
+    grid = list(grid)
+    for _ in _grid_bindings(grid):  # a range past the cap raises here
+        pass
     rows = []
-    for bindings in _grid_bindings(list(grid)):
+    for bindings in _grid_bindings(grid):
         text = _instantiate(template, bindings)
         try:
             presentation = parse_presentation(text)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import sfsnorm.search
 from sfsnorm.cli import main
 from sfsnorm.search import SCAN_CSV_HEADER, compute_norms, \
     norm_report_from_json
@@ -221,12 +222,10 @@ HOSTILE = {
 class TestHostileInput:
     """No input ends in a traceback: each exits 1 or 2 with one line."""
 
-    # A huge grid bound is a valid, if endless, range.
     @pytest.mark.parametrize("place, name", [
         (place, name)
         for place in ("norm", "convert", "scan_template", "scan_bound")
-        for name in sorted(HOSTILE)
-        if (place, name) != ("scan_bound", "huge_value")])
+        for name in sorted(HOSTILE)])
     def test_one_line_error(self, capsys, tmp_path, place, name):
         expr = HOSTILE[name]
         text = f"S2((2,-1),(3,1),({expr},1))"
@@ -245,3 +244,20 @@ class TestHostileInput:
         assert code in (1, 2) and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert all(len(line) <= 200 for line in err.splitlines())
+
+    # Ranges past the instance cap: one huge range, and two ranges whose
+    # product passes it although each stays below.
+    @pytest.mark.parametrize("grid, name", [
+        ("n=4.." + "9" * 3000, "n"),
+        ("m=1..2000 | n=1..1000", "n"),
+    ], ids=["huge_range", "huge_product"])
+    def test_endless_range(self, capsys, tmp_path, monkeypatch, grid, name):
+        def refuse(*args):
+            raise AssertionError("an instance ran")
+        monkeypatch.setattr(sfsnorm.search, "compute_norms", refuse)
+        spec = tmp_path / "fam.txt"
+        spec.write_text(f"S2((2,-1),(3,1),(n,1)) | {grid}\n")
+        code, out, err = run(capsys, "scan", str(spec))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"range of {name!r}" in err and len(err) <= 200

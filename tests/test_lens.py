@@ -8,14 +8,32 @@ from sfsnorm.errors import LensCurveError
 from sfsnorm.lens import (
     CFDigits,
     LensCurve,
+    _n_normalized,
     b_sequence,
     cf_expand,
     n_genus,
     n_genus_oracle,
     normalize_lens,
     normalize_lens_steps,
-    skip_sum,
 )
+
+
+def skip_sum(digits):
+    """Half the b-sequence sum.  Rejects digit lists with odd total.
+
+    The digit-list form of the continued fraction route, kept as the
+    reference for the fused loop in ``_n_normalized``.  An odd total
+    cannot arise from digits of a normalized even slope, so it signals
+    an invariant breach upstream rather than a usage error.
+    """
+    if not isinstance(digits, CFDigits):
+        digits = CFDigits(tuple(digits))
+    total = sum(b_sequence(digits))
+    if total % 2 != 0:
+        raise ValueError(
+            f"b-sequence of {list(digits)} has odd sum {total}; "
+            "the source fraction is not an even slope")
+    return total // 2
 
 
 def hand_euclid(n, d):
@@ -166,6 +184,43 @@ class TestSkipSum:
         for twok, q in valid_slopes(100):
             c = normalize_lens(LensCurve(twok, q))
             assert sum(b_sequence(cf_expand(c.twok, c.q))) % 2 == 0
+
+
+def normalized_slopes(limit):
+    """Every normalized slope (2k, q) with 0 < 2k <= limit."""
+    for twok in range(2, limit + 1, 2):
+        for q in range(1, twok // 2 + 1):
+            if math.gcd(twok, q) == 1:
+                yield twok, q
+
+
+class TestFusedLoop:
+    def test_matches_digit_route_and_oracle(self):
+        kernel = _n_normalized.__wrapped__
+        compared = 0
+        for twok, q in normalized_slopes(1000):
+            value = kernel(twok, q)
+            assert value == skip_sum(cf_expand(twok, q)), (twok, q)
+            assert value == n_genus_oracle(LensCurve(twok, q)), (twok, q)
+            compared += 1
+        assert compared > 50000
+
+    def test_keeps_input_checks(self):
+        kernel = _n_normalized.__wrapped__
+        assert kernel(0, 1) == 0
+        for twok, q in ((6, 3), (4, 2), (-4, 1), (4, -1), (4, 0)):
+            with pytest.raises(ValueError):
+                kernel(twok, q)
+        # An odd longitude coefficient gives an odd b-sum.
+        with pytest.raises(ValueError, match="odd sum"):
+            kernel(3, 1)
+
+    def test_cache_is_bounded(self):
+        size = _n_normalized.cache_info().maxsize
+        assert size == 1 << 16
+        for k in range(1, size + 100):
+            assert _n_normalized(2 * k, 1) == k
+        assert _n_normalized.cache_info().currsize == size
 
 
 class TestNGenus:

@@ -5,8 +5,20 @@ from math import gcd
 
 import sfsnorm.search
 from sfsnorm.errors import PresentationError
-from sfsnorm.lens import LensCurve, cf_expand, n_genus, normalize_lens
-from sfsnorm.pencils import Lin, certified_tail, lead_floor, slope_pencil
+from sfsnorm.lens import (
+    LensCurve,
+    b_sequence,
+    cf_expand,
+    n_genus,
+    normalize_lens,
+)
+from sfsnorm.pencils import (
+    Lin,
+    TailCertificate,
+    certified_tail,
+    lead_floor,
+    slope_pencil,
+)
 from sfsnorm.search import compute_norms
 from sfsnorm.seifert import (
     HomologyCase,
@@ -47,6 +59,142 @@ def check_certificate(first, second, horizon=160):
                                            cert.prefix)
         checked += 1
     return checked
+
+
+# Reference for ``certified_tail``: Euclid on ``Lin`` forms, with every
+# eventual floor, sign and comparison recorded through ``need``, and the
+# b-sequence summed afterwards.  The library's kernel runs the same
+# decisions on plain pairs of ints and must return the same certificate.
+
+def _neg(f):
+    return Lin(-f.a, -f.b)
+
+
+def _sub(f, g):
+    return Lin(f.a - g.a, f.b - g.b)
+
+
+def _scale(f, c):
+    return Lin(f.a * c, f.b * c)
+
+
+def _onset_nonneg(f):
+    """Least T >= 0 with f(t) >= 0 for every t >= T, or None."""
+    if f.a > 0:
+        return max(0, -(f.b // f.a))
+    if f.a == 0 and f.b >= 0:
+        return 0
+    return None
+
+
+def _eventual_floor(num, den):
+    """floor(num(t)/den(t)) for all large t; den must have positive slope."""
+    if num.a % den.a == 0:
+        m = num.a // den.a
+        return m if num.b - m * den.b >= 0 else m - 1
+    return num.a // den.a
+
+
+def _reference_constant_pair(twok, second):
+    g = gcd(second.a, twok)
+    best = None
+    for r in range(twok):
+        if (r - second.b) % g != 0 or gcd(r, twok) != 1:
+            continue
+        val = n_genus(LensCurve(twok, r))
+        best = val if best is None else min(best, val)
+    if best is None:
+        return None
+    return TailCertificate((), 0, 2 * best, None)
+
+
+def reference_tail(first, second):
+    thresholds = [0]
+
+    def need(f):
+        t = _onset_nonneg(f)
+        if t is None:
+            return False
+        thresholds.append(t)
+        return True
+
+    if first.a < 0 or (first.a == 0 and first.b < 0):
+        first, second = _neg(first), _neg(second)
+    if first.a == 0:
+        if first.b == 0:
+            return None
+        return _reference_constant_pair(first.b, second)
+    if not need(Lin(first.a, first.b - 1)):
+        return None
+
+    q = _eventual_floor(second, first)
+    r = _sub(second, _scale(first, q))
+    if not (need(r) and need(_sub(_sub(first, r), Lin(0, 1)))):
+        return None
+    if r.a == 0 and r.b == 0:
+        return None
+
+    s = _sub(_scale(r, 2), first)
+    if s.a > 0 or (s.a == 0 and s.b > 0):
+        if not need(_sub(s, Lin(0, 1))):
+            return None
+        r = _sub(first, r)
+    elif s.a == 0 and s.b == 0:
+        return None
+    else:
+        if not need(_sub(_neg(s), Lin(0, 1))):
+            return None
+
+    digits = []
+    x, y = first, r
+    growth = None
+    while True:
+        if y.a == 0:
+            c = y.b
+            if c < 1:
+                return None
+            growth = (x.a, x.b - c + 1, c)
+            break
+        q = _eventual_floor(x, y)
+        if q < 1:
+            return None
+        rem = _sub(x, _scale(y, q))
+        if not (need(rem) and need(_sub(_sub(y, rem), Lin(0, 1)))):
+            return None
+        if rem.a == 0 and rem.b == 0:
+            return None
+        digits.append(q)
+        x, y = y, rem
+
+    bs = b_sequence(digits) if digits else []
+    base_half = sum(bs)
+    skipped = bool(digits) and bs[-1] == digits[-1] and base_half % 2 == 0
+    return TailCertificate(tuple(digits), max(thresholds), base_half,
+                           None if skipped else growth)
+
+
+def seeded_pencils(count, seed):
+    """``count`` random pencils of both signs; one in 50 has a constant
+    first form, and then an even one."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.randrange(50) == 0:
+            first = Lin(0, rng.choice([-2, 2]) * rng.randrange(0, 20))
+        else:
+            first = Lin(rng.choice([-1, 1]) * rng.randrange(1, 41),
+                        rng.randrange(-300, 301))
+        yield first, Lin(rng.randrange(-120, 121), rng.randrange(-300, 301))
+
+
+def test_kernel_matches_reference_on_seeded_pencils():
+    kinds = {"none": 0, "growth": 0, "plateau": 0}
+    for first, second in seeded_pencils(100000, seed=8):
+        cert = certified_tail(first, second)
+        assert cert == reference_tail(first, second), (first, second)
+        kind = "none" if cert is None else \
+            "plateau" if cert.growth is None else "growth"
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 500, kinds
 
 
 class TestCertifiedTail:
@@ -180,6 +328,16 @@ def test_search_pencils_hold_from_t_min(monkeypatch):
     checked = sum(check_certificate(first, second, horizon=40)
                   for first, second in pencils)
     assert checked >= 10000
+
+
+def test_kernel_matches_reference_on_search_pencils(monkeypatch):
+    corpus = presentations_by_case(5, seed=1) + \
+        presentations_by_case(5, seed=2) + [ALL_ODD, TALL]
+    pencils = set(search_pencils(monkeypatch, corpus))
+    assert len(pencils) >= 500
+    for first, second in pencils:
+        assert certified_tail(first, second) == \
+            reference_tail(first, second), (first, second)
 
 
 def slope_n(first, second, t):
