@@ -16,6 +16,7 @@ from .errors import (
 )
 from .lens import LensCurve, n_genus
 from .notation import parse_presentation
+from .report import norm_report_from_json
 from .search import (
     compute_norms,
     enumerate_case1,
@@ -49,6 +50,7 @@ __all__ = [
     "enumerate_case4",
     "horizontal_report",
     "n_genus",
+    "norm_report_from_json",
     "parse_presentation",
     "ph_class",
     "ph_exists",

@@ -13,8 +13,6 @@ presentations or slopes, 3 for internal invariant breaches.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import sys
@@ -29,7 +27,8 @@ from .lens import (
 )
 from .notation import NOTATIONS, canonical_form, format_presentation, \
     parse_presentation
-from .search import SCAN_CSV_HEADER, SearchBudget, compute_norms, family_scan
+from .scan import csv_text, parse_scan_file
+from .search import SearchBudget, compute_norms, family_scan
 
 
 class _UsageError(Exception):
@@ -164,34 +163,6 @@ def _cmd_convert(args):
     return 0
 
 
-def _parse_scan_file(text):
-    """One family per line: ``template | var=lo..hi | var=lo..hi ...``"""
-    families = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = [field.strip() for field in line.split("|")]
-        template, grid = fields[0], []
-        for field in fields[1:]:
-            if "=" not in field or ".." not in field:
-                raise NotationSyntaxError(
-                    f"line {lineno}: expected 'var=lo..hi', got "
-                    f"{field!r}", lineno)
-            name, span = field.split("=", 1)
-            lo, hi = span.split("..", 1)
-            name = name.strip()
-            if not name.isidentifier():
-                raise NotationSyntaxError(
-                    f"line {lineno}: bad variable name {name!r}", lineno)
-            if any(name == seen for seen, _, _ in grid):
-                raise NotationSyntaxError(
-                    f"line {lineno}: variable {name!r} ranged twice", lineno)
-            grid.append((name, lo.strip(), hi.strip()))
-        families.append((template, grid))
-    return families
-
-
 def _cmd_scan(args):
     try:
         with open(args.specfile, encoding="utf-8") as handle:
@@ -199,22 +170,10 @@ def _cmd_scan(args):
     except UnicodeDecodeError as err:
         raise _UsageError(f"scan file {args.specfile} is not UTF-8 text: "
                           f"{err.reason} at byte {err.start}")
-    families = _parse_scan_file(text)
     budget = _budget_from(args)
-    rows = []
-    for template, grid in families:
-        rows.extend(family_scan(template, grid, budget))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(SCAN_CSV_HEADER)
-    for row in rows:
-        writer.writerow([
-            row["canonical_form"], row["class"], row["e1"], row["e2"],
-            row["e3"], row["min_genus"], row["norm"], row["witness_kind"],
-            "" if row["gap"] is None else row["gap"],
-            "true" if row["exhaustive"] else "false",
-        ])
-    _write_out(args, buffer.getvalue())
+    rows = [row for template, grid in parse_scan_file(text)
+            for row in family_scan(template, grid, budget)]
+    _write_out(args, csv_text(rows))
     return 0
 
 

@@ -49,42 +49,15 @@ class LensCurve:
                 f"slope ({self.twok}, {self.q}) is not coprime")
 
 
-@dataclass(frozen=True)
-class CFDigits:
-    """Canonical continued fraction [a0, a1, ..., an].
-
-    a0 >= 0, the inner digits are positive, and the last digit exceeds 1
-    whenever there is more than one digit, so every positive rational has
-    exactly one digit list and prefix comparisons are well defined.
-    """
-
-    digits: tuple
-
-    def __post_init__(self):
-        ds = tuple(self.digits)
-        object.__setattr__(self, "digits", ds)
-        if not ds:
-            raise ValueError("empty digit list")
-        if ds[0] < 0:
-            raise ValueError(f"leading digit must be >= 0, got {ds[0]}")
-        if any(d < 1 for d in ds[1:]):
-            raise ValueError("inner digits must be positive")
-        if len(ds) > 1 and ds[-1] < 2:
-            raise ValueError("last digit must exceed 1 in canonical form")
-
-    def __len__(self):
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-
 def cf_expand(numerator, denominator):
     """Canonical continued fraction digits of numerator/denominator.
 
-    Plain Euclidean division, which already produces the canonical form:
-    the final quotient is the penultimate remainder, hence > 1 whenever
-    there is more than one digit.
+    The tuple (a0, a1, ..., an) has a0 >= 0, positive inner digits and a
+    last digit above 1 whenever there is more than one, so every positive
+    rational has exactly one digit tuple and prefix comparisons are well
+    defined.  Plain Euclidean division already produces this form: the
+    final quotient is the penultimate remainder, hence > 1 whenever there
+    is more than one digit.
     """
     if numerator < 1 or denominator < 1:
         raise ValueError(
@@ -98,7 +71,7 @@ def cf_expand(numerator, denominator):
         a, r = divmod(n, d)
         digits.append(a)
         n, d = d, r
-    return CFDigits(tuple(digits))
+    return tuple(digits)
 
 
 def b_sequence(digits):

@@ -18,7 +18,9 @@ from .seifert import SeifertPresentation, to_orlik_normal_form
 NOTATIONS = ("martelli", "hatcher", "orlik")
 
 
-class _Cursor:
+class Cursor:
+    """A position in a presentation string, read token by token."""
+
     def __init__(self, text):
         self.text = text
         self.pos = 0
@@ -26,10 +28,6 @@ class _Cursor:
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expect(self, literal):
         self.skip_ws()
@@ -94,7 +92,24 @@ def parse_presentation(text, notation=None):
         notation = detect_notation(text)
     if notation not in NOTATIONS:
         raise PresentationError(f"unknown notation {notation!r}")
-    cur = _Cursor(text)
+    e, pairs = read_presentation(Cursor(text), notation)
+    if notation != "orlik":
+        return SeifertPresentation.from_pairs(pairs)
+    for alpha, b in pairs:
+        if not 0 < b < alpha:
+            raise PresentationError(
+                f"Orlik pair ({alpha}, {b}) needs 0 < beta' < alpha")
+    (a1, b1), rest = pairs[0], pairs[1:]
+    return SeifertPresentation.from_pairs([(a1, b1 + e * a1), *rest])
+
+
+def read_presentation(cur, notation):
+    """The integers of a presentation, read off the whole of ``cur``.
+
+    Returns (e, pairs): the fiber pairs (alpha, beta) as written, and
+    Orlik's e, which is 0 in the other notations.  Every integer is read
+    by ``cur.integer()``, in the order of the text.
+    """
     if notation == "martelli":
         cur.expect("S2")
         cur.expect("(")
@@ -104,14 +119,10 @@ def parse_presentation(text, notation=None):
             pairs.append(cur.pair())
         cur.expect(")")
         cur.end()
-        return SeifertPresentation.from_pairs(pairs)
+        return 0, pairs
     if notation == "hatcher":
-        cur.expect("M")
-        cur.expect("(")
-        cur.expect("+0")
-        cur.expect(",")
-        cur.expect("0")
-        cur.expect(";")
+        for literal in ("M", "(", "+0", ",", "0", ";"):
+            cur.expect(literal)
         pairs = []
         for i in range(3):
             if i:
@@ -122,7 +133,7 @@ def parse_presentation(text, notation=None):
             pairs.append((alpha, beta))
         cur.expect(")")
         cur.end()
-        return SeifertPresentation.from_pairs(pairs)
+        return 0, pairs
     cur.expect("[")
     e = cur.integer()
     cur.expect(";")
@@ -132,12 +143,7 @@ def parse_presentation(text, notation=None):
         triples.append(cur.pair())
     cur.expect("]")
     cur.end()
-    for alpha, b in triples:
-        if not 0 < b < alpha:
-            raise PresentationError(
-                f"Orlik pair ({alpha}, {b}) needs 0 < beta' < alpha")
-    (a1, b1), rest = triples[0], triples[1:]
-    return SeifertPresentation.from_pairs([(a1, b1 + e * a1), *rest])
+    return e, triples
 
 
 def format_presentation(presentation, notation="martelli"):

@@ -20,7 +20,6 @@ whole span of steps by the leading digit alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -34,8 +33,7 @@ class Lin(NamedTuple):
         return self.a * t + self.b
 
 
-@dataclass(frozen=True)
-class TailCertificate:
+class TailCertificate(NamedTuple):
     """Stable digit prefix and lower bound for N along a slope pencil.
 
     ``prefix`` are the leading digits of the normalized slope for every

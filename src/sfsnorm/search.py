@@ -54,19 +54,21 @@ from __future__ import annotations
 
 import logging
 import math
-import re
 from dataclasses import dataclass
 from math import gcd, inf
 
 from .errors import (
     InternalInvariantError,
     NoSurfaceError,
+    NotationSyntaxError,
     PresentationError,
     SfsNormError,
 )
 from .lens import LensCurve
-from .notation import canonical_form, format_presentation, parse_presentation
+from .notation import parse_presentation
 from .pencils import certified_tail, lead_floor, slope_pencil
+from .report import ClassNorm, NormReport
+from .scan import class_rows, instances
 from .seifert import (
     HomologyCase,
     SeifertPresentation,
@@ -77,10 +79,8 @@ from .surfaces import (
     HORIZONTAL,
     VERTICAL,
     PHParams,
-    SurfaceReport,
     horizontal_report,
     ph_exists,  # noqa: F401 - unused here; perfbench/tracer.py patches it
-    surface_report_from_json,
     vertical_surfaces,
 )
 
@@ -452,88 +452,6 @@ def enumerate_case1(presentation, budget=None, state=None):
     return out
 
 
-@dataclass(frozen=True)
-class ClassNorm:
-    """Search result for one nonzero Z/2 class.
-
-    ``min_vertical_genus`` and ``min_horizontal_genus`` are the least
-    genus of each kind the search priced.  The vertical one is exact,
-    since every pseudo-vertical surface is priced.  The horizontal one
-    is exact only when it equals ``min_genus``; otherwise it is an upper
-    bound, because the search prunes every candidate that cannot beat
-    the class minimum.
-    """
-
-    z2class: Z2Class
-    min_genus: int
-    witness: SurfaceReport
-    witness_kinds: tuple
-    min_vertical_genus: int | None
-    min_horizontal_genus: int | None
-    exhaustive: bool
-
-    @property
-    def norm(self):
-        return max(0, self.min_genus - 2)
-
-    def to_json_dict(self):
-        e1, e2, e3 = self.z2class.parities
-        return {
-            "class": self.z2class.label,
-            "e1": e1, "e2": e2, "e3": e3,
-            "min_genus": self.min_genus,
-            "norm": self.norm,
-            "witness": self.witness.to_json_dict(),
-            "witness_kinds": list(self.witness_kinds),
-            "min_vertical_genus": self.min_vertical_genus,
-            "min_horizontal_genus": self.min_horizontal_genus,
-            "exhaustive": self.exhaustive,
-        }
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Per-class minima for one presentation."""
-
-    presentation: SeifertPresentation
-    case: HomologyCase
-    entries: tuple
-
-    @property
-    def per_class(self):
-        return {entry.z2class: entry for entry in self.entries}
-
-    @property
-    def exhaustive(self):
-        return all(entry.exhaustive for entry in self.entries)
-
-    def to_json_dict(self):
-        return {
-            "presentation": format_presentation(self.presentation),
-            "canonical_form": canonical_form(self.presentation),
-            "homology": self.case.value,
-            "exhaustive": self.exhaustive,
-            "classes": [entry.to_json_dict() for entry in self.entries],
-        }
-
-
-def norm_report_from_json(data):
-    presentation = parse_presentation(data["presentation"])
-    entries = []
-    for item in data["classes"]:
-        entries.append(ClassNorm(
-            z2class=Z2Class((item["e1"], item["e2"], item["e3"])),
-            min_genus=item["min_genus"],
-            witness=surface_report_from_json(item["witness"]),
-            witness_kinds=tuple(item["witness_kinds"]),
-            min_vertical_genus=item["min_vertical_genus"],
-            min_horizontal_genus=item["min_horizontal_genus"],
-            exhaustive=item["exhaustive"],
-        ))
-    return NormReport(presentation, HomologyCase(data["homology"]),
-                      tuple(entries))
-
-
 def compute_norms(presentation, budget=None):
     """Minimal genus, witness and norm for every nonzero Z/2 class.
 
@@ -572,143 +490,23 @@ def compute_norms(presentation, budget=None):
     return NormReport(presentation, structure.case, tuple(entries))
 
 
-SCAN_CSV_HEADER = ("canonical_form", "class", "e1", "e2", "e3",
-                   "min_genus", "norm", "witness_kind", "gap", "exhaustive")
-
-_ALLOWED_EXPR = re.compile(r"^[0-9a-zA-Z_+\-*/() ]*$")
-
-MAX_SCAN_INSTANCES = 10 ** 6
-
-
-def _clip(text):
-    """``text`` quoted, cut to its first 40 characters if longer."""
-    if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
-
-
-def _eval_int(expr, bindings):
-    import ast
-
-    shown = _clip(expr)
-    if not _ALLOWED_EXPR.match(expr):
-        raise PresentationError(f"bad arithmetic expression {shown}")
-
-    def walk(node):
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return node.value
-        if isinstance(node, ast.Name):
-            if node.id not in bindings:
-                raise PresentationError(f"unbound variable {_clip(node.id)}")
-            return bindings[node.id]
-        if isinstance(node, ast.UnaryOp) and \
-                isinstance(node.op, (ast.USub, ast.UAdd)):
-            value = walk(node.operand)
-            return -value if isinstance(node.op, ast.USub) else value
-        if isinstance(node, ast.BinOp):
-            left, right = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.FloorDiv):
-                if right == 0:
-                    raise PresentationError(f"division by zero in {shown}")
-                return left // right
-        raise PresentationError(f"unsupported arithmetic in {shown}")
-
-    # Too deep a nesting raises RecursionError in the parse or the walk.
-    try:
-        return walk(ast.parse(expr, mode="eval"))
-    except (SyntaxError, RecursionError) as err:
-        raise PresentationError(f"bad arithmetic expression {shown}") \
-            from err
-
-
-def _instantiate(template, bindings):
-    # A single "/" is Hatcher's fraction bar; "//" is floor division.
-    parts = re.split(r"([()\[\],;\s]|(?<!/)/(?!/))", template)
-    out = []
-    for part in parts:
-        if part and re.search("[a-zA-Z]", part) and \
-                any(name in part for name in bindings):
-            value = _eval_int(part, bindings)
-            try:
-                out.append(str(value))
-            except ValueError as err:  # more digits than str() converts
-                raise PresentationError(
-                    f"value of {_clip(part)} is too large") from err
-        else:
-            out.append(part)
-    return "".join(out)
-
-
-def _grid_bindings(grid, bindings=None, index=0, room=MAX_SCAN_INSTANCES):
-    # room: the cap divided by the sizes of the enclosing ranges.
-    bindings = dict(bindings or {})
-    if index == len(grid):
-        yield bindings
-        return
-    name, lo_expr, hi_expr = grid[index]
-    lo = _eval_int(str(lo_expr), bindings)
-    hi = _eval_int(str(hi_expr), bindings)
-    size = max(0, hi - lo + 1)
-    if size > room:
-        raise PresentationError(f"range of {name!r} takes the family past "
-                                f"{MAX_SCAN_INSTANCES} instances")
-    for value in range(lo, hi + 1):
-        bindings[name] = value
-        yield from _grid_bindings(grid, bindings, index + 1, room // size)
-
-
 def family_scan(template, grid, budget=None):
     """One row per (instance, class) over a parameter grid.
 
-    ``template`` is a presentation string with integer arithmetic in the
-    slots (for example ``S2((2,-1),(2*m+1,m),(2*n,1))``); ``grid`` is an
-    ordered list of (name, lo, hi) with bounds that may use earlier
-    variables.  A grid whose ranges multiply past ``MAX_SCAN_INSTANCES``
-    raises PresentationError before any instance runs.  Instances that
-    fail to parse or validate are skipped and logged.  The gap column is
-    ``min_vertical_genus`` minus ``min_horizontal_genus`` when both kinds
-    produced a candidate in the class.  A gap >= 0 is exact; a negative
-    gap is only a lower bound on the true one, which lies between it and
-    0, because the horizontal minimum is then an upper bound (see
-    ``ClassNorm``).
+    ``template`` and ``grid`` are one line of a family file, as in
+    ``scan.instances``.  A template error, a syntax error included,
+    raises before any instance runs.  Instances that fail validation are
+    skipped and logged.  The rows are those of ``scan.class_rows``.
     """
-    grid = list(grid)
-    for _ in _grid_bindings(grid):  # a range past the cap raises here
-        pass
     rows = []
-    for bindings in _grid_bindings(grid):
-        text = _instantiate(template, bindings)
+    for text in instances(template, grid):
         try:
             presentation = parse_presentation(text)
             report = compute_norms(presentation, budget)
+        except NotationSyntaxError:
+            raise
         except SfsNormError as err:
             log.warning("skipping %s: %s", text, err)
             continue
-        key = canonical_form(presentation)
-        for entry in report.entries:
-            if entry.min_vertical_genus is not None \
-                    and entry.min_horizontal_genus is not None:
-                gap = entry.min_vertical_genus - entry.min_horizontal_genus
-            else:
-                gap = None
-            kinds = entry.witness_kinds
-            e1, e2, e3 = entry.z2class.parities
-            rows.append({
-                "canonical_form": key,
-                "class": entry.z2class.label,
-                "e1": e1, "e2": e2, "e3": e3,
-                "min_genus": entry.min_genus,
-                "norm": entry.norm,
-                "witness_kind": "both" if len(kinds) == 2 else kinds[0],
-                "gap": gap,
-                "exhaustive": entry.exhaustive,
-            })
+        rows.extend(class_rows(report))
     return rows

@@ -8,8 +8,9 @@ import pytest
 
 import sfsnorm.search
 from sfsnorm.cli import main
-from sfsnorm.search import SCAN_CSV_HEADER, compute_norms, \
-    norm_report_from_json
+from sfsnorm.report import norm_report_from_json
+from sfsnorm.scan import SCAN_CSV_HEADER
+from sfsnorm.search import compute_norms
 from sfsnorm.seifert import SeifertPresentation
 
 
@@ -154,16 +155,32 @@ class TestScan:
         rows = list(csv.reader(io.StringIO(target.read_text())))
         assert len(rows) == 3
 
+    # A line that ends in an error runs no instance: there compute_norms
+    # refuses every call.
     @pytest.mark.parametrize("content, code, fragment", [
         (b"S2((2,-1),(3,1),(n//1,1)) | n=8..8\n", 0, None),
+        (b"S2((2,-1),(3,1),(2*(n+1),1)) | n=3..3\n", 0, None),
+        (b"M(+0,0; -1/2, 1/3, 1/(n-(1))*2) | n=5..5\n", 0, None),
+        (b"[-(n+1); (2,1),(3,1),((1+3)*2,1)] | n=0..0\n", 0, None),
         (b"S2((2,-1),(3,1),(n,1)) | n=4..4//0\n", 2, "division by zero"),
         (b"S2((2,-1),(3,1),(n//0,1)) | n=8..8\n", 2, "division by zero"),
+        (b"S2((2,-1),(3,1),(8+1//n*0,1)) | n=-1..0\n", 2,
+         "division by zero"),
+        (b"S2((2,-1),(3,1),(2*k,1)) | n=4..5\n", 2, "unbound variable"),
+        (b"S2((2,-1),(3,1),(n,1)) x | n=4..5\n", 1, "trailing input"),
+        (b"S2((2,-1),(3,1),(n,1) | n=4..5\n", 1, "syntax error"),
         (b"S2((2,-1),(3,1),(8,1))\n\xff\xfe\n", 1, "not UTF-8"),
         (b"S2((2,-1),(3,1),(n,1)) | n=8..9 | n=8..8\n", 1, "line 1"),
-    ], ids=["floor_div_slot", "zero_range_bound", "zero_slot",
-            "not_utf8", "repeated_variable"])
-    def test_scan_file_defects(self, capsys, tmp_path, content, code,
-                               fragment):
+    ], ids=["floor_div_slot", "parenthesised_slot", "hatcher_parentheses",
+            "orlik_parentheses", "zero_range_bound", "zero_slot",
+            "zero_slot_late", "unbound_name", "trailing_text",
+            "unclosed_template", "not_utf8", "repeated_variable"])
+    def test_scan_file_defects(self, capsys, tmp_path, monkeypatch, content,
+                               code, fragment):
+        def refuse(*args):
+            raise AssertionError("an instance ran")
+        if code:
+            monkeypatch.setattr(sfsnorm.search, "compute_norms", refuse)
         spec = tmp_path / "fam.txt"
         spec.write_bytes(content)
         got, out, err = run(capsys, "scan", str(spec))

@@ -54,7 +54,7 @@ def check_certificate(first, second, horizon=160):
         assert value >= cert.bound_at(t), (first, second, t)
         norm = normalize_lens(curve)
         if norm.twok > 0:
-            digits = cf_expand(norm.twok, norm.q).digits
+            digits = cf_expand(norm.twok, norm.q)
             assert matches(cert, digits), (first, second, t, digits,
                                            cert.prefix)
         checked += 1
@@ -354,7 +354,7 @@ def test_lead_floor_one_step_is_half_leading_digit():
         for q in range(1, twok // 2 + 1):
             if gcd(twok, q) != 1:
                 continue
-            floor = (cf_expand(twok, q).digits[0] + 1) // 2
+            floor = (cf_expand(twok, q)[0] + 1) // 2
             assert floor <= n_genus(LensCurve(twok, q))
             for sign in (1, -1):
                 for shift in (0, twok, -3 * twok):

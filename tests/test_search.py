@@ -10,8 +10,9 @@ import pytest
 import sfsnorm.search
 import sfsnorm.surfaces
 from sfsnorm.errors import PresentationError
+from sfsnorm.report import norm_report_from_json
+from sfsnorm.scan import SCAN_CSV_HEADER
 from sfsnorm.search import (
-    SCAN_CSV_HEADER,
     SearchBudget,
     _round_half_even,
     _SearchState,
@@ -20,7 +21,6 @@ from sfsnorm.search import (
     enumerate_case3,
     enumerate_case4,
     family_scan,
-    norm_report_from_json,
 )
 from sfsnorm.seifert import SeifertPresentation, homology_structure
 from sfsnorm.surfaces import PHParams, ph_exists, ph_genus
