@@ -10,7 +10,8 @@ meridian case is N(0, 1) = 0, the slope bounding a disk.
 Two independent evaluation routes are implemented:
 
 * ``n_genus`` runs Euclid on 2k/q and the Bredon-Wood skip sum on its
-  continued fraction digits in one integer loop;
+  continued fraction digits in one integer loop (``slope_genus`` does
+  the same for a slope given as two ints);
 * ``n_genus_oracle`` runs the one-step recursion N(2k, 1) = k,
   N(2k, q) = N(2(k - Q), q - 2m) + 1 with 2km - Qq = +-1 and 0 < Q < k.
 
@@ -41,12 +42,15 @@ class LensCurve:
     q: int
 
     def __post_init__(self):
-        if self.twok % 2 != 0:
-            raise LensCurveError(
-                f"longitude coefficient must be even, got {self.twok}")
-        if gcd(self.twok, self.q) != 1:
-            raise LensCurveError(
-                f"slope ({self.twok}, {self.q}) is not coprime")
+        _check_slope(self.twok, self.q)
+
+
+def _check_slope(twok, q):
+    if twok % 2 != 0:
+        raise LensCurveError(
+            f"longitude coefficient must be even, got {twok}")
+    if gcd(twok, q) != 1:
+        raise LensCurveError(f"slope ({twok}, {q}) is not coprime")
 
 
 def cf_expand(numerator, denominator):
@@ -108,7 +112,11 @@ def _normal_pair(curve):
     # (2k, q) of normalize_lens(curve), without building the curve.
     if not isinstance(curve, LensCurve):
         raise LensCurveError(f"expected a LensCurve, got {curve!r}")
-    twok, q = curve.twok, curve.q
+    return _reduce(curve.twok, curve.q)
+
+
+def _reduce(twok, q):
+    # The normal form of the valid slope (twok, q).
     if twok == 0:
         return 0, 1
     if twok < 0:
@@ -174,6 +182,13 @@ def n_genus(curve):
     Continued fraction route: normalize, expand 2k/q, skip sum.
     """
     return _n_normalized(*_normal_pair(curve))
+
+
+def slope_genus(twok, q):
+    """``n_genus(LensCurve(twok, q))`` from the two coefficients, with
+    the same checks and ``LensCurveError``s, and no curve built."""
+    _check_slope(twok, q)
+    return _n_normalized(*_reduce(twok, q))
 
 
 def n_genus_oracle(curve):

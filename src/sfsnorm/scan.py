@@ -12,9 +12,11 @@ first.  ``class_rows`` and ``csv_text`` give the rows and the CSV that
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import re
+from functools import lru_cache
 
 from .errors import NotationSyntaxError, PresentationError
 from .notation import Cursor, canonical_form, detect_notation, \
@@ -66,45 +68,93 @@ def _clip(text):
 
 
 def _eval_int(expr, bindings):
-    import ast
+    """The value of the slot or bound ``expr`` under ``bindings``."""
+    evaluate = _compile(expr)
+    # Too deep a nesting raises RecursionError here, as in the parse.
+    try:
+        return evaluate(bindings)
+    except RecursionError as err:
+        raise PresentationError(f"bad arithmetic expression {_clip(expr)}") \
+            from err
 
+
+@lru_cache(maxsize=1 << 10)  # a family's slots and bounds, parsed once
+def _compile(expr):
+    """``expr`` parsed once into a function of the bindings.
+
+    Each node becomes a closure that evaluates its operands left first
+    and then raises, as it meets them, an unbound variable, a division
+    by zero or an unsupported operation.  The tree is walked without
+    recursion here, so only evaluating a too-deep nesting recurses.
+    """
     shown = _clip(expr)
     if not _ALLOWED_EXPR.match(expr):
         raise PresentationError(f"bad arithmetic expression {shown}")
-
-    def walk(node):
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return node.value
-        if isinstance(node, ast.Name):
-            if node.id not in bindings:
-                raise PresentationError(f"unbound variable {_clip(node.id)}")
-            return bindings[node.id]
-        if isinstance(node, ast.UnaryOp) and \
-                isinstance(node.op, (ast.USub, ast.UAdd)):
-            value = walk(node.operand)
-            return -value if isinstance(node.op, ast.USub) else value
-        if isinstance(node, ast.BinOp):
-            left, right = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.FloorDiv):
-                if right == 0:
-                    raise PresentationError(f"division by zero in {shown}")
-                return left // right
-        raise PresentationError(f"unsupported arithmetic in {shown}")
-
-    # Too deep a nesting raises RecursionError in the parse or the walk.
     try:
-        return walk(ast.parse(expr, mode="eval"))
+        root = ast.parse(expr, mode="eval").body
     except (SyntaxError, RecursionError) as err:
         raise PresentationError(f"bad arithmetic expression {shown}") \
             from err
+    # Parents before children; building in reverse gives each node's
+    # operands first.
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, ast.UnaryOp):
+            stack.append(node.operand)
+        elif isinstance(node, ast.BinOp):
+            stack += (node.left, node.right)
+    built = {}
+    for node in reversed(order):
+        built[node] = _closure(node, built, shown)
+    return built[root]
+
+
+def _closure(node, built, shown):
+    # The evaluator of one node, given those of its operands in ``built``.
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        value = node.value
+        return lambda bindings: value
+    if isinstance(node, ast.Name):
+        name = node.id
+
+        def lookup(bindings):
+            if name not in bindings:
+                raise PresentationError(f"unbound variable {_clip(name)}")
+            return bindings[name]
+        return lookup
+    if isinstance(node, ast.UnaryOp) and \
+            isinstance(node.op, (ast.USub, ast.UAdd)):
+        operand = built[node.operand]
+        if isinstance(node.op, ast.USub):
+            return lambda bindings: -operand(bindings)
+        return operand
+    if isinstance(node, ast.BinOp):
+        left, right = built[node.left], built[node.right]
+        if isinstance(node.op, ast.Add):
+            return lambda bindings: left(bindings) + right(bindings)
+        if isinstance(node.op, ast.Sub):
+            return lambda bindings: left(bindings) - right(bindings)
+        if isinstance(node.op, ast.Mult):
+            return lambda bindings: left(bindings) * right(bindings)
+        if isinstance(node.op, ast.FloorDiv):
+            def floor_div(bindings):
+                numerator, divisor = left(bindings), right(bindings)
+                if divisor == 0:
+                    raise PresentationError(f"division by zero in {shown}")
+                return numerator // divisor
+            return floor_div
+
+        def unsupported_op(bindings):
+            left(bindings)
+            right(bindings)
+            raise PresentationError(f"unsupported arithmetic in {shown}")
+        return unsupported_op
+
+    def unsupported(bindings):
+        raise PresentationError(f"unsupported arithmetic in {shown}")
+    return unsupported
 
 
 class _SlotCursor(Cursor):

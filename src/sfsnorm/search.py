@@ -143,21 +143,22 @@ class _SearchState:
         return self.best.get(cls, inf)
 
     def offer(self, report):
-        cls = report.z2class
-        key = (cls, report.kind)
-        if report.genus < self.kind_best.get(key, inf):
-            self.kind_best[key] = report.genus
-        if report.genus < self.need(cls):
-            self.best[cls] = report.genus
+        cls, kind, genus = report.z2class, report.kind, report.genus
+        key = (cls, kind)
+        if genus < self.kind_best.get(key, inf):
+            self.kind_best[key] = genus
+        best = self.best.get(cls, inf)
+        if genus < best:
+            self.best[cls] = genus
             self.witness[cls] = report
-            self.kinds[cls] = {report.kind}
-        elif report.genus == self.best[cls]:
-            self.kinds[cls].add(report.kind)
+            self.kinds[cls] = {kind}
+        elif genus == best:
+            self.kinds[cls].add(kind)
 
 
 def _check_shape(params):
-    ls = sorted(l for l, _ in params.pairs)
-    if ls[0] == ls[1] < ls[2]:
+    (l1, _), (l2, _), (l3, _) = params.pairs
+    if l1 == l2 < l3 or l1 == l3 < l2 or l2 == l3 < l1:
         raise InternalInvariantError(
             f"two equal multiplicities below a larger one should be "
             f"impossible: {params.pairs}")
@@ -467,7 +468,7 @@ def compute_norms(presentation, budget=None):
     structure = homology_structure(presentation)
     state = _SearchState(structure)
     if structure.nonzero_classes:
-        for report in vertical_surfaces(presentation):
+        for report in vertical_surfaces(presentation, structure):
             state.offer(report)
         # The enumerators price into ``state`` themselves.
         enumerate_case4(presentation, state)

@@ -88,7 +88,9 @@ class SeifertPresentation:
                                        for f in fibers):
             raise PresentationError("a presentation needs three fiber "
                                     "matrices")
-        if self.euler_sum() == 0:
+        # sum(b_i/a_i) = 0 with the denominators cleared (every a_i >= 2).
+        (a1, b1), (a2, b2), (a3, b3) = (f.pair for f in fibers)
+        if b1 * a2 * a3 + a1 * b2 * a3 + a1 * a2 * b3 == 0:
             raise PresentationError(
                 "sum(beta_i/alpha_i) = 0: the manifold is not small "
                 "(a horizontal incompressible surface exists)")
@@ -130,7 +132,7 @@ class HomologyCase(Enum):
     KLEIN_FOUR = "klein_four"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Z2Class:
     """A nonzero class in H_2(M; Z/2), tagged by parities against the
     horizontal curves h_1, h_2, h_3.
@@ -141,21 +143,38 @@ class Z2Class:
     indicator when exactly two multiplicities are even, and (1, 1, 1)
     when all multiplicities are odd (an intentionally impossible honest
     parity vector, so it cannot be mistaken for one).
+
+    Classes are interned: ``Z2Class`` returns the one instance of its
+    parity triple, also through ``copy`` and ``pickle``, so equality and
+    hashing are those of identity.
     """
 
     parities: tuple
 
-    def __post_init__(self):
-        ps = tuple(int(p) for p in self.parities)
-        object.__setattr__(self, "parities", ps)
+    def __new__(cls, parities):
+        try:
+            return _Z2_CLASSES[parities]
+        except (KeyError, TypeError):  # new, or not yet a tuple of bits
+            pass
+        ps = tuple(int(p) for p in parities)
         if len(ps) != 3 or any(p not in (0, 1) for p in ps):
             raise PresentationError(f"parities must be three bits: {ps}")
         if ps == (0, 0, 0):
             raise PresentationError("(0, 0, 0) is the zero class")
+        self = object.__new__(cls)
+        object.__setattr__(self, "parities", ps)
+        return _Z2_CLASSES.setdefault(ps, self)
+
+    def __reduce__(self):
+        return Z2Class, (self.parities,)
 
     @property
     def label(self):
         return "".join(str(p) for p in self.parities)
+
+
+# The interned classes, keyed by parity triple.
+_Z2_CLASSES = {}
 
 
 @dataclass(frozen=True)

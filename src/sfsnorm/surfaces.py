@@ -12,7 +12,10 @@ Existence of the pseudo-horizontal surface with given slopes is an
 if-and-only-if list of elementary conditions; its genus follows from the
 Riemann-Hurwitz count of the covering plus one N-term per solid torus.
 Every l_i divides the covering degree lam, so both are integer sums of
-the terms lam // l_i.
+the terms lam // l_i.  Pricing a candidate builds no per-candidate
+curve objects: each cap slope is two ints priced by ``slope_genus``,
+and its class is the interned ``Z2Class`` of its parities.
+``cap_slopes`` still gives the cap slopes as curves.
 """
 
 from __future__ import annotations
@@ -21,14 +24,17 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import InternalInvariantError, NoSurfaceError, PresentationError
-from .lens import LensCurve, n_genus
+from .lens import LensCurve, n_genus, slope_genus
 from .seifert import HomologyCase, Z2Class, homology_structure
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
 
+# Fields of the frozen classes below are set once, in their ``__init__``.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class PHParams:
     """Boundary slopes ((l1,m1),(l2,m2),(l3,m3)) of a pseudo-horizontal
     candidate; ``lam`` is the lcm of the l_i, the degree of the branched
@@ -37,9 +43,8 @@ class PHParams:
     pairs: tuple
     lam: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        pairs = tuple((int(l), int(m)) for l, m in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
+    def __init__(self, pairs):
+        pairs = tuple([(int(l), int(m)) for l, m in pairs])
         if len(pairs) != 3:
             raise PresentationError("need three slope pairs")
         for l, m in pairs:
@@ -47,7 +52,8 @@ class PHParams:
                 raise PresentationError(f"slope ({l}, {m}) needs l > 0")
             if gcd(l, m) != 1:
                 raise PresentationError(f"slope ({l}, {m}) is not coprime")
-        object.__setattr__(self, "lam", lcm(*(l for l, _ in pairs)))
+        _set(self, "pairs", pairs)
+        _set(self, "lam", lcm(pairs[0][0], pairs[1][0], pairs[2][0]))
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ class VerticalSurface:
             raise PresentationError(f"bad fiber pair {self.connects}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SurfaceReport:
     """One candidate surface: its kind, parameters, genus and class."""
 
@@ -73,16 +79,21 @@ class SurfaceReport:
     genus: int
     z2class: Z2Class
 
-    def __post_init__(self):
-        if self.kind not in (VERTICAL, HORIZONTAL):
-            raise PresentationError(f"unknown surface kind {self.kind!r}")
-        if (self.kind == VERTICAL) != (self.vertical is not None):
+    def __init__(self, kind, vertical, horizontal, genus, z2class):
+        if kind not in (VERTICAL, HORIZONTAL):
+            raise PresentationError(f"unknown surface kind {kind!r}")
+        if (kind == VERTICAL) != (vertical is not None):
             raise PresentationError("vertical report needs fiber pair")
-        if (self.kind == HORIZONTAL) != (self.horizontal is not None):
+        if (kind == HORIZONTAL) != (horizontal is not None):
             raise PresentationError("horizontal report needs slopes")
-        if self.genus < 1:
+        if genus < 1:
             raise InternalInvariantError(
-                f"surface genus must be positive, got {self.genus}")
+                f"surface genus must be positive, got {genus}")
+        _set(self, "kind", kind)
+        _set(self, "vertical", vertical)
+        _set(self, "horizontal", horizontal)
+        _set(self, "genus", genus)
+        _set(self, "z2class", z2class)
 
     @property
     def norm_contribution(self):
@@ -142,20 +153,23 @@ def ph_obstruction(presentation, params):
     With every l_i odd, each lam // l_i is odd, so the sum has the parity
     of the m-sum.
     """
-    pairs = params.pairs
+    (l1, m1), (l2, m2), (l3, m3) = params.pairs
     lam = params.lam
-    (l1, m1), (l2, m2), (l3, m3) = pairs
     if m1 * (lam // l1) + m2 * (lam // l2) + m3 * (lam // l3) != 0:
         return REASON_SLOPE_SUM
-    fixed = [pairs[i] == presentation.fibers[i].pair for i in range(3)]
-    for i in range(3):
-        if pairs[i][0] != lam and not fixed[i]:
-            return REASON_LCM
-    for i, (l, m) in enumerate(pairs):
-        f = presentation.fibers[i]
-        if (l - f.alpha) % 2 != 0 or (m - f.beta) % 2 != 0:
-            return REASON_CONGRUENCE
-    if all(fixed):
+    f1, f2, f3 = presentation.fibers
+    a1, b1, a2, b2, a3, b3 = (f1.alpha, f1.beta, f2.alpha, f2.beta,
+                              f3.alpha, f3.beta)
+    fixed1 = l1 == a1 and m1 == b1
+    fixed2 = l2 == a2 and m2 == b2
+    fixed3 = l3 == a3 and m3 == b3
+    if (l1 != lam and not fixed1) or (l2 != lam and not fixed2) or \
+            (l3 != lam and not fixed3):
+        return REASON_LCM
+    if (l1 - a1) % 2 or (m1 - b1) % 2 or (l2 - a2) % 2 or \
+            (m2 - b2) % 2 or (l3 - a3) % 2 or (m3 - b3) % 2:
+        return REASON_CONGRUENCE
+    if fixed1 and fixed2 and fixed3:
         return REASON_ALL_FIXED
     return None
 
@@ -187,12 +201,14 @@ def _require_surface(presentation, params):
 
 
 def _genus(presentation, params):
-    # The genus of ``ph_genus`` for slopes already known to exist.
+    # The genus of ``ph_genus`` for slopes already known to exist: the
+    # cap slopes of ``cap_slopes`` as two ints each, priced by
+    # ``slope_genus``.
     lam = params.lam
-    (l1, _), (l2, _), (l3, _) = params.pairs
-    genus = 2 + lam - lam // l1 - lam // l2 - lam // l3
-    for curve in cap_slopes(presentation, params):
-        genus += n_genus(curve)
+    genus = 2 + lam
+    for (l, m), f in zip(params.pairs, presentation.fibers):
+        genus += slope_genus(m * f.alpha - l * f.beta,
+                             l * f.delta - m * f.gamma) - lam // l
     if genus < 1:
         raise InternalInvariantError(
             f"nonpositive genus {genus} for {params.pairs}")
@@ -230,7 +246,9 @@ def ph_class(presentation, params, structure=None):
     if structure.case is not HomologyCase.KLEIN_FOUR:
         return structure.nonzero_classes[0]
     lam = params.lam
-    parities = tuple((m * (lam // l)) % 2 for l, m in params.pairs)
+    (l1, m1), (l2, m2), (l3, m3) = params.pairs
+    parities = (m1 * (lam // l1) % 2, m2 * (lam // l2) % 2,
+                m3 * (lam // l3) % 2)
     cls = Z2Class(parities)
     if cls not in structure.nonzero_classes:
         raise InternalInvariantError(
@@ -248,7 +266,7 @@ def horizontal_report(presentation, params, structure=None):
                          ph_class(presentation, params, structure))
 
 
-def vertical_surfaces(presentation):
+def vertical_surfaces(presentation, structure=None):
     """All pseudo-vertical surfaces, one per pair of even-alpha fibers.
 
     With zero or one even multiplicity there are none (the annulus part
@@ -256,8 +274,11 @@ def vertical_surfaces(presentation):
     the single surface representing the only nonzero class; three give
     V_12, V_13, V_23 representing the three classes of the Klein four
     group, with V_{i,j} pairing nontrivially with h_i and h_j only.
+    ``structure`` is ``homology_structure(presentation)``, computed here
+    when not given.
     """
-    structure = homology_structure(presentation)
+    if structure is None:
+        structure = homology_structure(presentation)
     evens = [i for i, a in enumerate(presentation.alphas) if a % 2 == 0]
     if structure.case in (HomologyCase.TRIVIAL,
                           HomologyCase.CYCLIC_VERTICAL):

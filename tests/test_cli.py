@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import sfsnorm.scan
 import sfsnorm.search
 from sfsnorm.cli import main
 from sfsnorm.report import norm_report_from_json
@@ -110,6 +111,27 @@ class TestConvert:
 
 
 class TestScan:
+    def test_each_expression_parsed_once(self, monkeypatch):
+        import ast
+
+        parsed = []
+        real = ast.parse
+
+        def counting(source, *args, **kwargs):
+            parsed.append(source)
+            return real(source, *args, **kwargs)
+
+        sfsnorm.scan._compile.cache_clear()
+        monkeypatch.setattr(ast, "parse", counting)
+        texts = sfsnorm.scan.instances(
+            "S2((2,-1),(2*m+1,m),(2*n,1))",
+            [("m", "1", "3"), ("n", "2*m", "2*m+4")])
+        assert len(texts) == 15
+        assert texts[0] == "S2((2,-1),(3,1),(4,1))"
+        assert texts[-1] == "S2((2,-1),(7,3),(20,1))"
+        assert sorted(parsed) == sorted(
+            {"1", "3", "2*m", "2*m+4", "2*m+1", "m", "2*n"})
+
     def test_family_csv(self, capsys, caplog, tmp_path):
         spec = tmp_path / "fam.txt"
         spec.write_text(

@@ -1,5 +1,7 @@
 """Tests for presentations, gluing completions and Z/2 homology."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,23 @@ class TestPresentation:
     def test_rejects_zero_euler_sum(self):
         with pytest.raises(PresentationError):
             M((2, -1), (3, 1), (6, 1))
+
+    def test_smallness_matches_fraction_sum(self):
+        from itertools import product
+        from math import gcd
+        fibers = [(a, b) for a in (2, 3, 4, 6) for b in range(-7, 8)
+                  if gcd(a, b) == 1]
+        rejected = 0
+        for pairs in product(fibers, repeat=3):
+            total = sum(Fraction(b, a) for a, b in pairs)
+            if total == 0:
+                rejected += 1
+                with pytest.raises(PresentationError, match="not small"):
+                    M(*pairs)
+            else:
+                euler = M(*pairs).euler_sum()
+                assert isinstance(euler, Fraction) and euler == total
+        assert rejected > 100
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(PresentationError):
@@ -148,3 +167,40 @@ class TestZ2Class:
 
     def test_label(self):
         assert Z2Class((1, 0, 1)).label == "101"
+
+    def test_interned(self):
+        cls = Z2Class((1, 1, 0))
+        assert Z2Class([1, 1, 0]) is cls
+        assert Z2Class((True, True, False)) is cls
+        assert Z2Class("110") is cls
+        assert Z2Class((1, 1, 0)).parities == (1, 1, 0)
+        assert Z2Class((1, 0, 1)) is not cls
+        assert Z2Class((1, 0, 1)) != cls
+        assert hash(cls) == hash(Z2Class((1, 1, 0)))
+
+    def test_copy_and_pickle_give_the_interned_class(self):
+        for parities in ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
+            cls = Z2Class(parities)
+            assert copy.copy(cls) is cls
+            assert copy.deepcopy(cls) is cls
+            assert copy.deepcopy({cls: [cls]}) == {cls: [cls]}
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(cls, protocol)) is cls
+
+    def test_repr_and_immutability(self):
+        cls = Z2Class((0, 1, 1))
+        assert repr(cls) == "Z2Class(parities=(0, 1, 1))"
+        with pytest.raises(AttributeError):
+            cls.parities = (1, 1, 0)
+
+    @pytest.mark.parametrize("parities, message", [
+        ((0, 0, 0), "(0, 0, 0) is the zero class"),
+        ([0, 0, 0], "(0, 0, 0) is the zero class"),
+        ((1, 2, 0), "parities must be three bits: (1, 2, 0)"),
+        ((1, 1), "parities must be three bits: (1, 1)"),
+        ((1, 0, 1, 0), "parities must be three bits: (1, 0, 1, 0)"),
+    ])
+    def test_errors(self, parities, message):
+        with pytest.raises(PresentationError) as err:
+            Z2Class(parities)
+        assert str(err.value) == message

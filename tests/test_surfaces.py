@@ -7,13 +7,27 @@ from math import gcd, lcm
 
 import pytest
 
-from sfsnorm.errors import NoSurfaceError, PresentationError
-from sfsnorm.lens import LensCurve, n_genus
-from sfsnorm.seifert import SeifertPresentation, homology_structure
+import sfsnorm.search
+from sfsnorm.errors import (
+    InternalInvariantError,
+    LensCurveError,
+    NoSurfaceError,
+    PresentationError,
+)
+from sfsnorm.lens import LensCurve, n_genus, slope_genus
+from sfsnorm.search import compute_norms
+from sfsnorm.seifert import (
+    HomologyCase,
+    SeifertPresentation,
+    Z2Class,
+    homology_structure,
+)
 from sfsnorm.surfaces import (
     HORIZONTAL,
     VERTICAL,
     PHParams,
+    SurfaceReport,
+    VerticalSurface,
     REASON_ALL_FIXED,
     REASON_CONGRUENCE,
     REASON_LCM,
@@ -226,11 +240,14 @@ def reference_slope_sum(params):
     return sum((Fraction(m, l) for l, m in params.pairs), Fraction(0))
 
 
-def reference_obstruction(presentation, params, slope_sum):
-    """The existence check as it stood with ``Fraction`` slope sums and
-    the parity condition, which a zero slope sum implies and
-    ``ph_obstruction`` no longer tests; ``slope_sum`` is
-    ``reference_slope_sum(params)``."""
+def reference_obstruction(presentation, params, slope_sum=None):
+    """The existence check as it stood with ``Fraction`` slope sums, the
+    parity condition, which a zero slope sum implies and
+    ``ph_obstruction`` no longer tests, and the list-based test of the
+    slopes that are their fiber pairs; ``slope_sum`` is
+    ``reference_slope_sum(params)``, computed here when not given."""
+    if slope_sum is None:
+        slope_sum = reference_slope_sum(params)
     pairs = params.pairs
     if slope_sum != 0:
         return REASON_SLOPE_SUM
@@ -320,3 +337,221 @@ class TestIntegerPricing:
         # nonzero Euler number, so that reason never does.
         assert set(reasons) == {None, REASON_SLOPE_SUM,
                                 REASON_LCM, REASON_CONGRUENCE}
+
+
+def reference_genus(presentation, params):
+    """The genus as ``ph_genus`` priced it with curve objects: the
+    fraction Riemann-Hurwitz count plus ``n_genus`` of a ``LensCurve``
+    per cap slope, built as ``cap_slopes`` builds it."""
+    genus = reference_cover(params)
+    for (l, m), f in zip(params.pairs, presentation.fibers):
+        genus += n_genus(LensCurve(m * f.alpha - l * f.beta,
+                                   l * f.delta - m * f.gamma))
+    return genus
+
+
+def reference_class(presentation, params, structure):
+    """The parities of the class, each computed afresh: the one nonzero
+    class when H_2 is cyclic, else the parities of m_i * lam / l_i."""
+    if structure.case is not HomologyCase.KLEIN_FOUR:
+        return structure.nonzero_classes[0].parities
+    lam = lcm(*(l for l, _ in params.pairs))
+    return tuple(int(Fraction(m * lam, l)) % 2 for l, m in params.pairs)
+
+
+def reference_params(pairs):
+    """``PHParams`` validation as a ``__post_init__``: the normalized
+    pairs and their lcm, or the message of the ``PresentationError``."""
+    pairs = tuple((int(l), int(m)) for l, m in pairs)
+    if len(pairs) != 3:
+        return "need three slope pairs"
+    for l, m in pairs:
+        if l <= 0:
+            return f"slope ({l}, {m}) needs l > 0"
+        if gcd(l, m) != 1:
+            return f"slope ({l}, {m}) is not coprime"
+    return pairs, lcm(*(l for l, _ in pairs))
+
+
+def seeded_presentations(per_case, seed=23, max_alpha=16):
+    """``per_case`` random presentations of each homology case."""
+    rng = random.Random(seed)
+    found = {case: [] for case in HomologyCase}
+    while min(len(ms) for ms in found.values()) < per_case:
+        pairs = []
+        for _ in range(3):
+            a = rng.randrange(2, max_alpha + 1)
+            b = rng.choice([b for b in range(-2 * a, 2 * a + 1)
+                            if gcd(a, b) == 1])
+            pairs.append((a, b))
+        try:
+            m = M(*pairs)
+        except PresentationError:
+            continue
+        bucket = found[homology_structure(m).case]
+        if len(bucket) < per_case:
+            bucket.append(m)
+    return [m for ms in found.values() for m in ms]
+
+
+def assert_priced_as_reference(presentation, params, structure):
+    """``horizontal_report`` against the object-based references: the
+    reason code of a rejected candidate, the genus and class of the
+    others.  Returns the reason, None for a priced surface."""
+    reason = ph_obstruction(presentation, params)
+    assert reason == reference_obstruction(presentation, params), \
+        (presentation, params)
+    if reason is not None:
+        with pytest.raises(NoSurfaceError, match=reason):
+            horizontal_report(presentation, params, structure)
+        return reason
+    report = horizontal_report(presentation, params, structure)
+    assert report.genus == reference_genus(presentation, params), \
+        (presentation, params)
+    assert report.genus == ph_genus(presentation, params)
+    parities = reference_class(presentation, params, structure)
+    assert report.z2class.parities == parities
+    assert report.z2class is Z2Class(parities)
+    assert report.horizontal is params and report.kind == HORIZONTAL
+    return None
+
+
+class TestPricingKernel:
+    """The integer pricing kernel against the object-based references."""
+
+    def test_enumerated_candidates(self, monkeypatch):
+        # Every candidate the enumerators price, accepted or not, checked
+        # as it is priced, so a wrong price stops the search at once.
+        outcomes = Counter()
+        real = sfsnorm.search.horizontal_report
+
+        def spy(presentation, params, structure=None):
+            assert structure == homology_structure(presentation)
+            reason = assert_priced_as_reference(presentation, params,
+                                                structure)
+            outcomes[structure.case, reason is None] += 1
+            return real(presentation, params, structure)
+
+        monkeypatch.setattr(sfsnorm.search, "horizontal_report", spy)
+        for m in seeded_presentations(75):
+            compute_norms(m)
+        # The case-1 sweeps visit only slopes that bound a surface.
+        for case in (HomologyCase.CYCLIC_VERTICAL,
+                     HomologyCase.CYCLIC_TWO_EVEN, HomologyCase.KLEIN_FOUR):
+            assert outcomes[case, True] >= 50, outcomes
+        assert outcomes[HomologyCase.CYCLIC_TWO_EVEN, False] >= 10, outcomes
+        assert outcomes[HomologyCase.KLEIN_FOUR, False] >= 10, outcomes
+
+    def test_random_box(self):
+        rng = random.Random(29)
+        presentations = [m for m in seeded_presentations(10, seed=31,
+                                                         max_alpha=9)
+                         if homology_structure(m).nonzero_classes]
+        slopes = [(l, m) for l in range(1, 19) for m in range(-18, 19)
+                  if gcd(l, m) == 1]
+        outcomes = Counter()
+        for m in presentations:
+            structure = homology_structure(m)
+            f1, f2, f3 = m.fibers
+            for _ in range(400):
+                pairs = [rng.choice(slopes) for _ in range(3)]
+                # Aim a third of the triples at zero slope sum, where the
+                # later conditions are reached, and pin some fiber pairs.
+                for i, f in enumerate(m.fibers):
+                    if rng.random() < 0.3:
+                        pairs[i] = f.pair
+                if rng.random() < 0.4:
+                    rest = -(Fraction(pairs[0][1], pairs[0][0])
+                             + Fraction(pairs[1][1], pairs[1][0]))
+                    if rest != 0:
+                        pairs[2] = (rest.denominator, rest.numerator)
+                params = P(*pairs)
+                outcomes[assert_priced_as_reference(m, params,
+                                                    structure)] += 1
+        assert set(outcomes) == {None, REASON_SLOPE_SUM, REASON_LCM,
+                                 REASON_CONGRUENCE}, outcomes
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_params_validation(self):
+        rng = random.Random(37)
+        checked = Counter()
+        for _ in range(4000):
+            count = rng.choice((2, 3, 3, 3, 3, 4))
+            pairs = [(rng.randrange(-1, 13), rng.randrange(-6, 7))
+                     for _ in range(count)]
+            expected = reference_params(pairs)
+            if isinstance(expected, str):
+                with pytest.raises(PresentationError) as err:
+                    PHParams(pairs)
+                assert str(err.value) == expected
+                checked["rejected"] += 1
+                continue
+            params = PHParams(iter(pairs))
+            assert (params.pairs, params.lam) == expected
+            again = PHParams(list(map(list, pairs)))
+            assert again == params and hash(again) == hash(params)
+            assert repr(params) == f"PHParams(pairs={expected[0]!r})"
+            checked["built"] += 1
+        assert min(checked.values()) > 300, checked
+        with pytest.raises(ValueError):
+            PHParams([(1, 0, 2), (1, 1), (1, -1)])
+
+    def test_report_validation(self):
+        m = M((2, -1), (2, 1), (6, 1))
+        params = P((2, -1), (4, 1), (4, 1))
+        cls = ph_class(m, params)
+        vertical = VerticalSurface((1, 2))
+        report = SurfaceReport(HORIZONTAL, None, params, 4, cls)
+        assert report == horizontal_report(m, params)
+        assert hash(report) == hash(horizontal_report(m, params))
+        assert repr(report) == (
+            f"SurfaceReport(kind='horizontal', vertical=None, "
+            f"horizontal={params!r}, genus=4, z2class={cls!r})")
+        with pytest.raises(AttributeError):
+            report.genus = 3
+        bad = [
+            (("diagonal", None, params, 4, cls), PresentationError,
+             "unknown surface kind 'diagonal'"),
+            ((VERTICAL, None, params, 4, cls), PresentationError,
+             "vertical report needs fiber pair"),
+            ((HORIZONTAL, vertical, params, 4, cls), PresentationError,
+             "vertical report needs fiber pair"),
+            ((HORIZONTAL, None, None, 4, cls), PresentationError,
+             "horizontal report needs slopes"),
+            ((HORIZONTAL, None, params, 0, cls), InternalInvariantError,
+             "surface genus must be positive, got 0"),
+        ]
+        for args, error, message in bad:
+            with pytest.raises(error) as err:
+                SurfaceReport(*args)
+            assert str(err.value) == message
+
+    def test_vertical_surfaces_take_the_structure(self):
+        for m in seeded_presentations(5, seed=41):
+            structure = homology_structure(m)
+            assert vertical_surfaces(m, structure) == vertical_surfaces(m)
+
+    def test_integer_n_matches_curves(self):
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except LensCurveError as err:
+                return str(err)
+
+        errors = 0
+        for twok in range(-200, 201):
+            for q in range(-201, 202):
+                expected = outcome(lambda: n_genus(LensCurve(twok, q)))
+                assert outcome(slope_genus, twok, q) == expected, (twok, q)
+                errors += isinstance(expected, str)
+        assert errors > 80000
+        for twok, q, message in (
+                (3, 2, "longitude coefficient must be even, got 3"),
+                (-7, 1, "longitude coefficient must be even, got -7"),
+                (4, 6, "slope (4, 6) is not coprime"),
+                (0, 3, "slope (0, 3) is not coprime"),
+                (0, 0, "slope (0, 0) is not coprime")):
+            with pytest.raises(LensCurveError) as err:
+                slope_genus(twok, q)
+            assert str(err.value) == message
+        assert slope_genus(0, 1) == slope_genus(0, -1) == 0
