@@ -38,6 +38,20 @@ candidate then costs more than a horizontal surface already priced, so
 it could change no minimum of either kind, no witness and no
 exhaustive flag: every output is the same as when those steps are
 priced one by one.
+A step that survives these bounds, before or after t_min, is checked
+once more before it is priced.  Each leg's cap slope at that step is
+two ints, whose exact N ``slope_genus`` reads from a cache, and the
+step is priced only when its base plus those N is at most the best
+horizontal genus of the class.  In case 3 and the case-1 inner sweep
+that sum is the candidate's exact genus (case 3's pinned fiber caps
+with the meridian, N = 0); in the case-1 outer sweep it is the lower
+bound its inner sweep is pruned by.  A step ruled out this way costs
+more than a horizontal surface already priced, so, as with the
+leading-digit skip, no output can move.  Every surface offered to one
+class of one presentation has the same genus parity, because
+chi(F) = <w^3, [M]> (mod 2) depends on the class of F alone.  So a
+check that over-claimed N by 1 or 2 would still drop only surfaces no
+cheaper than the best; an over-claim of 3 can drop a minimum.
 Case 1 also bounds the caps before it prices them: N >= 1 for every cap
 slope but the meridian, which the slope (lam, m_j) gives only when lam =
 a_j.  That floor of one per off-meridian cap prunes the case-1 degree
@@ -64,7 +78,7 @@ from .errors import (
     PresentationError,
     SfsNormError,
 )
-from .lens import LensCurve
+from .lens import LensCurve, slope_genus
 from .notation import parse_presentation
 from .pencils import certified_tail, lead_floor, slope_pencil
 from .report import ClassNorm, NormReport
@@ -239,9 +253,11 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
     ``center - 2`` in steps of -2 while it stays within ``window`` of the
     center.  Each leg ``(fiber, offset, sign)`` is a slope of coefficient
     ``offset + sign*mu`` on that fiber, and a candidate at mu costs at
-    least ``base`` plus the N of its legs.  At every mu where all leg
-    coefficients are prime to ``lam`` it calls ``visit(mu)``, which
-    prices what it finds into ``state``.  The one stop rule: at every
+    least ``base`` plus the N of its legs.  At every mu that
+    ``_visit_step`` does not rule out it calls ``visit(mu)``, which
+    prices what it finds into ``state``: every leg coefficient is prime
+    to ``lam``, and ``base`` plus the legs' exact N at mu is at most the
+    best horizontal genus of ``cls``.  The one stop rule: at every
     step t >= the largest ``t_min`` of the legs' pencil certificates, a
     direction stops once ``base`` plus their N bounds at t, which hold at
     every later step, exceed the best genus of ``cls``.  A direction that
@@ -250,6 +266,7 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
     leading-digit floors price above the best horizontal genus of
     ``cls``.
     """
+    key = (cls, HORIZONTAL)
     for step in (2, -2):
         mu0 = center if step > 0 else center - 2
         pencils = [slope_pencil(fiber, lam, offset + sign * mu0, sign * step)
@@ -260,12 +277,10 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
             else inf
         steps = (window - abs(mu0 - center)) // 2 + 1  # mu within window
         lead = min(t_min, steps)
-        _lead_steps(state, cls, lam, base, legs, pencils, mu0, step, lead,
+        _lead_steps(state, key, lam, base, legs, pencils, mu0, step, lead,
                     visit)
         for t in range(lead, steps):
-            mu = mu0 + step * t
-            if _coprime(lam, legs, mu):
-                visit(mu)
+            _visit_step(state, key, lam, base, legs, mu0 + step * t, visit)
             bound = base
             for cert in certs:
                 bound += cert.bound_at(t)
@@ -275,22 +290,24 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
             state.capped.add(cls)
 
 
-def _lead_steps(state, cls, lam, base, legs, pencils, mu0, step, end,
+def _lead_steps(state, key, lam, base, legs, pencils, mu0, step, end,
                 visit):
     """Steps 0..end-1 of one ``_sweep`` direction, in order.
 
     The steps are bisected left-first.  A span is dropped when ``base``
-    plus the legs' ``lead_floor`` over it exceeds the best horizontal
-    genus of ``cls``, read afresh at each span.  A span of at most
-    ``LEAD_SPAN`` steps is stepped through, skipping each step that the
-    same floor rules out on its own.  Every skipped candidate costs more
+    plus the legs' ``lead_floor`` over it exceeds
+    ``state.kind_best[key]``, the best horizontal genus of the sweep's
+    class, read afresh at each span.  A span of at most ``LEAD_SPAN``
+    steps is stepped through, skipping each step that the same floor
+    rules out on its own.  ``_visit_step`` then checks each remaining
+    step's exact N, but the per-step floor still spares most steps of a
+    tall sweep their coprimality test.  Every skipped candidate costs more
     than that horizontal best, which is at least the class best, so it
     could move no minimum, witness or flag.  The one ``visit`` that does
     more than price, the case-1 outer sweep's, returns at once above
     the class best without running its inner sweep, so a skip marks no
     class capped either.
     """
-    key = (cls, HORIZONTAL)
     spans = [(0, end - 1)] if end > 0 else []
     while spans:
         t0, t1 = spans.pop()
@@ -302,12 +319,10 @@ def _lead_steps(state, cls, lam, base, legs, pencils, mu0, step, end,
             spans.append((t0, mid))
             continue
         for t in range(t0, t1 + 1):
-            if _lead_bound(base, pencils, t, t) > \
+            if _lead_bound(base, pencils, t, t) <= \
                     state.kind_best.get(key, inf):
-                continue
-            mu = mu0 + step * t
-            if _coprime(lam, legs, mu):
-                visit(mu)
+                _visit_step(state, key, lam, base, legs, mu0 + step * t,
+                            visit)
 
 
 def _lead_bound(base, pencils, t0, t1):
@@ -317,12 +332,32 @@ def _lead_bound(base, pencils, t0, t1):
     return total
 
 
-def _coprime(lam, legs, mu):
-    # One search ``gcd`` call per leg up to the first common factor.
+def _visit_step(state, key, lam, base, legs, mu, visit):
+    """Call ``visit(mu)`` unless the step is ruled out before pricing.
+
+    A step is ruled out when a leg's coefficient at mu shares a factor
+    with ``lam`` (one search ``gcd`` call per leg up to the first common
+    factor), when a leg's cap slope (c*a - lam*b, lam*d - c*g) at
+    c = offset + sign*mu has an odd longitude coefficient, or when
+    ``base`` plus the legs' exact N exceeds ``state.kind_best[key]``,
+    the best horizontal genus of the sweep's class.  The congruence
+    l = a, m = b (mod 2) makes that coefficient even for every surface
+    that exists, so an odd one bounds none.
+    """
     for _, offset, sign in legs:
         if gcd(lam, offset + sign * mu) != 1:
-            return False
-    return True
+            return
+    best = state.kind_best.get(key, inf)
+    total = base
+    for fiber, offset, sign in legs:
+        c = offset + sign * mu
+        twok = c * fiber.alpha - lam * fiber.beta
+        if twok % 2 != 0:
+            return
+        total += slope_genus(twok, lam * fiber.delta - c * fiber.gamma)
+        if total > best:
+            return
+    visit(mu)
 
 
 def _case3_class(structure, i):

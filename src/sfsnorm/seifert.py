@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
 from .errors import PresentationError
@@ -102,10 +101,6 @@ class SeifertPresentation:
             raise PresentationError("a presentation needs three (alpha, "
                                     "beta) pairs")
         return cls(tuple(complete_matrix(a, b) for a, b in pairs))
-
-    def euler_sum(self):
-        return sum((Fraction(f.beta, f.alpha) for f in self.fibers),
-                   Fraction(0))
 
     @property
     def alphas(self):

@@ -15,7 +15,6 @@ Every l_i divides the covering degree lam, so both are integer sums of
 the terms lam // l_i.  Pricing a candidate builds no per-candidate
 curve objects: each cap slope is two ints priced by ``slope_genus``,
 and its class is the interned ``Z2Class`` of its parities.
-``cap_slopes`` still gives the cap slopes as curves.
 """
 
 from __future__ import annotations
@@ -178,21 +177,6 @@ def ph_exists(presentation, params):
     return ph_obstruction(presentation, params) is None
 
 
-def cap_slopes(presentation, params):
-    """Boundary slope, on each solid torus, of the surface piece capping
-    the staircase there: the image of (l_i, m_i) under the inverse gluing.
-
-    The longitude coefficient m_i*a_i - l_i*b_i is even for every
-    existing candidate, and the pair is coprime, so each is a valid input
-    to N; fibers with (l_i, m_i) = (a_i, b_i) give the meridian (0, 1).
-    """
-    out = []
-    for (l, m), f in zip(params.pairs, presentation.fibers):
-        out.append(LensCurve(m * f.alpha - l * f.beta,
-                             l * f.delta - m * f.gamma))
-    return tuple(out)
-
-
 def _require_surface(presentation, params):
     reason = ph_obstruction(presentation, params)
     if reason is not None:
@@ -201,9 +185,11 @@ def _require_surface(presentation, params):
 
 
 def _genus(presentation, params):
-    # The genus of ``ph_genus`` for slopes already known to exist: the
-    # cap slopes of ``cap_slopes`` as two ints each, priced by
-    # ``slope_genus``.
+    # The genus of ``ph_genus`` for slopes already known to exist.  The
+    # cap slope on each solid torus, the image of (l_i, m_i) under the
+    # inverse gluing, is two ints priced by ``slope_genus``: its
+    # longitude coefficient is even for every existing candidate, and
+    # fibers with (l_i, m_i) = (a_i, b_i) give the meridian (0, 1).
     lam = params.lam
     genus = 2 + lam
     for (l, m), f in zip(params.pairs, presentation.fibers):

@@ -1,6 +1,7 @@
 """Round trips and error reporting for the three notations."""
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -13,6 +14,11 @@ from sfsnorm.notation import (
     parse_presentation,
 )
 from sfsnorm.seifert import SeifertPresentation
+
+
+def euler_sum(presentation):
+    return sum((Fraction(f.beta, f.alpha) for f in presentation.fibers),
+               Fraction(0))
 
 
 class TestParse:
@@ -91,7 +97,7 @@ class TestFormat:
             for notation in ("martelli", "hatcher", "orlik"):
                 text = format_presentation(m, notation)
                 again = parse_presentation(text)
-                assert again.euler_sum() == m.euler_sum()
+                assert euler_sum(again) == euler_sum(m)
                 if notation != "orlik":
                     assert again.pairs() == m.pairs()
                 assert format_presentation(again, notation) == text

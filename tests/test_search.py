@@ -315,7 +315,9 @@ class TestInvariants:
 
     def test_sweeps_price_their_own_class(self, monkeypatch):
         # A sweep prunes against the best genus of its class, so every
-        # candidate it prices must land in that class.
+        # candidate it prices must land in that class.  An N of 0 is the
+        # weakest bound the exact check before pricing can read, so
+        # every candidate it would skip is priced and checked here too.
         sweep, report = sfsnorm.search._sweep, sfsnorm.search.horizontal_report
         active, priced = [], []
 
@@ -338,6 +340,7 @@ class TestInvariants:
         monkeypatch.setattr(sfsnorm.search, "_sweep", recording_sweep)
         monkeypatch.setattr(sfsnorm.search, "horizontal_report",
                             recording_report)
+        monkeypatch.setattr(sfsnorm.search, "slope_genus", lambda *args: 0)
         corpus = random_presentations(300, seed=41)
         corpus += random_presentations(60, seed=42, max_alpha=60)
         corpus += [m for m in random_presentations(500, seed=43,
@@ -364,6 +367,81 @@ class TestLeadSkip:
         skipped = [compute_norms(m).to_json_dict() for m in corpus]
         monkeypatch.setattr(sfsnorm.search, "lead_floor", lambda *args: -inf)
         assert [compute_norms(m).to_json_dict() for m in corpus] == skipped
+
+
+def ladder(a):
+    # The all-odd ladder: case 1 carries every sweep step.
+    return M((a, 2), (a + 2, 5), (a - 2, -3))
+
+
+class TestExactCheck:
+    """A sweep step is priced only when its exact N sum can still matter."""
+
+    @staticmethod
+    def corpus():
+        corpus = random_presentations(120, seed=61)
+        corpus += random_presentations(30, seed=62, max_alpha=40)
+        corpus += [m for m in random_presentations(300, seed=63,
+                                                   max_alpha=21)
+                   if all(f.alpha % 2 for f in m.fibers)]
+        corpus += [M((2, -1), (3, 1), (2 * n, 1)) for n in (5, 40, 100)]
+        corpus += [ladder(a) for a in (19, 31)]
+        return corpus
+
+    def test_check_leaves_reports_unchanged(self, monkeypatch):
+        # The minimum, witness, kinds, per-kind minima and exhaustive
+        # flag of every class must equal those of sweeps that price
+        # every step: an N of 0 never prices a step above the best.
+        corpus = self.corpus()
+        cases = {homology_structure(m).case for m in corpus}
+        assert len(cases) == 4
+        checked = [compute_norms(m).to_json_dict() for m in corpus]
+        monkeypatch.setattr(sfsnorm.search, "slope_genus", lambda *args: 0)
+        assert [compute_norms(m).to_json_dict() for m in corpus] == checked
+
+    def test_one_genus_parity_per_class(self, monkeypatch):
+        # chi(F) = <w^3, [M]> mod 2 depends on the class of F alone, so
+        # every surface offered to one class has the same genus parity.
+        # So a check that over-claimed N by 1 or 2 would move no output;
+        # an over-claim of 3 can drop a minimum.
+        offer, offers = _SearchState.offer, []
+
+        def recording_offer(state, report):
+            offers.append((report.z2class, report.genus))
+            return offer(state, report)
+        monkeypatch.setattr(_SearchState, "offer", recording_offer)
+        monkeypatch.setattr(sfsnorm.search, "slope_genus", lambda *args: 0)
+        mixed, count = [], 0
+        for m in self.corpus():
+            compute_norms(m)
+            parities = {}
+            for cls, genus in offers:
+                parities.setdefault(cls, set()).add(genus % 2)
+            mixed += [(m, cls) for cls, seen in parities.items()
+                      if len(seen) > 1]
+            count += len(offers)
+            offers.clear()
+        assert count >= 7500
+        assert mixed == []
+
+    @pytest.mark.parametrize("a, genus, gcd_calls, report_limit", [
+        (31, 10, 2142, 30),
+        (61, 18, 28096, 50),
+    ], ids=["ladder_31", "ladder_61"])
+    def test_ladder_prices_few_steps(self, monkeypatch, a, genus, gcd_calls,
+                                     report_limit):
+        # The check prices 13 and 23 of these ladder candidates, where
+        # pricing every coprime step took 704 and 9,370.  It adds and
+        # drops no step, so the gcd calls are those of the sweeps alone.
+        calls, reports = [], []
+        TestWorkCounts.record(monkeypatch, sfsnorm.search, "gcd", calls)
+        TestWorkCounts.record(monkeypatch, sfsnorm.search,
+                              "horizontal_report", reports)
+        report = compute_norms(ladder(a))
+        assert [(e.min_genus, e.exhaustive) for e in report.entries] == \
+            [(genus, True)]
+        assert len(calls) == gcd_calls
+        assert len(reports) <= report_limit
 
 
 class TestWorkCounts:

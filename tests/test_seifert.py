@@ -21,6 +21,11 @@ def M(*pairs):
     return SeifertPresentation.from_pairs(pairs)
 
 
+def euler_sum(presentation):
+    return sum((Fraction(f.beta, f.alpha) for f in presentation.fibers),
+               Fraction(0))
+
+
 class TestCompleteMatrix:
     def test_paper_style_completions(self):
         m = complete_matrix(2, -1)
@@ -73,7 +78,7 @@ class TestPresentation:
                 with pytest.raises(PresentationError, match="not small"):
                     M(*pairs)
             else:
-                euler = M(*pairs).euler_sum()
+                euler = euler_sum(M(*pairs))
                 assert isinstance(euler, Fraction) and euler == total
         assert rejected > 100
 
@@ -102,7 +107,7 @@ class TestOrlikNormalForm:
         m = M((3, 4), (5, -4), (7, 2))
         e, triples = to_orlik_normal_form(m)
         total = e + sum(Fraction(b, a) for a, b in triples)
-        assert total == m.euler_sum()
+        assert total == euler_sum(m)
 
     def test_constant_on_fiber_move_orbits(self):
         # The fiber moves b_1 += a_1, b_2 -= a_2 keep sum(b_i/a_i).

@@ -32,7 +32,6 @@ from sfsnorm.surfaces import (
     REASON_CONGRUENCE,
     REASON_LCM,
     REASON_SLOPE_SUM,
-    cap_slopes,
     horizontal_report,
     ph_class,
     ph_exists,
@@ -49,6 +48,19 @@ def M(*pairs):
 
 def P(*pairs):
     return PHParams(tuple(pairs))
+
+
+def cap_slopes(presentation, params):
+    """Boundary slope, on each solid torus, of the surface piece capping
+    the staircase there: the image of (l_i, m_i) under the inverse gluing.
+
+    The longitude coefficient m_i*a_i - l_i*b_i is even for every
+    existing candidate, and the pair is coprime, so each is a valid input
+    to N; fibers with (l_i, m_i) = (a_i, b_i) give the meridian (0, 1).
+    """
+    return tuple(LensCurve(m * f.alpha - l * f.beta,
+                           l * f.delta - m * f.gamma)
+                 for (l, m), f in zip(params.pairs, presentation.fibers))
 
 
 M_238 = M((2, -1), (3, 1), (8, 1))
@@ -341,13 +353,10 @@ class TestIntegerPricing:
 
 def reference_genus(presentation, params):
     """The genus as ``ph_genus`` priced it with curve objects: the
-    fraction Riemann-Hurwitz count plus ``n_genus`` of a ``LensCurve``
-    per cap slope, built as ``cap_slopes`` builds it."""
-    genus = reference_cover(params)
-    for (l, m), f in zip(params.pairs, presentation.fibers):
-        genus += n_genus(LensCurve(m * f.alpha - l * f.beta,
-                                   l * f.delta - m * f.gamma))
-    return genus
+    fraction Riemann-Hurwitz count plus ``n_genus`` of each curve of
+    ``cap_slopes``."""
+    return reference_cover(params) + sum(
+        n_genus(c) for c in cap_slopes(presentation, params))
 
 
 def reference_class(presentation, params, structure):
