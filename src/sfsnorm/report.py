@@ -19,12 +19,12 @@ from .surfaces import SurfaceReport, surface_report_from_json
 class ClassNorm:
     """Search result for one nonzero Z/2 class.
 
-    ``min_vertical_genus`` and ``min_horizontal_genus`` are the least
-    genus of each kind the search priced.  The vertical one is exact,
-    since every pseudo-vertical surface is priced.  The horizontal one
-    is exact only when it equals ``min_genus``; otherwise it is an upper
-    bound, because the search prunes every candidate that cannot beat
-    the class minimum.
+    ``min_vertical_genus`` is the genus of the class's pseudo-vertical
+    surface, None when it has none.  ``min_horizontal_genus`` is
+    ``min_genus`` when a pseudo-horizontal surface reaches it, else None:
+    the search prunes every horizontal candidate that cannot reach the
+    class minimum, so it reports no horizontal genus above it.  Both are
+    exact wherever they are given.
     """
 
     z2class: Z2Class

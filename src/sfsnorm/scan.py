@@ -236,10 +236,9 @@ def class_rows(report):
     """One row per class of ``report``, keyed by ``SCAN_CSV_HEADER``.
 
     ``gap`` is ``min_vertical_genus`` minus ``min_horizontal_genus`` when
-    both kinds produced a candidate in the class, else None.  A gap >= 0
-    is exact; a negative gap is only a lower bound on the true one, which
-    lies between it and 0, because the horizontal minimum is then an
-    upper bound (see ``ClassNorm``).
+    both are given, else None.  So a gap is blank or exact and >= 0: the
+    horizontal minimum is given only where it is the class minimum (see
+    ``ClassNorm``).
     """
     key = canonical_form(report.presentation)
     rows = []

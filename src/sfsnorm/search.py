@@ -19,39 +19,41 @@ l_3 relative to the covering degree:
   the reduced denominator of the paired slopes below the largest one),
   which is asserted on every emitted candidate.
 
-The sweeps are infinite a priori.  Termination is by branch and bound:
-the capped-cover part of the genus prunes the degree loops, and every
+The sweeps are infinite a priori.  Termination is by branch and bound,
+and every skip and stop in this module uses one bound: the least genus
+already offered to the class a loop feeds, of either kind
+(``_SearchState.need``).  A candidate is skipped only when it is shown to
+cost more than that, so it could be neither a new minimum nor a witness,
+and ties are still priced, so every kind that reaches the minimum is
+recorded.  Every candidate under a skipped case-1 outer step costs more
+than the bound too, so its inner sweep is not run and marks no class
+capped.  No output moves with the pruning.
+The capped-cover part of the genus prunes the degree loops, and every
 outward coefficient sweep, the one of case 3 and both of case 1, runs
 through ``_sweep``.  Its one stop rule is a slope-pencil certificate
 (exact Euclid on linear forms, see ``pencils``), whose N bound holds at
 every step from its threshold t_min on: a direction stops once that
-bound proves every further candidate exceeds the best genus known for
-the class the sweep feeds.  A sweep that instead hits the hard window
-cap marks its class non-exhaustive; nothing is silently dropped.
+bound proves every further candidate exceeds the bound.  A sweep that
+instead hits the hard window cap marks its class non-exhaustive;
+nothing is silently dropped.
 Before t_min no certificate holds, but the leading continued-fraction
 digit a0 of a cap slope (2k, q) still gives N >= ceil(a0/2), and on a
 span of steps where the integer part of q/2k stays fixed that floor
 holds for the whole span (``pencils.lead_floor``).  The sweep bisects
 its steps before t_min and skips every span and step whose floor
-prices it above the best horizontal genus of the class.  A skipped
-candidate then costs more than a horizontal surface already priced, so
-it could change no minimum of either kind, no witness and no
-exhaustive flag: every output is the same as when those steps are
-priced one by one.
-A step that survives these bounds, before or after t_min, is checked
+prices it above the bound.
+A step that survives these floors, before or after t_min, is checked
 once more before it is priced.  Each leg's cap slope at that step is
 two ints, whose exact N ``slope_genus`` reads from a cache, and the
-step is priced only when its base plus those N is at most the best
-horizontal genus of the class.  In case 3 and the case-1 inner sweep
-that sum is the candidate's exact genus (case 3's pinned fiber caps
-with the meridian, N = 0); in the case-1 outer sweep it is the lower
-bound its inner sweep is pruned by.  A step ruled out this way costs
-more than a horizontal surface already priced, so, as with the
-leading-digit skip, no output can move.  Every surface offered to one
-class of one presentation has the same genus parity, because
-chi(F) = <w^3, [M]> (mod 2) depends on the class of F alone.  So a
-check that over-claimed N by 1 or 2 would still drop only surfaces no
-cheaper than the best; an over-claim of 3 can drop a minimum.
+step is priced only when its base plus those N is at most the bound.
+In case 3 and the case-1 inner sweep that sum is the candidate's exact
+genus (case 3's pinned fiber caps with the meridian, N = 0); in the
+case-1 outer sweep it is the lower bound its inner sweep is pruned by.
+Every surface offered to one class of one presentation has the same
+genus parity, because chi(F) = <w^3, [M]> (mod 2) depends on the class
+of F alone.  So a check that over-claimed N by 1 or 2 would still drop
+only surfaces no cheaper than the best; an over-claim of 3 can drop a
+minimum.
 Case 1 also bounds the caps before it prices them: N >= 1 for every cap
 slope but the meridian, which the slope (lam, m_j) gives only when lam =
 a_j.  That floor of one per off-meridian cap prunes the case-1 degree
@@ -91,7 +93,6 @@ from .seifert import (
 )
 from .surfaces import (
     HORIZONTAL,
-    VERTICAL,
     PHParams,
     horizontal_report,
     ph_exists,  # noqa: F401 - unused here; perfbench/tracer.py patches it
@@ -141,8 +142,7 @@ class _SearchState:
 
     ``best[cls]`` is the least genus offered, ``witness[cls]`` the first
     report offered at that genus and ``kinds[cls]`` the set of kinds that
-    reach it; ``kind_best[(cls, kind)]`` is the least genus of each kind
-    and ``capped`` holds the classes whose sweeps hit a cap.
+    reach it; ``capped`` holds the classes whose sweeps hit a cap.
     """
 
     def __init__(self, structure):
@@ -150,24 +150,20 @@ class _SearchState:
         self.best = {}
         self.witness = {}
         self.kinds = {}
-        self.kind_best = {}
         self.capped = set()
 
     def need(self, cls):
         return self.best.get(cls, inf)
 
     def offer(self, report):
-        cls, kind, genus = report.z2class, report.kind, report.genus
-        key = (cls, kind)
-        if genus < self.kind_best.get(key, inf):
-            self.kind_best[key] = genus
+        cls, genus = report.z2class, report.genus
         best = self.best.get(cls, inf)
         if genus < best:
             self.best[cls] = genus
             self.witness[cls] = report
-            self.kinds[cls] = {kind}
+            self.kinds[cls] = {report.kind}
         elif genus == best:
-            self.kinds[cls].add(kind)
+            self.kinds[cls].add(report.kind)
 
 
 def _check_shape(params):
@@ -255,18 +251,13 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
     ``offset + sign*mu`` on that fiber, and a candidate at mu costs at
     least ``base`` plus the N of its legs.  At every mu that
     ``_visit_step`` does not rule out it calls ``visit(mu)``, which
-    prices what it finds into ``state``: every leg coefficient is prime
-    to ``lam``, and ``base`` plus the legs' exact N at mu is at most the
-    best horizontal genus of ``cls``.  The one stop rule: at every
-    step t >= the largest ``t_min`` of the legs' pencil certificates, a
-    direction stops once ``base`` plus their N bounds at t, which hold at
-    every later step, exceed the best genus of ``cls``.  A direction that
-    runs out of window instead marks ``cls`` capped.  The steps before
-    t_min go through ``_lead_steps``, which skips those the legs'
-    leading-digit floors price above the best horizontal genus of
-    ``cls``.
+    prices what it finds into ``state``.  At every step t >= the largest
+    ``t_min`` of the legs' pencil certificates, a direction stops once
+    ``base`` plus their N bounds at t, which hold at every later step,
+    exceed the bound of ``cls``.  A direction that runs out of window
+    instead marks ``cls`` capped.  The steps before t_min go through
+    ``_lead_steps``.
     """
-    key = (cls, HORIZONTAL)
     for step in (2, -2):
         mu0 = center if step > 0 else center - 2
         pencils = [slope_pencil(fiber, lam, offset + sign * mu0, sign * step)
@@ -277,10 +268,10 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
             else inf
         steps = (window - abs(mu0 - center)) // 2 + 1  # mu within window
         lead = min(t_min, steps)
-        _lead_steps(state, key, lam, base, legs, pencils, mu0, step, lead,
+        _lead_steps(state, cls, lam, base, legs, pencils, mu0, step, lead,
                     visit)
         for t in range(lead, steps):
-            _visit_step(state, key, lam, base, legs, mu0 + step * t, visit)
+            _visit_step(state, cls, lam, base, legs, mu0 + step * t, visit)
             bound = base
             for cert in certs:
                 bound += cert.bound_at(t)
@@ -290,28 +281,22 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
             state.capped.add(cls)
 
 
-def _lead_steps(state, key, lam, base, legs, pencils, mu0, step, end,
+def _lead_steps(state, cls, lam, base, legs, pencils, mu0, step, end,
                 visit):
     """Steps 0..end-1 of one ``_sweep`` direction, in order.
 
     The steps are bisected left-first.  A span is dropped when ``base``
-    plus the legs' ``lead_floor`` over it exceeds
-    ``state.kind_best[key]``, the best horizontal genus of the sweep's
-    class, read afresh at each span.  A span of at most ``LEAD_SPAN``
-    steps is stepped through, skipping each step that the same floor
-    rules out on its own.  ``_visit_step`` then checks each remaining
-    step's exact N, but the per-step floor still spares most steps of a
-    tall sweep their coprimality test.  Every skipped candidate costs more
-    than that horizontal best, which is at least the class best, so it
-    could move no minimum, witness or flag.  The one ``visit`` that does
-    more than price, the case-1 outer sweep's, returns at once above
-    the class best without running its inner sweep, so a skip marks no
-    class capped either.
+    plus the legs' ``lead_floor`` over it exceeds the bound of ``cls``,
+    read afresh at each span.  A span of at most ``LEAD_SPAN`` steps is
+    stepped through, skipping each step that the same floor rules out on
+    its own.  ``_visit_step`` then checks each remaining step's exact N,
+    but the per-step floor still spares most steps of a tall sweep their
+    coprimality test.
     """
     spans = [(0, end - 1)] if end > 0 else []
     while spans:
         t0, t1 = spans.pop()
-        if _lead_bound(base, pencils, t0, t1) > state.kind_best.get(key, inf):
+        if _lead_bound(base, pencils, t0, t1) > state.need(cls):
             continue
         if t1 - t0 >= LEAD_SPAN:
             mid = (t0 + t1) // 2
@@ -319,9 +304,8 @@ def _lead_steps(state, key, lam, base, legs, pencils, mu0, step, end,
             spans.append((t0, mid))
             continue
         for t in range(t0, t1 + 1):
-            if _lead_bound(base, pencils, t, t) <= \
-                    state.kind_best.get(key, inf):
-                _visit_step(state, key, lam, base, legs, mu0 + step * t,
+            if _lead_bound(base, pencils, t, t) <= state.need(cls):
+                _visit_step(state, cls, lam, base, legs, mu0 + step * t,
                             visit)
 
 
@@ -332,22 +316,21 @@ def _lead_bound(base, pencils, t0, t1):
     return total
 
 
-def _visit_step(state, key, lam, base, legs, mu, visit):
+def _visit_step(state, cls, lam, base, legs, mu, visit):
     """Call ``visit(mu)`` unless the step is ruled out before pricing.
 
     A step is ruled out when a leg's coefficient at mu shares a factor
     with ``lam`` (one search ``gcd`` call per leg up to the first common
     factor), when a leg's cap slope (c*a - lam*b, lam*d - c*g) at
     c = offset + sign*mu has an odd longitude coefficient, or when
-    ``base`` plus the legs' exact N exceeds ``state.kind_best[key]``,
-    the best horizontal genus of the sweep's class.  The congruence
-    l = a, m = b (mod 2) makes that coefficient even for every surface
-    that exists, so an odd one bounds none.
+    ``base`` plus the legs' exact N exceeds the bound of ``cls``.  The
+    congruence l = a, m = b (mod 2) makes that coefficient even for every
+    surface that exists, so an odd one bounds none.
     """
     for _, offset, sign in legs:
         if gcd(lam, offset + sign * mu) != 1:
             return
-    best = state.kind_best.get(key, inf)
+    best = state.need(cls)
     total = base
     for fiber, offset, sign in legs:
         c = offset + sign * mu
@@ -476,9 +459,8 @@ def enumerate_case1(presentation, budget=None, state=None):
 
             n1 = n_genus(LensCurve(mu1 * f1.alpha - lam * f1.beta,
                                    lam * f1.delta - mu1 * f1.gamma))
-            if outer_base + n1 <= state.need(cls):
-                _sweep(state, cls, lam, lam - 1 + n1,
-                       ((f2, 0, 1), (f3, -mu1, -1)), center2, window, price)
+            _sweep(state, cls, lam, lam - 1 + n1,
+                   ((f2, 0, 1), (f3, -mu1, -1)), center2, window, price)
 
         _sweep(state, cls, lam, outer_base, ((f1, 0, 1),),
                _parity_center(_round_half_even(lam * f1.beta, f1.alpha),
@@ -502,8 +484,10 @@ def compute_norms(presentation, budget=None):
     budget = budget if budget is not None else SearchBudget()
     structure = homology_structure(presentation)
     state = _SearchState(structure)
+    vertical = {}  # each class has at most one pseudo-vertical surface
     if structure.nonzero_classes:
         for report in vertical_surfaces(presentation, structure):
+            vertical[report.z2class] = report.genus
             state.offer(report)
         # The enumerators price into ``state`` themselves.
         enumerate_case4(presentation, state)
@@ -514,13 +498,14 @@ def compute_norms(presentation, budget=None):
         if cls not in state.witness:
             raise InternalInvariantError(
                 f"class {cls.label} ended with no representative")
+        best, kinds = state.best[cls], state.kinds[cls]
         entries.append(ClassNorm(
             z2class=cls,
-            min_genus=state.best[cls],
+            min_genus=best,
             witness=state.witness[cls],
-            witness_kinds=tuple(sorted(state.kinds[cls])),
-            min_vertical_genus=state.kind_best.get((cls, VERTICAL)),
-            min_horizontal_genus=state.kind_best.get((cls, HORIZONTAL)),
+            witness_kinds=tuple(sorted(kinds)),
+            min_vertical_genus=vertical.get(cls),
+            min_horizontal_genus=best if HORIZONTAL in kinds else None,
             exhaustive=cls not in state.capped,
         ))
     return NormReport(presentation, structure.case, tuple(entries))

@@ -65,6 +65,22 @@ class TestNorm:
         m = SeifertPresentation.from_pairs([(2, -1), (2, 1), (6, 1)])
         assert norm_report_from_json(data) == compute_norms(m)
 
+    def test_no_horizontal_bound_where_vertical_wins(self, capsys):
+        # A horizontal surface of genus 25 exists in class 011, but the
+        # search prunes it against the vertical 5: no bound is reported.
+        code, out, _ = run(capsys, "norm", "S2((10,1),(2,-1),(8,-7))",
+                           "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        horizontal = {c["class"]: c["min_horizontal_genus"]
+                      for c in data["classes"]}
+        assert horizontal == {"110": None, "101": None, "011": None}
+        again = norm_report_from_json(data)
+        assert [e.min_horizontal_genus for e in again.entries] == \
+            [None, None, None]
+        assert again == compute_norms(SeifertPresentation.from_pairs(
+            [(10, 1), (2, -1), (8, -7)]))
+
     def test_parse_error_exit_1(self, capsys):
         code, _, err = run(capsys, "norm", "S2((2,-1),(3,1)")
         assert code == 1 and "syntax error at position" in err
@@ -150,6 +166,15 @@ class TestScan:
             if int(row[genus_idx]) >= 3:
                 assert row[gap_idx] in ("0", "2")
         assert all(row[-1] == "true" for row in rows[1:])
+
+    def test_gap_blank_where_vertical_wins(self, capsys, tmp_path):
+        spec = tmp_path / "fam.txt"
+        spec.write_text("S2((10,1),(2,-1),(8,-7))\n")
+        code, out, _ = run(capsys, "scan", str(spec))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {row["class"]: row["gap"] for row in rows} == \
+            {"110": "", "101": "", "011": ""}
 
     def test_header_only_for_empty_grid(self, capsys, tmp_path):
         spec = tmp_path / "fam.txt"

@@ -19,6 +19,11 @@ def test_fixture_covers_the_corpus():
 
 def test_norms_match_fixture():
     table = json.loads(FIXTURE.read_text())
-    changed = [text for text, recorded in table.items()
-               if rows(parse_presentation(text)) != recorded]
-    assert changed == []
+    changed = {}
+    for text, recorded in table.items():
+        now = rows(parse_presentation(text))
+        if now != recorded:
+            changed[text] = (recorded, now)
+    shown = "".join(f"\n{text}\n  recorded {recorded}\n  now      {now}"
+                    for text, (recorded, now) in list(changed.items())[:10])
+    assert not changed, f"{len(changed)} presentations differ:{shown}"

@@ -11,7 +11,7 @@ import sfsnorm.search
 import sfsnorm.surfaces
 from sfsnorm.errors import PresentationError
 from sfsnorm.report import norm_report_from_json
-from sfsnorm.scan import SCAN_CSV_HEADER
+from sfsnorm.scan import SCAN_CSV_HEADER, class_rows
 from sfsnorm.search import (
     SearchBudget,
     _round_half_even,
@@ -174,6 +174,12 @@ class TestComputeNorms:
             for entry in report.entries:
                 if entry.min_vertical_genus is not None:
                     assert entry.min_genus <= entry.min_vertical_genus
+                # A horizontal minimum is reported only where it is exact.
+                exact = "horizontal" in entry.witness_kinds
+                assert entry.min_horizontal_genus == \
+                    (entry.min_genus if exact else None)
+            assert all(row["gap"] is None or row["gap"] >= 0
+                       for row in class_rows(report))
 
     def test_tiny_window_sets_flag_without_crashing(self):
         report = compute_norms(M_PRISM6, SearchBudget(mu_window=2))
@@ -485,9 +491,9 @@ class TestWorkCounts:
     def test_lead_floors_skip_before_t_min(self, monkeypatch, pairs, genus,
                                            gcd_limit, report_limit):
         # Almost every step of these sweeps lies before t_min, where the
-        # leading-digit floors price it above the horizontal best.  They
-        # make 363 and 1,463 gcd calls and 134 and 534 pricings; stepping
-        # through took 79,974 and 1,284,740 gcd calls and 20,346 and
+        # leading-digit floors price it above the class best.  They make
+        # 363 and 1,463 gcd calls and 2 pricings each; stepping through
+        # took 79,974 and 1,284,740 gcd calls and 20,346 and
         # 324,378 pricings.
         calls, reports = [], []
         self.record(monkeypatch, sfsnorm.search, "gcd", calls)
