@@ -27,7 +27,7 @@ from .lens import (
 )
 from .notation import NOTATIONS, canonical_form, format_presentation, \
     parse_presentation
-from .scan import csv_text, parse_scan_file
+from .scan import check_families, csv_text, parse_scan_file
 from .search import SearchBudget, compute_norms, family_scan
 
 
@@ -171,7 +171,10 @@ def _cmd_scan(args):
         raise _UsageError(f"scan file {args.specfile} is not UTF-8 text: "
                           f"{err.reason} at byte {err.start}")
     budget = _budget_from(args)
-    rows = [row for template, grid in parse_scan_file(text)
+    families = parse_scan_file(text)
+    # A template error on any line ends the scan before an instance runs.
+    check_families(families)
+    rows = [row for template, grid in families
             for row in family_scan(template, grid, budget)]
     _write_out(args, csv_text(rows))
     return 0

@@ -8,14 +8,77 @@ All three describe the same manifold; Orlik's integer e is absorbed into
 the first fiber on parsing (beta_1 = b'_1 + e*a_1), and printing in Orlik
 form recovers it from the normal form.  Input notation is auto-detected
 from the leading token unless forced.
+
+One token table per notation (``GRAMMARS``) lists its literals and
+integers in the order of the text; any whitespace may stand before a
+token and at the end, and an integer is a sign or none followed by
+ASCII digits.  The table serves two readers: a whole-text pattern
+compiled from it, which reads a well-formed presentation in one match,
+and the cursor walk (``read_presentation``), which reads token by token.
+``parse_presentation`` walks only where the pattern fails, to word and
+place the error; ``scan`` walks templates with a cursor of its own.
 """
 
 from __future__ import annotations
 
+import re
+from functools import cached_property
+
 from .errors import NotationSyntaxError, PresentationError
 from .seifert import SeifertPresentation, to_orlik_normal_form
 
-NOTATIONS = ("martelli", "hatcher", "orlik")
+# The one digit class of every notation: int() refuses the other
+# Unicode digits that str.isdigit accepts.
+_DIGIT = "[0-9]"
+INTEGER = f"[+-]?{_DIGIT}+"
+_DIGIT_RUN = re.compile(f"{_DIGIT}*")
+
+# Each table lists the tokens of a notation in order, split on spaces.
+# The names are its integers: Orlik's e, and the pair (ai, bi) of fiber
+# i; every other token is a literal.
+_TABLES = {
+    "martelli": "S2 ( ( a1 , b1 ) , ( a2 , b2 ) , ( a3 , b3 ) )",
+    "hatcher": "M ( +0 , 0 ; b1 / a1 , b2 / a2 , b3 / a3 )",
+    "orlik": "[ e ; ( a1 , b1 ) , ( a2 , b2 ) , ( a3 , b3 ) ]",
+}
+_INTEGER_NAMES = ("e", "a1", "b1", "a2", "b2", "a3", "b3")
+
+NOTATIONS = tuple(_TABLES)
+
+
+class Grammar:
+    """The token table of one notation, and the pattern compiled from it.
+
+    ``tokens`` holds (text, is_integer) pairs in the order of the text.
+    """
+
+    def __init__(self, table):
+        self.tokens = tuple((token, token in _INTEGER_NAMES)
+                            for token in table.split())
+        where = {name: i for i, name in enumerate(
+            token for token, is_integer in self.tokens if is_integer)}
+        self._e = where.get("e")
+        self._pairs = tuple((where[f"a{i}"], where[f"b{i}"])
+                            for i in (1, 2, 3))
+
+    @cached_property
+    def pattern(self):
+        """The whole text, one group per integer; compiled at first use.
+
+        ``\\s`` matches exactly the characters that ``str.isspace``
+        accepts, so the pattern skips what ``Cursor.skip_ws`` skips.
+        """
+        return re.compile("".join(
+            r"\s*" + (f"({INTEGER})" if is_integer else re.escape(token))
+            for token, is_integer in self.tokens) + r"\s*")
+
+    def shape(self, values):
+        """(e, pairs) of the integers ``values``, given in text order."""
+        e = 0 if self._e is None else values[self._e]
+        return e, [(values[a], values[b]) for a, b in self._pairs]
+
+
+GRAMMARS = {notation: Grammar(table) for notation, table in _TABLES.items()}
 
 
 class Cursor:
@@ -41,8 +104,7 @@ class Cursor:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
+        self.pos = _DIGIT_RUN.match(self.text, digits).end()
         if self.pos == digits:
             raise NotationSyntaxError("expected an integer", start)
         try:
@@ -51,14 +113,6 @@ class Cursor:
             raise NotationSyntaxError(
                 f"integer of {self.pos - digits} digits is too long",
                 start) from None
-
-    def pair(self):
-        self.expect("(")
-        a = self.integer()
-        self.expect(",")
-        b = self.integer()
-        self.expect(")")
-        return a, b
 
     def end(self):
         self.skip_ws()
@@ -90,9 +144,46 @@ def parse_presentation(text, notation=None):
     """
     if notation is None:
         notation = detect_notation(text)
-    if notation not in NOTATIONS:
+    if notation not in GRAMMARS:
         raise PresentationError(f"unknown notation {notation!r}")
-    e, pairs = read_presentation(Cursor(text), notation)
+    e, pairs = _read(text, notation)
+    return build_presentation(e, pairs, notation)
+
+
+def _read(text, notation):
+    """(e, pairs) of ``text``: one match of the notation's pattern, or
+    where that fails, the cursor walk, which words and places the error."""
+    grammar = GRAMMARS[notation]
+    match = grammar.pattern.fullmatch(text)
+    if match is not None:
+        try:
+            return grammar.shape([int(value) for value in match.groups()])
+        except ValueError:  # more digits than int() converts
+            pass
+    return read_presentation(Cursor(text), notation)
+
+
+def read_presentation(cur, notation):
+    """The integers of a presentation, read off the whole of ``cur``.
+
+    Returns (e, pairs): the fiber pairs (alpha, beta) as written, and
+    Orlik's e, which is 0 in the other notations.  The walk follows the
+    notation's token table: ``cur.expect`` for each literal and
+    ``cur.integer()`` for each integer, then ``cur.end()``.
+    """
+    grammar = GRAMMARS[notation]
+    values = []
+    for token, is_integer in grammar.tokens:
+        if is_integer:
+            values.append(cur.integer())
+        else:
+            cur.expect(token)
+    cur.end()
+    return grammar.shape(values)
+
+
+def build_presentation(e, pairs, notation):
+    """The presentation of the integers that ``read_presentation`` gives."""
     if notation != "orlik":
         return SeifertPresentation.from_pairs(pairs)
     for alpha, b in pairs:
@@ -101,49 +192,6 @@ def parse_presentation(text, notation=None):
                 f"Orlik pair ({alpha}, {b}) needs 0 < beta' < alpha")
     (a1, b1), rest = pairs[0], pairs[1:]
     return SeifertPresentation.from_pairs([(a1, b1 + e * a1), *rest])
-
-
-def read_presentation(cur, notation):
-    """The integers of a presentation, read off the whole of ``cur``.
-
-    Returns (e, pairs): the fiber pairs (alpha, beta) as written, and
-    Orlik's e, which is 0 in the other notations.  Every integer is read
-    by ``cur.integer()``, in the order of the text.
-    """
-    if notation == "martelli":
-        cur.expect("S2")
-        cur.expect("(")
-        pairs = [cur.pair()]
-        for _ in range(2):
-            cur.expect(",")
-            pairs.append(cur.pair())
-        cur.expect(")")
-        cur.end()
-        return 0, pairs
-    if notation == "hatcher":
-        for literal in ("M", "(", "+0", ",", "0", ";"):
-            cur.expect(literal)
-        pairs = []
-        for i in range(3):
-            if i:
-                cur.expect(",")
-            beta = cur.integer()
-            cur.expect("/")
-            alpha = cur.integer()
-            pairs.append((alpha, beta))
-        cur.expect(")")
-        cur.end()
-        return 0, pairs
-    cur.expect("[")
-    e = cur.integer()
-    cur.expect(";")
-    triples = [cur.pair()]
-    for _ in range(2):
-        cur.expect(",")
-        triples.append(cur.pair())
-    cur.expect("]")
-    cur.end()
-    return e, triples
 
 
 def format_presentation(presentation, notation="martelli"):

@@ -4,10 +4,17 @@ A family file holds one family per line, ``TEMPLATE | var=lo..hi | ...``,
 ``#`` starting a comment.  The template is a presentation in any of the
 three notations, read by that notation's grammar, whose integer slots
 are arithmetic in the variables (``+ - * // ()``); the bounds of a range
-may use the variables ranged before it.  ``instances`` writes out every
-instance before any of them runs, so a template error stops a scan
-first.  ``class_rows`` and ``csv_text`` give the rows and the CSV that
-``sfs-norm scan`` prints.
+may use the variables ranged before it.
+
+A template that its notation's pattern reads whole is a literal
+presentation: it has no slot to evaluate, so each of its instances is
+the template itself, one per binding, and only the bounds are
+evaluated.  Any other template is walked by ``_SlotCursor`` to find its
+slots.  ``check_families`` raises the first template error of a whole
+file, holding one instance text at a time, so a template error stops a
+scan before any instance runs; ``instances`` then writes out the
+instances of one family.  ``class_rows`` and ``csv_text`` give the rows
+and the CSV that ``sfs-norm scan`` prints.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ import re
 from functools import lru_cache
 
 from .errors import NotationSyntaxError, PresentationError
-from .notation import Cursor, canonical_form, detect_notation, \
-    read_presentation
+from .notation import GRAMMARS, INTEGER, Cursor, canonical_form, \
+    detect_notation, read_presentation
 
 SCAN_CSV_HEADER = ("canonical_form", "class", "e1", "e2", "e3",
                    "min_genus", "norm", "witness_kind", "gap", "exhaustive")
@@ -30,6 +37,8 @@ MAX_SCAN_INSTANCES = 10 ** 6
 _ALLOWED_EXPR = re.compile(r"^[0-9a-zA-Z_+\-*/() ]*$")
 # A run of slot text up to a parenthesis or the end of the slot.
 _SLOT_RUN = re.compile(r"(?:[^,;/()]|//)*")
+# A slot that is an integer literal, which an instance keeps as written.
+_LITERAL_SLOT = re.compile(INTEGER)
 
 
 def parse_scan_file(text):
@@ -215,6 +224,24 @@ def _grid_bindings(grid, bindings=None, index=0, room=MAX_SCAN_INSTANCES):
         yield from _grid_bindings(grid, bindings, index + 1, room // size)
 
 
+def _slots(template):
+    """The spans of the slots of ``template`` that are not literals."""
+    notation = detect_notation(template)
+    if GRAMMARS[notation].pattern.fullmatch(template):
+        return []
+    cur = _SlotCursor(template)
+    read_presentation(cur, notation)
+    return [(start, end) for start, end in cur.spans
+            if not _LITERAL_SLOT.fullmatch(template, start, end)]
+
+
+def _instance_texts(template, grid):
+    # The instances in grid order, one at a time.
+    slots = _slots(template)
+    for bindings in _grid_bindings(list(grid)):
+        yield _instantiate(template, slots, bindings) if slots else template
+
+
 def instances(template, grid):
     """The text of every instance of a family, in grid order.
 
@@ -223,13 +250,15 @@ def instances(template, grid):
     this returns.  A slot becomes an integer literal, so no binding
     makes an instance's syntax right or wrong.
     """
-    cur = _SlotCursor(template)
-    read_presentation(cur, detect_notation(template))
-    # An integer literal stays as written.
-    slots = [(start, end) for start, end in cur.spans
-             if not re.fullmatch(r"[+-]?[0-9]+", template[start:end])]
-    return [_instantiate(template, slots, bindings)
-            for bindings in _grid_bindings(list(grid))]
+    return list(_instance_texts(template, grid))
+
+
+def check_families(families):
+    """Raise the first template error of ``families``, as ``instances``
+    would raise it, holding one instance text at a time."""
+    for template, grid in families:
+        for _ in _instance_texts(template, grid):
+            pass
 
 
 def class_rows(report):

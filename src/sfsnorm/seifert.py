@@ -46,7 +46,11 @@ def _check_fiber_pair(alpha, beta):
             f"fiber pair ({alpha}, {beta}) is not coprime")
 
 
-@dataclass(frozen=True)
+# Fields of the frozen classes below are set once, in their ``__init__``.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class FiberMatrix:
     """Gluing matrix (alpha beta; gamma delta) of one exceptional fiber."""
 
@@ -55,13 +59,17 @@ class FiberMatrix:
     gamma: int
     delta: int
 
-    def __post_init__(self):
-        _check_fiber_pair(self.alpha, self.beta)
-        det = self.alpha * self.delta - self.beta * self.gamma
+    def __init__(self, alpha, beta, gamma, delta):
+        _check_fiber_pair(alpha, beta)
+        det = alpha * delta - beta * gamma
         if det != 1:
             raise PresentationError(
-                f"gluing matrix ({self.alpha} {self.beta}; "
-                f"{self.gamma} {self.delta}) has determinant {det}, not 1")
+                f"gluing matrix ({alpha} {beta}; {gamma} {delta}) has "
+                f"determinant {det}, not 1")
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "gamma", gamma)
+        _set(self, "delta", delta)
 
     @property
     def pair(self):
@@ -74,25 +82,26 @@ class FiberMatrix:
                            self.delta + t * self.beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SeifertPresentation:
     """Ordered triple of fiber matrices with nonzero Euler sum."""
 
     fibers: tuple
 
-    def __post_init__(self):
-        fibers = tuple(self.fibers)
-        object.__setattr__(self, "fibers", fibers)
-        if len(fibers) != 3 or not all(isinstance(f, FiberMatrix)
-                                       for f in fibers):
+    def __init__(self, fibers):
+        fibers = tuple(fibers)
+        if len(fibers) != 3 or not all([isinstance(f, FiberMatrix)
+                                        for f in fibers]):
             raise PresentationError("a presentation needs three fiber "
                                     "matrices")
         # sum(b_i/a_i) = 0 with the denominators cleared (every a_i >= 2).
-        (a1, b1), (a2, b2), (a3, b3) = (f.pair for f in fibers)
-        if b1 * a2 * a3 + a1 * b2 * a3 + a1 * a2 * b3 == 0:
+        f1, f2, f3 = fibers
+        a1, a2, a3 = f1.alpha, f2.alpha, f3.alpha
+        if f1.beta * a2 * a3 + a1 * f2.beta * a3 + a1 * a2 * f3.beta == 0:
             raise PresentationError(
                 "sum(beta_i/alpha_i) = 0: the manifold is not small "
                 "(a horizontal incompressible surface exists)")
+        _set(self, "fibers", fibers)
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -100,7 +109,7 @@ class SeifertPresentation:
         if len(pairs) != 3:
             raise PresentationError("a presentation needs three (alpha, "
                                     "beta) pairs")
-        return cls(tuple(complete_matrix(a, b) for a, b in pairs))
+        return cls(tuple([complete_matrix(a, b) for a, b in pairs]))
 
     @property
     def alphas(self):

@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+import sfsnorm.notation
 import sfsnorm.scan
 import sfsnorm.search
 from sfsnorm.cli import main
+from sfsnorm.errors import PresentationError
 from sfsnorm.report import norm_report_from_json
 from sfsnorm.scan import SCAN_CSV_HEADER
 from sfsnorm.search import compute_norms
@@ -148,6 +150,46 @@ class TestScan:
         assert sorted(parsed) == sorted(
             {"1", "3", "2*m", "2*m+4", "2*m+1", "m", "2*n"})
 
+    def test_literal_lines_read_once(self, capsys, tmp_path, monkeypatch):
+        # A literal line is read by one match: no cursor is built or
+        # walked, and each line is parsed once, by family_scan.
+        cursors, parsed = [], []
+        init, parse = sfsnorm.notation.Cursor.__init__, \
+            sfsnorm.search.parse_presentation
+
+        def counting_init(cursor, text):
+            cursors.append(text)
+            init(cursor, text)
+
+        def counting_parse(text, *args):
+            parsed.append(text)
+            return parse(text, *args)
+        monkeypatch.setattr(sfsnorm.notation.Cursor, "__init__",
+                            counting_init)
+        monkeypatch.setattr(sfsnorm.search, "parse_presentation",
+                            counting_parse)
+        lines = ["S2((2,-1),(3,1),(8,1))", "M(+0,0;\t-1/3, 1/3, 2/7 )",
+                 " [-1; (2,1), (3,+1),(10,03)]", "S2((2,-1),(3,1),(6,1))"]
+        spec = tmp_path / "fam.txt"
+        spec.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "scan", str(spec))
+        assert code == 0 and cursors == []
+        assert parsed == [line.strip() for line in lines]
+        # The last line is not small: skipped, so no row.
+        keys = {row["canonical_form"]
+                for row in csv.DictReader(io.StringIO(out))}
+        assert keys == {"[-1; (2,1),(3,1),(8,1)]", "[-1; (3,2),(3,1),(7,2)]",
+                        "[-1; (2,1),(3,1),(10,3)]"}
+
+    def test_literal_template_instances(self, monkeypatch):
+        # One instance per binding, the template itself; the bounds are
+        # still evaluated.
+        template = "S2((2,-1),(3,1),(8,1))"
+        texts = sfsnorm.scan.instances(template, [("n", "1", "3")])
+        assert texts == [template] * 3
+        with pytest.raises(PresentationError, match="division by zero"):
+            sfsnorm.scan.instances(template, [("n", "1", "3//0")])
+
     def test_family_csv(self, capsys, caplog, tmp_path):
         spec = tmp_path / "fam.txt"
         spec.write_text(
@@ -218,10 +260,13 @@ class TestScan:
         (b"S2((2,-1),(3,1),(n,1) | n=4..5\n", 1, "syntax error"),
         (b"S2((2,-1),(3,1),(8,1))\n\xff\xfe\n", 1, "not UTF-8"),
         (b"S2((2,-1),(3,1),(n,1)) | n=8..9 | n=8..8\n", 1, "line 1"),
+        (b"S2((2,-1),(3,1),(2*n,1)) | n=4..40\n"
+         b"S2((2,-1),(3,1),(2*k,1)) | n=4..5\n", 2, "unbound variable"),
     ], ids=["floor_div_slot", "parenthesised_slot", "hatcher_parentheses",
             "orlik_parentheses", "zero_range_bound", "zero_slot",
             "zero_slot_late", "unbound_name", "trailing_text",
-            "unclosed_template", "not_utf8", "repeated_variable"])
+            "unclosed_template", "not_utf8", "repeated_variable",
+            "bad_second_line"])
     def test_scan_file_defects(self, capsys, tmp_path, monkeypatch, content,
                                code, fragment):
         def refuse(*args):

@@ -1,0 +1,175 @@
+"""Alternating parent/change runs of the benchmark, summed up as a BENCH file.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
+        --pairs N --seconds S [--workload W2 ...] [--first-seed K] \\
+        [--claim WORKLOAD:METRIC] [--out BENCH_n.json]
+
+PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each
+pair runs ``perfbench/run.py --workload W --seed SEED --seconds S
+--trace 0`` once in each checkout, one seed per pair (K, K+1, ...), and
+the side that runs first alternates from pair to pair, so that a slow
+or fast phase of the host falls on both sides alike.  Nothing but
+``perfbench/run.py`` and its last line of output is used.
+
+The output holds, for each workload and end-to-end metric, the medians
+of the two sides over the pairs, the change in percent, the parent's
+interquartile range, and in how many pairs the change was lower and
+higher; then every run.  ``--claim`` states the named metric's result
+as the file's claim.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+RUN_TIMEOUT_S = 600
+SIDES = ("parent", "change")
+
+
+def run_once(checkout, workload, seed, seconds):
+    """The result object of one benchmark run, or None if it failed."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds),
+               "--trace", "0"]
+    proc = subprocess.run(command, cwd=checkout, capture_output=True,
+                          text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr[-2000:])
+        return None
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_pairs(checkouts, workload, pairs, seconds, first_seed):
+    runs, failed = [], []
+    for i in range(pairs):
+        seed = first_seed + i
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        results = {}
+        for side in order:
+            results[side] = run_once(checkouts[side], workload, seed,
+                                     seconds)
+            print(f"{workload} seed {seed} {side}: "
+                  f"{'failed' if results[side] is None else 'done'}",
+                  file=sys.stderr)
+        if None in results.values():
+            failed.append({"seed": seed, "first": order[0],
+                           "failed": [side for side in SIDES
+                                      if results[side] is None]})
+            continue
+        runs.append({
+            "seed": seed,
+            "first": order[0],
+            **{side: {name: metric["value"] for name, metric
+                      in results[side]["metrics"].items()}
+               for side in SIDES},
+            "correct": [results[side]["correct"] for side in SIDES],
+            "failed_ops": [results[side]["failed"] for side in SIDES],
+        })
+    return runs, failed
+
+
+def interquartile_range(values):
+    if len(values) < 2:
+        return 0.0
+    low, _, high = statistics.quantiles(values, n=4)
+    return high - low
+
+
+def medians(runs):
+    """Per metric: the medians of both sides and how the pairs compare."""
+    out = {}
+    for name in runs[0]["parent"] if runs else ():
+        parent = [run["parent"][name] for run in runs]
+        change = [run["change"][name] for run in runs]
+        parent_median = statistics.median(parent)
+        change_median = statistics.median(change)
+        pct = (100.0 * (change_median - parent_median) / parent_median
+               if parent_median else 0.0)
+        out[name] = {
+            "parent_median": round(parent_median, 5),
+            "change_median": round(change_median, 5),
+            "change_pct": round(pct, 1),
+            "parent_iqr": round(interquartile_range(parent), 5),
+            "change_lower_pairs": sum(c < p for p, c in zip(parent, change)),
+            "change_higher_pairs": sum(c > p
+                                       for p, c in zip(parent, change)),
+        }
+    return out
+
+
+def claim_text(workloads, claim):
+    workload, metric = claim.split(":", 1)
+    m = workloads[workload]["medians"][metric]
+    pairs = workloads[workload]["pairs"]
+    iqr_pct = 100.0 * m["parent_iqr"] / m["parent_median"]
+    return (f"{metric} on {workload} against the parent: "
+            f"{m['change_pct']:+.1f}% in the median, lower in "
+            f"{m['change_lower_pairs']} of {pairs} pairs, against a parent "
+            f"interquartile range of {iqr_pct:.1f}%")
+
+
+def revision(checkout):
+    """The short commit id of a git checkout, else its directory name."""
+    proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                          cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 \
+        else Path(checkout).name
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_dir")
+    parser.add_argument("change_dir")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=55)
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
+    parser.add_argument("--out")
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent_dir, "change": args.change_dir}
+    for side, checkout in checkouts.items():
+        if not (Path(checkout) / "perfbench" / "run.py").is_file():
+            parser.error(f"no perfbench/run.py in the {side} checkout "
+                         f"{checkout}")
+    if args.claim and args.claim.split(":", 1)[0] not in args.workload:
+        parser.error(f"--claim {args.claim} names no --workload")
+
+    workloads = {}
+    for i, workload in enumerate(args.workload):
+        runs, failed = run_pairs(checkouts, workload, args.pairs,
+                                 args.seconds,
+                                 args.first_seed + i * args.pairs)
+        workloads[workload] = {"pairs": len(runs),
+                               "medians": medians(runs),
+                               "runs": runs,
+                               "failed_runs": failed}
+    result = {
+        "claim": claim_text(workloads, args.claim) if args.claim else None,
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   "--seconds N --trace 0",
+        "seconds": {workload: args.seconds for workload in args.workload},
+        "host": f"{os.cpu_count()}-CPU {platform.system()}, Python "
+                f"{platform.python_version()}; times in the harness's "
+                f"reference seconds",
+        "method": "alternating parent/change pairs, the side that runs "
+                  "first alternating from pair to pair; one seed per pair",
+        "parent": revision(args.parent_dir),
+        "workloads": workloads,
+    }
+    text = json.dumps(result, indent=1) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main()
