@@ -4,17 +4,18 @@ A family file holds one family per line, ``TEMPLATE | var=lo..hi | ...``,
 ``#`` starting a comment.  The template is a presentation in any of the
 three notations, read by that notation's grammar, whose integer slots
 are arithmetic in the variables (``+ - * // ()``); the bounds of a range
-may use the variables ranged before it.
+may use the variables ranged before it.  Each slot and bound is checked
+against that arithmetic, compiled once by Python's compiler, and run
+with no builtins, so its names are the line's variables and nothing else.
 
 A template that its notation's pattern reads whole is a literal
 presentation: it has no slot to evaluate, so each of its instances is
 the template itself, one per binding, and only the bounds are
 evaluated.  Any other template is walked by ``_SlotCursor`` to find its
-slots.  ``check_families`` raises the first template error of a whole
-file, holding one instance text at a time, so a template error stops a
-scan before any instance runs; ``instances`` then writes out the
-instances of one family.  ``class_rows`` and ``csv_text`` give the rows
-and the CSV that ``sfs-norm scan`` prints.
+slots.  ``instances`` makes the instances of one family one at a time,
+and ``check_families`` drains them for a whole file, so a template error
+stops a scan before any instance runs.  ``class_rows`` and ``csv_text``
+give the rows and the CSV that ``sfs-norm scan`` prints.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ SCAN_CSV_HEADER = ("canonical_form", "class", "e1", "e2", "e3",
 MAX_SCAN_INSTANCES = 10 ** 6
 
 _ALLOWED_EXPR = re.compile(r"^[0-9a-zA-Z_+\-*/() ]*$")
+# The nodes of a slot's tree besides its integer literals.
+_ARITHMETIC = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Name, ast.Load,
+               ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.USub, ast.UAdd)
+# The globals of every slot: no builtins, so its names are variables.
+_NO_BUILTINS = {"__builtins__": {}}
 # A run of slot text up to a parenthesis or the end of the slot.
 _SLOT_RUN = re.compile(r"(?:[^,;/()]|//)*")
 # A slot that is an integer literal, which an instance keeps as written.
@@ -58,7 +64,7 @@ def parse_scan_file(text):
             name, span = field.split("=", 1)
             lo, hi = span.split("..", 1)
             name = name.strip()
-            if not name.isidentifier():
+            if not (name.isidentifier() and name.isascii()):
                 raise NotationSyntaxError(
                     f"line {lineno}: bad variable name {name!r}", lineno)
             if any(name == seen for seen, _, _ in grid):
@@ -78,98 +84,47 @@ def _clip(text):
 
 def _eval_int(expr, bindings):
     """The value of the slot or bound ``expr`` under ``bindings``."""
-    evaluate = _compile(expr)
-    # Too deep a nesting raises RecursionError here, as in the parse.
+    code = _compile(expr)
+    # Checked before the eval: there a name that ``bindings`` lacks would
+    # be looked up in the globals, where ``__builtins__`` is a dict.
+    for name in code.co_names:
+        if name not in bindings:
+            raise PresentationError(f"unbound variable {_clip(name)}")
     try:
-        return evaluate(bindings)
-    except RecursionError as err:
-        raise PresentationError(f"bad arithmetic expression {_clip(expr)}") \
-            from err
+        return eval(code, _NO_BUILTINS, bindings)
+    except ZeroDivisionError as err:
+        raise PresentationError(f"division by zero in {_clip(expr)}") from err
 
 
 @lru_cache(maxsize=1 << 10)  # a family's slots and bounds, parsed once
 def _compile(expr):
-    """``expr`` parsed once into a function of the bindings.
+    """``expr`` parsed, checked and compiled once into a code object.
 
-    Each node becomes a closure that evaluates its operands left first
-    and then raises, as it meets them, an unbound variable, a division
-    by zero or an unsupported operation.  The tree is walked without
-    recursion here, so only evaluating a too-deep nesting recurses.
+    The tree is checked node by node, without recursion, against the
+    arithmetic a slot may hold: integer literals, names and
+    ``+ - * //``.  Too deep a nesting raises RecursionError in the parse
+    or the compile.
     """
     shown = _clip(expr)
     if not _ALLOWED_EXPR.match(expr):
         raise PresentationError(f"bad arithmetic expression {shown}")
     try:
-        root = ast.parse(expr, mode="eval").body
+        tree = ast.parse(expr, mode="eval")
+        for node in ast.walk(tree):
+            if not isinstance(node, _ARITHMETIC) and not (
+                    type(node) is ast.Constant and type(node.value) is int):
+                raise PresentationError(f"unsupported arithmetic in {shown}")
+        return compile(tree, "<slot>", "eval")
     except (SyntaxError, RecursionError) as err:
-        raise PresentationError(f"bad arithmetic expression {shown}") \
-            from err
-    # Parents before children; building in reverse gives each node's
-    # operands first.
-    order, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if isinstance(node, ast.UnaryOp):
-            stack.append(node.operand)
-        elif isinstance(node, ast.BinOp):
-            stack += (node.left, node.right)
-    built = {}
-    for node in reversed(order):
-        built[node] = _closure(node, built, shown)
-    return built[root]
-
-
-def _closure(node, built, shown):
-    # The evaluator of one node, given those of its operands in ``built``.
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        value = node.value
-        return lambda bindings: value
-    if isinstance(node, ast.Name):
-        name = node.id
-
-        def lookup(bindings):
-            if name not in bindings:
-                raise PresentationError(f"unbound variable {_clip(name)}")
-            return bindings[name]
-        return lookup
-    if isinstance(node, ast.UnaryOp) and \
-            isinstance(node.op, (ast.USub, ast.UAdd)):
-        operand = built[node.operand]
-        if isinstance(node.op, ast.USub):
-            return lambda bindings: -operand(bindings)
-        return operand
-    if isinstance(node, ast.BinOp):
-        left, right = built[node.left], built[node.right]
-        if isinstance(node.op, ast.Add):
-            return lambda bindings: left(bindings) + right(bindings)
-        if isinstance(node.op, ast.Sub):
-            return lambda bindings: left(bindings) - right(bindings)
-        if isinstance(node.op, ast.Mult):
-            return lambda bindings: left(bindings) * right(bindings)
-        if isinstance(node.op, ast.FloorDiv):
-            def floor_div(bindings):
-                numerator, divisor = left(bindings), right(bindings)
-                if divisor == 0:
-                    raise PresentationError(f"division by zero in {shown}")
-                return numerator // divisor
-            return floor_div
-
-        def unsupported_op(bindings):
-            left(bindings)
-            right(bindings)
-            raise PresentationError(f"unsupported arithmetic in {shown}")
-        return unsupported_op
-
-    def unsupported(bindings):
-        raise PresentationError(f"unsupported arithmetic in {shown}")
-    return unsupported
+        raise PresentationError(f"bad arithmetic expression {shown}") from err
 
 
 class _SlotCursor(Cursor):
     """Reads a template by its notation's grammar, each integer a slot:
     the text up to the next ',', ';', single '/' or a ')' that closes no
-    '(' of the slot.  ``spans`` collects each (start, end), unpadded."""
+    '(' of the slot.  ``spans`` collects the (start, end), unpadded, of
+    each slot that is not an integer literal.  A literal is read as the
+    notation reads it, so one that int() cannot convert raises here."""
 
     def __init__(self, text):
         super().__init__(text)
@@ -185,8 +140,11 @@ class _SlotCursor(Cursor):
                 break
             depth += 1 if char == "(" else -1
             self.pos += 1
-        self.spans.append(
-            (start, start + len(self.text[start:self.pos].rstrip())))
+        end = start + len(self.text[start:self.pos].rstrip())
+        if _LITERAL_SLOT.fullmatch(self.text, start, end):
+            self.pos = start
+            return super().integer()
+        self.spans.append((start, end))
         return 0
 
 
@@ -212,9 +170,8 @@ def _grid_bindings(grid, bindings=None, index=0, room=MAX_SCAN_INSTANCES):
     if index == len(grid):
         yield bindings
         return
-    name, lo_expr, hi_expr = grid[index]
-    lo = _eval_int(str(lo_expr), bindings)
-    hi = _eval_int(str(hi_expr), bindings)
+    name, *bounds = grid[index]
+    lo, hi = (_eval_int(str(bound), bindings) for bound in bounds)
     size = max(0, hi - lo + 1)
     if size > room:
         raise PresentationError(f"range of {name!r} takes the family past "
@@ -225,39 +182,39 @@ def _grid_bindings(grid, bindings=None, index=0, room=MAX_SCAN_INSTANCES):
 
 
 def _slots(template):
-    """The spans of the slots of ``template`` that are not literals."""
+    """The spans of the slots of ``template`` that are not literals; a
+    literal int() cannot convert raises as in ``parse_presentation``."""
     notation = detect_notation(template)
     if GRAMMARS[notation].pattern.fullmatch(template):
+        # int() converts 640 digits under any limit of the interpreter.
+        if len(template) > 640:
+            read_presentation(Cursor(template), notation)
         return []
     cur = _SlotCursor(template)
     read_presentation(cur, notation)
-    return [(start, end) for start, end in cur.spans
-            if not _LITERAL_SLOT.fullmatch(template, start, end)]
-
-
-def _instance_texts(template, grid):
-    # The instances in grid order, one at a time.
-    slots = _slots(template)
-    for bindings in _grid_bindings(list(grid)):
-        yield _instantiate(template, slots, bindings) if slots else template
+    return cur.spans
 
 
 def instances(template, grid):
-    """The text of every instance of a family, in grid order.
+    """The text of each instance of a family, in grid order, made and
+    handed out one at a time.
 
     ``grid`` is an ordered list of (name, lo, hi), the bounds ints or
-    expressions in earlier names.  Every template error raises before
-    this returns.  A slot becomes an integer literal, so no binding
+    expressions in earlier names.  A template error raises before the
+    first instance, and a bound or slot error at the first instance
+    that meets it.  A slot becomes an integer literal, so no binding
     makes an instance's syntax right or wrong.
     """
-    return list(_instance_texts(template, grid))
+    slots = _slots(template)
+    for bindings in _grid_bindings(list(grid)):
+        yield _instantiate(template, slots, bindings) if slots else template
 
 
 def check_families(families):
     """Raise the first template error of ``families``, as ``instances``
     would raise it, holding one instance text at a time."""
     for template, grid in families:
-        for _ in _instance_texts(template, grid):
+        for _ in instances(template, grid):
             pass
 
 

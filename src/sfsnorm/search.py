@@ -515,9 +515,13 @@ def family_scan(template, grid, budget=None):
     """One row per (instance, class) over a parameter grid.
 
     ``template`` and ``grid`` are one line of a family file, as in
-    ``scan.instances``.  A template error, a syntax error included,
-    raises before any instance runs.  Instances that fail validation are
-    skipped and logged.  The rows are those of ``scan.class_rows``.
+    ``scan.instances``, whose instances run one at a time as they are
+    made.  A template error, a syntax error included, raises before any
+    instance runs, and a slot or bound error at the first instance that
+    meets it: a caller who wants every error of a file raised before
+    anything runs calls ``scan.check_families`` first, as ``sfs-norm
+    scan`` does.  Instances that fail validation are skipped and logged.
+    The rows are those of ``scan.class_rows``.
     """
     rows = []
     for text in instances(template, grid):

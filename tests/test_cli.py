@@ -1,8 +1,11 @@
 """End-to-end tests of the command line interface."""
 
+import ast
 import csv
 import io
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -130,8 +133,6 @@ class TestConvert:
 
 class TestScan:
     def test_each_expression_parsed_once(self, monkeypatch):
-        import ast
-
         parsed = []
         real = ast.parse
 
@@ -141,9 +142,9 @@ class TestScan:
 
         sfsnorm.scan._compile.cache_clear()
         monkeypatch.setattr(ast, "parse", counting)
-        texts = sfsnorm.scan.instances(
+        texts = list(sfsnorm.scan.instances(
             "S2((2,-1),(2*m+1,m),(2*n,1))",
-            [("m", "1", "3"), ("n", "2*m", "2*m+4")])
+            [("m", "1", "3"), ("n", "2*m", "2*m+4")]))
         assert len(texts) == 15
         assert texts[0] == "S2((2,-1),(3,1),(4,1))"
         assert texts[-1] == "S2((2,-1),(7,3),(20,1))"
@@ -185,10 +186,24 @@ class TestScan:
         # One instance per binding, the template itself; the bounds are
         # still evaluated.
         template = "S2((2,-1),(3,1),(8,1))"
-        texts = sfsnorm.scan.instances(template, [("n", "1", "3")])
+        texts = list(sfsnorm.scan.instances(template, [("n", "1", "3")]))
         assert texts == [template] * 3
         with pytest.raises(PresentationError, match="division by zero"):
-            sfsnorm.scan.instances(template, [("n", "1", "3//0")])
+            list(sfsnorm.scan.instances(template, [("n", "1", "3//0")]))
+
+    def test_instances_stream(self):
+        # A family's instances are made one at a time: draining 10,000
+        # of them holds a few instance texts, not all of them.
+        sfsnorm.scan._compile.cache_clear()
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in sfsnorm.scan.instances(
+                "S2((2,-1),(2*m+1,m),(2*n,1))",
+                [("m", "1", "10"), ("n", "1", "1000")]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 10_000 and peak < 200_000
 
     def test_family_csv(self, capsys, caplog, tmp_path):
         spec = tmp_path / "fam.txt"
@@ -262,11 +277,29 @@ class TestScan:
         (b"S2((2,-1),(3,1),(n,1)) | n=8..9 | n=8..8\n", 1, "line 1"),
         (b"S2((2,-1),(3,1),(2*n,1)) | n=4..40\n"
          b"S2((2,-1),(3,1),(2*k,1)) | n=4..5\n", 2, "unbound variable"),
+        (b"S2((2,-1),(3,1),(2*n,1)) | n=4..5\n"
+         b"S2((2,-1),(3,1),(" + b"1" * 5000 + b",1))\n", 1,
+         "integer of 5000 digits is too long"),
+        (b"S2((2,-1),(3,1),(2*n,1)) | n=4..5\n"
+         b"S2((2,-1),(n,1),(" + b"1" * 5000 + b",1)) | n=3..3\n", 1,
+         "integer of 5000 digits is too long"),
+        ("S2((2,-1),(3,1),(\u00f1,1)) | \u00f1=4..5\n".encode(), 1,
+         "bad variable name"),
+        (b"S2((2,-1),(3,1),(__builtins__*2,1)) | n=4..4\n", 2,
+         "unbound variable"),
+        (b"S2((2,-1),(3,1),(n,1)) | n=__builtins__..3\n", 2,
+         "unbound variable"),
+        (b"S2((2,-1),(3,1),(True,1)) | n=4..4\n", 2,
+         "unsupported arithmetic"),
+        (b"S2((2,-1),(3,1),(__builtins__,1)) | __builtins__=8..8\n", 0,
+         None),
     ], ids=["floor_div_slot", "parenthesised_slot", "hatcher_parentheses",
             "orlik_parentheses", "zero_range_bound", "zero_slot",
             "zero_slot_late", "unbound_name", "trailing_text",
             "unclosed_template", "not_utf8", "repeated_variable",
-            "bad_second_line"])
+            "bad_second_line", "long_literal_line", "long_literal_slot",
+            "non_ascii_name", "builtins_in_slot", "builtins_in_bound",
+            "bool_slot", "builtins_ranged"])
     def test_scan_file_defects(self, capsys, tmp_path, monkeypatch, content,
                                code, fragment):
         def refuse(*args):
@@ -354,6 +387,31 @@ class TestHostileInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert all(len(line) <= 200 for line in err.splitlines())
+
+    def test_one_eval_in_the_package(self):
+        # The package's only eval, exec or compile is the slot
+        # arithmetic of scan, and that eval runs with no builtins.
+        uses, evals = [], []
+        for path in sorted(Path(sfsnorm.scan.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner = {}  # each node's innermost enclosing function
+            for node in ast.walk(tree):
+                for child in ast.iter_child_nodes(node):
+                    owner[child] = node.name if isinstance(
+                        node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        else owner.get(node)
+                if isinstance(node, ast.Name) and \
+                        node.id in ("eval", "exec", "compile"):
+                    uses.append((path.name, owner.get(node), node.id))
+                if isinstance(node, ast.Call) and \
+                        getattr(node.func, "id", None) == "eval":
+                    evals.append(node)
+        assert sorted(uses) == [("scan.py", "_compile", "compile"),
+                                ("scan.py", "_eval_int", "eval")]
+        (call,) = evals
+        assert isinstance(call.args[1], ast.Name)
+        assert call.args[1].id == "_NO_BUILTINS"
+        assert sfsnorm.scan._NO_BUILTINS == {"__builtins__": {}}
 
     # Ranges past the instance cap: one huge range, and two ranges whose
     # product passes it although each stays below.

@@ -233,6 +233,17 @@ class TestComputeNorms:
                        for e in permuted.entries}
                 assert got == expect
 
+    def test_mirror_invariance(self):
+        # S2((a_i,-b_i)) is S2((a_i,b_i)) with the opposite orientation:
+        # the same manifold, so every class has the same minima.
+        def minima(m):
+            return {e.z2class.label: (e.min_genus, e.min_vertical_genus,
+                                      e.min_horizontal_genus, e.exhaustive)
+                    for e in compute_norms(m).entries}
+        for m in random_presentations(300, seed=14):
+            mirror = M(*((a, -b) for a, b in m.pairs()))
+            assert minima(mirror) == minima(m), m.pairs()
+
     def test_rejects_non_presentation(self):
         with pytest.raises(PresentationError):
             compute_norms("S2((2,-1),(3,1),(8,1))")
