@@ -165,7 +165,9 @@ def _cmd_convert(args):
 
 def _cmd_scan(args):
     try:
-        with open(args.specfile, encoding="utf-8") as handle:
+        # utf-8-sig drops a leading byte-order mark, which is invisible
+        # in an editor but would otherwise be read as part of line 1.
+        with open(args.specfile, encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError as err:
         raise _UsageError(f"scan file {args.specfile} is not UTF-8 text: "

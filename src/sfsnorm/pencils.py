@@ -58,35 +58,13 @@ class TailCertificate(NamedTuple):
         return (self.base_half + digit + 1) // 2
 
 
-def _constant_pair_certificate(twok, c, d):
-    """Certificate for the pencil (2k, c*t + d) with constant 2k > 0.
-
-    N then depends only on c*t + d mod 2k, which ranges over a single
-    residue class; the exact minimum of N over the coprime residues in
-    that class is a bound valid from t = 0 on.
-    """
-    from math import gcd
-
-    from .lens import LensCurve, n_genus
-
-    g = gcd(c, twok)
-    best = None
-    for r in range(twok):
-        if (r - d) % g != 0 or gcd(r, twok) != 1:
-            continue
-        val = n_genus(LensCurve(twok, r))
-        best = val if best is None else min(best, val)
-    if best is None:
-        # No step of the pencil is a coprime slope; nothing to bound.
-        return None
-    return TailCertificate((), 0, 2 * best, None)
-
-
 def certified_tail(first, second):
     """Analyze N(first(t), second(t)) for integer t >= 0.
 
     Returns a TailCertificate, or None when no certificate exists (the
-    pencil degenerates; callers then fall back to the hard sweep cap).
+    pencil degenerates, for example with a constant first form; callers
+    then fall back to the hard sweep cap).  The search's pencils come
+    from ``slope_pencil``, whose first form has slope alpha*step != 0.
     The certificate is sound for every t >= t_min at which the pair is a
     valid slope; steps with a common factor are simply not slopes.
 
@@ -99,12 +77,10 @@ def certified_tail(first, second):
     """
     xa, xb = first
     ya, yb = second
-    if xa < 0 or (xa == 0 and xb < 0):
-        xa, xb, ya, yb = -xa, -xb, -ya, -yb
     if xa == 0:
-        if xb == 0:
-            return None
-        return _constant_pair_certificate(xb, ya, yb)
+        return None
+    if xa < 0:
+        xa, xb, ya, yb = -xa, -xb, -ya, -yb
     # first(t) >= 1.
     t_min = max(0, -((xb - 1) // xa))
 
@@ -219,9 +195,10 @@ def slope_pencil(fiber, lam, mu0, step):
     """N-argument forms for the cap slope of one fiber along a mu-sweep.
 
     At sweep step t the slope coefficient is mu = mu0 + step*t, and the
-    cap slope in the solid torus is
-    (mu*alpha - lam*beta, lam*delta - mu*gamma).
+    cap slope in the solid torus is ``fiber.cap_slope(lam, mu)``.  That
+    map is linear, so the forms are its value at mu0 plus t times its
+    value at (0, step).
     """
-    first = Lin(fiber.alpha * step, fiber.alpha * mu0 - lam * fiber.beta)
-    second = Lin(-fiber.gamma * step, lam * fiber.delta - fiber.gamma * mu0)
-    return first, second
+    first, second = fiber.cap_slope(lam, mu0)
+    first_step, second_step = fiber.cap_slope(0, step)
+    return Lin(first_step, first), Lin(second_step, second)

@@ -85,12 +85,7 @@ from .notation import parse_presentation
 from .pencils import certified_tail, lead_floor, slope_pencil
 from .report import ClassNorm, NormReport
 from .scan import class_rows, instances
-from .seifert import (
-    HomologyCase,
-    SeifertPresentation,
-    Z2Class,
-    homology_structure,
-)
+from .seifert import SeifertPresentation, homology_structure
 from .surfaces import (
     HORIZONTAL,
     PHParams,
@@ -268,10 +263,9 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
             else inf
         steps = (window - abs(mu0 - center)) // 2 + 1  # mu within window
         lead = min(t_min, steps)
-        _lead_steps(state, cls, lam, base, legs, pencils, mu0, step, lead,
-                    visit)
+        _lead_steps(state, cls, base, pencils, mu0, step, lead, visit)
         for t in range(lead, steps):
-            _visit_step(state, cls, lam, base, legs, mu0 + step * t, visit)
+            _visit_step(state, cls, base, pencils, t, mu0 + step * t, visit)
             bound = base
             for cert in certs:
                 bound += cert.bound_at(t)
@@ -281,8 +275,7 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
             state.capped.add(cls)
 
 
-def _lead_steps(state, cls, lam, base, legs, pencils, mu0, step, end,
-                visit):
+def _lead_steps(state, cls, base, pencils, mu0, step, end, visit):
     """Steps 0..end-1 of one ``_sweep`` direction, in order.
 
     The steps are bisected left-first.  A span is dropped when ``base``
@@ -305,7 +298,7 @@ def _lead_steps(state, cls, lam, base, legs, pencils, mu0, step, end,
             continue
         for t in range(t0, t1 + 1):
             if _lead_bound(base, pencils, t, t) <= state.need(cls):
-                _visit_step(state, cls, lam, base, legs, mu0 + step * t,
+                _visit_step(state, cls, base, pencils, t, mu0 + step * t,
                             visit)
 
 
@@ -316,37 +309,32 @@ def _lead_bound(base, pencils, t0, t1):
     return total
 
 
-def _visit_step(state, cls, lam, base, legs, mu, visit):
-    """Call ``visit(mu)`` unless the step is ruled out before pricing.
+def _visit_step(state, cls, base, pencils, t, mu, visit):
+    """Call ``visit(mu)`` unless step ``t`` is ruled out before pricing.
 
-    A step is ruled out when a leg's coefficient at mu shares a factor
-    with ``lam`` (one search ``gcd`` call per leg up to the first common
-    factor), when a leg's cap slope (c*a - lam*b, lam*d - c*g) at
-    c = offset + sign*mu has an odd longitude coefficient, or when
+    Each leg's pencil gives its cap slope (2k, q) at step t.  The step is
+    ruled out when a cap slope is not coprime (one search ``gcd`` call
+    per leg up to the first common factor), when a 2k is odd, or when
     ``base`` plus the legs' exact N exceeds the bound of ``cls``.  The
-    congruence l = a, m = b (mod 2) makes that coefficient even for every
-    surface that exists, so an odd one bounds none.
+    gluing matrix has determinant 1, so gcd(2k, q) is the gcd of the
+    leg's slope (lam, c) itself.  The congruence l = a, m = b (mod 2)
+    makes 2k even for every surface that exists, so an odd one bounds
+    none.
     """
-    for _, offset, sign in legs:
-        if gcd(lam, offset + sign * mu) != 1:
+    caps = [(first.a * t + first.b, second.a * t + second.b)
+            for first, second in pencils]
+    for twok, q in caps:
+        if gcd(twok, q) != 1:
             return
     best = state.need(cls)
     total = base
-    for fiber, offset, sign in legs:
-        c = offset + sign * mu
-        twok = c * fiber.alpha - lam * fiber.beta
+    for twok, q in caps:
         if twok % 2 != 0:
             return
-        total += slope_genus(twok, lam * fiber.delta - c * fiber.gamma)
+        total += slope_genus(twok, q)
         if total > best:
             return
     visit(mu)
-
-
-def _case3_class(structure, i):
-    if structure.case is HomologyCase.KLEIN_FOUR:
-        return Z2Class(tuple(0 if x == i else 1 for x in range(3)))
-    return structure.nonzero_classes[0]
 
 
 def enumerate_case3(presentation, budget=None, state=None):
@@ -377,7 +365,7 @@ def enumerate_case3(presentation, budget=None, state=None):
         fi, fj, fk = fibers[i], fibers[j], fibers[k]
         if (fj.alpha - fk.alpha) % 2 != 0:
             continue  # no degree parity can satisfy both congruences
-        cls = _case3_class(structure, i)
+        cls = structure.class_off(i)
         p = 2
         while True:
             lam = p * fi.alpha
@@ -457,8 +445,7 @@ def enumerate_case1(presentation, budget=None, state=None):
                 _price(presentation, state, PHParams(
                     ((lam, mu1), (lam, mu2), (lam, -mu1 - mu2))), out)
 
-            n1 = n_genus(LensCurve(mu1 * f1.alpha - lam * f1.beta,
-                                   lam * f1.delta - mu1 * f1.gamma))
+            n1 = n_genus(LensCurve(*f1.cap_slope(lam, mu1)))
             _sweep(state, cls, lam, lam - 1 + n1,
                    ((f2, 0, 1), (f3, -mu1, -1)), center2, window, price)
 

@@ -5,7 +5,9 @@ fiber, the gluing of a solid torus to the trivially fibered complement:
 meridian and longitude map to a*[h] + b*[v] and g*[h] + d*[v] with
 determinant ad - bg = 1.  Only (a, b) is intrinsic; (g, d) is a choice of
 completion, and every quantity computed downstream is invariant under
-(g, d) -> (g + t*a, d + t*b).
+(g, d) -> (g + t*a, d + t*b).  A boundary slope (l, m) in that basis is
+capped in the solid torus at ``FiberMatrix.cap_slope``, its image under
+the inverse gluing.
 
 Smallness requires sum(b_i/a_i) != 0, otherwise the manifold contains an
 orientable horizontal incompressible surface and none of the one-sided
@@ -74,6 +76,14 @@ class FiberMatrix:
     @property
     def pair(self):
         return (self.alpha, self.beta)
+
+    def cap_slope(self, l, m):
+        """The slope (2k, q) in the solid torus of the boundary slope
+        (l, m): its image (m*alpha - l*beta, l*delta - m*gamma) under the
+        inverse gluing.  The map is unimodular, so gcd(2k, q) = gcd(l, m),
+        and a change of completion moves q by a multiple of 2k."""
+        return (m * self.alpha - l * self.beta,
+                l * self.delta - m * self.gamma)
 
     def shifted(self, t):
         """The equivalent completion (gamma + t*alpha, delta + t*beta)."""
@@ -197,6 +207,18 @@ class HomologyStructure:
             raise PresentationError(
                 f"{self.case.value} needs {expected} classes, got "
                 f"{len(self.nonzero_classes)}")
+
+    def class_off(self, k):
+        """The nonzero class off fiber k (0-based).
+
+        In the Klein four case it is the class with parity 0 at fiber k,
+        which pairs nontrivially with the two other h-curves; in a cyclic
+        case it is the only nonzero class, whatever k.
+        """
+        if self.case is HomologyCase.KLEIN_FOUR:
+            return Z2Class(tuple(0 if x == k else 1 for x in range(3)))
+        (cls,) = self.nonzero_classes
+        return cls
 
 
 # Conventional tag for the unique class when all multiplicities are odd.

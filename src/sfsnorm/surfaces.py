@@ -185,16 +185,14 @@ def _require_surface(presentation, params):
 
 
 def _genus(presentation, params):
-    # The genus of ``ph_genus`` for slopes already known to exist.  The
-    # cap slope on each solid torus, the image of (l_i, m_i) under the
-    # inverse gluing, is two ints priced by ``slope_genus``: its
-    # longitude coefficient is even for every existing candidate, and
-    # fibers with (l_i, m_i) = (a_i, b_i) give the meridian (0, 1).
+    # The genus of ``ph_genus`` for slopes already known to exist.  Each
+    # cap slope is two ints priced by ``slope_genus``: its longitude
+    # coefficient is even for every existing candidate, and fibers with
+    # (l_i, m_i) = (a_i, b_i) give the meridian (0, 1).
     lam = params.lam
     genus = 2 + lam
     for (l, m), f in zip(params.pairs, presentation.fibers):
-        genus += slope_genus(m * f.alpha - l * f.beta,
-                             l * f.delta - m * f.gamma) - lam // l
+        genus += slope_genus(*f.cap_slope(l, m)) - lam // l
     if genus < 1:
         raise InternalInvariantError(
             f"nonpositive genus {genus} for {params.pairs}")
@@ -266,22 +264,13 @@ def vertical_surfaces(presentation, structure=None):
     if structure is None:
         structure = homology_structure(presentation)
     evens = [i for i, a in enumerate(presentation.alphas) if a % 2 == 0]
-    if structure.case in (HomologyCase.TRIVIAL,
-                          HomologyCase.CYCLIC_VERTICAL):
-        return []
     reports = []
-    for a in range(len(evens)):
-        for b in range(a + 1, len(evens)):
-            i, j = evens[a], evens[b]
+    for n, i in enumerate(evens):
+        for j in evens[n + 1:]:
             genus = sum(n_genus(LensCurve(presentation.fibers[x].alpha,
                                           presentation.fibers[x].beta))
                         for x in (i, j))
-            if structure.case is HomologyCase.KLEIN_FOUR:
-                cls = Z2Class(tuple(1 if x in (i, j) else 0
-                                    for x in range(3)))
-            else:
-                cls = structure.nonzero_classes[0]
             reports.append(SurfaceReport(
                 VERTICAL, VerticalSurface((i + 1, j + 1)), None, genus,
-                cls))
+                structure.class_off(3 - i - j)))
     return reports

@@ -233,6 +233,17 @@ class TestScan:
         assert {row["class"]: row["gap"] for row in rows} == \
             {"110": "", "101": "", "011": ""}
 
+    def test_byte_order_mark(self, capsys, tmp_path):
+        # A leading UTF-8 byte-order mark is not part of the first line.
+        line = b"S2((2,-1),(3,1),(2*n,1)) | n=4..5\n"
+        outputs = []
+        for content in (line, b"\xef\xbb\xbf" + line):
+            spec = tmp_path / "fam.txt"
+            spec.write_bytes(content)
+            outputs.append(run(capsys, "scan", str(spec)))
+        assert outputs[0][0] == 0 and outputs[0][1].count("\n") == 3
+        assert outputs[1] == outputs[0]
+
     def test_header_only_for_empty_grid(self, capsys, tmp_path):
         spec = tmp_path / "fam.txt"
         spec.write_text("S2((2,-1),(3,1),(2*n,1)) | n=9..8\n")

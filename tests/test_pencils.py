@@ -95,19 +95,6 @@ def _eventual_floor(num, den):
     return num.a // den.a
 
 
-def _reference_constant_pair(twok, second):
-    g = gcd(second.a, twok)
-    best = None
-    for r in range(twok):
-        if (r - second.b) % g != 0 or gcd(r, twok) != 1:
-            continue
-        val = n_genus(LensCurve(twok, r))
-        best = val if best is None else min(best, val)
-    if best is None:
-        return None
-    return TailCertificate((), 0, 2 * best, None)
-
-
 def reference_tail(first, second):
     thresholds = [0]
 
@@ -118,12 +105,10 @@ def reference_tail(first, second):
         thresholds.append(t)
         return True
 
-    if first.a < 0 or (first.a == 0 and first.b < 0):
-        first, second = _neg(first), _neg(second)
     if first.a == 0:
-        if first.b == 0:
-            return None
-        return _reference_constant_pair(first.b, second)
+        return None
+    if first.a < 0:
+        first, second = _neg(first), _neg(second)
     if not need(Lin(first.a, first.b - 1)):
         return None
 
@@ -250,16 +235,10 @@ class TestCertifiedTail:
                                                   cert.t_min + 50)]
         assert all(x <= y for x, y in zip(values, values[1:]))
 
-    def test_constant_first_entry(self):
-        # (4, 2t + 1): residues 1 and 3 mod 4 both give N(4, q) = 2.
-        cert = certified_tail(Lin(0, 4), Lin(2, 1))
-        assert cert is not None
-        assert cert.bound_at(0) == 2
-        for t in range(40):
-            assert n_genus(LensCurve(4, 2 * t + 1)) >= cert.bound_at(t)
-
     def test_degenerate_pencils(self):
         assert certified_tail(Lin(0, 0), Lin(2, 1)) is None
+        # A constant first form: slope_pencil never builds one.
+        assert certified_tail(Lin(0, 4), Lin(2, 1)) is None
 
     def test_negative_slopes_flip(self):
         cert_pos = certified_tail(Lin(4, 2), Lin(2, 1))

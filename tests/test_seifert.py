@@ -3,6 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -58,6 +59,26 @@ class TestCompleteMatrix:
         for t in range(-5, 6):
             s = m.shifted(t)
             assert s.alpha * s.delta - s.beta * s.gamma == 1
+
+    def test_cap_slope_contract(self):
+        # The fiber pair caps with the meridian, the map keeps the gcd
+        # of a slope (the sweeps' coprimality test reads the cap slope),
+        # and a change of completion moves q by a multiple of 2k, which
+        # leaves N unchanged.
+        slopes = [(l, m) for l in range(-6, 7) for m in range(-6, 7)
+                  if (l, m) != (0, 0)]
+        for alpha in range(2, 13):
+            for beta in range(-alpha, alpha + 1):
+                if gcd(alpha, beta) != 1:
+                    continue
+                fiber = complete_matrix(alpha, beta)
+                assert fiber.cap_slope(*fiber.pair) == (0, 1)
+                for l, m in slopes:
+                    twok, q = fiber.cap_slope(l, m)
+                    assert gcd(twok, q) == gcd(l, m)
+                    for t in (-2, 1, 3):
+                        assert fiber.shifted(t).cap_slope(l, m) == \
+                            (twok, q - t * twok)
 
 
 class TestPresentation:
@@ -122,6 +143,8 @@ class TestHomologyStructure:
         assert h.case is HomologyCase.KLEIN_FOUR
         assert {c.parities for c in h.nonzero_classes} == \
             {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
+        assert [h.class_off(k).parities for k in range(3)] == \
+            [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
     def test_trivial_odd_beta_sum(self):
         h = homology_structure(M((3, 1), (5, 1), (7, 1)))

@@ -8,8 +8,12 @@ PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each
 pair runs ``perfbench/run.py --workload W --seed SEED --seconds S
 --trace 0`` once in each checkout, one seed per pair (K, K+1, ...), and
 the side that runs first alternates from pair to pair, so that a slow
-or fast phase of the host falls on both sides alike.  Nothing but
-``perfbench/run.py`` and its last line of output is used.
+or fast phase of the host falls on both sides alike.  Every run gets a
+fresh, empty ``PYTHONPYCACHEPREFIX`` directory with bytecode writing on:
+Python then reads and writes ``.pyc`` files only there, so each run
+compiles its modules once and reuses them alike, whatever
+``__pycache__`` a checkout holds.  Nothing but ``perfbench/run.py`` and
+its last line of output is used.
 
 The output holds, for each workload and end-to-end metric, the medians
 of the two sides over the pairs, the change in percent, the parent's
@@ -27,6 +31,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 RUN_TIMEOUT_S = 600
@@ -38,8 +43,12 @@ def run_once(checkout, workload, seed, seconds):
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds),
                "--trace", "0"]
-    proc = subprocess.run(command, cwd=checkout, capture_output=True,
-                          text=True, timeout=RUN_TIMEOUT_S)
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONDONTWRITEBYTECODE"}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        proc = subprocess.run(command, cwd=checkout, capture_output=True,
+                              text=True, timeout=RUN_TIMEOUT_S, env=env)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr[-2000:])
         return None
