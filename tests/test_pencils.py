@@ -235,10 +235,23 @@ class TestCertifiedTail:
                                                   cert.t_min + 50)]
         assert all(x <= y for x, y in zip(values, values[1:]))
 
+    def test_constant_first_entry(self):
+        # A constant first form gets no certificate: slope_pencil's
+        # first form has slope alpha*step with alpha >= 2 and |step| = 2,
+        # so the search never builds one.
+        for first in (Lin(0, 4), Lin(0, -4), Lin(0, 2)):
+            assert certified_tail(first, Lin(2, 1)) is None
+        for alpha in range(2, 14):
+            for beta in range(-alpha + 1, alpha):
+                if gcd(alpha, beta) != 1:
+                    continue
+                fiber = complete_matrix(alpha, beta)
+                for step in (2, -2):
+                    first, _ = slope_pencil(fiber, 3, 1, step)
+                    assert first.a == alpha * step
+
     def test_degenerate_pencils(self):
         assert certified_tail(Lin(0, 0), Lin(2, 1)) is None
-        # A constant first form: slope_pencil never builds one.
-        assert certified_tail(Lin(0, 4), Lin(2, 1)) is None
 
     def test_negative_slopes_flip(self):
         cert_pos = certified_tail(Lin(4, 2), Lin(2, 1))
