@@ -176,7 +176,7 @@ def _cmd_scan(args):
     families = parse_scan_file(text)
     # A template error on any line ends the scan before an instance runs.
     check_families(families)
-    rows = [row for template, grid in families
+    rows = [row for _, template, grid in families
             for row in family_scan(template, grid, budget)]
     _write_out(args, csv_text(rows))
     return 0

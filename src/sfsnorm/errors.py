@@ -16,10 +16,12 @@ class LensCurveError(SfsNormError):
 
 
 class NotationSyntaxError(SfsNormError):
-    """Malformed presentation string.  Carries the 0-based offset."""
+    """Malformed presentation string.  Carries the 0-based offset, or None
+    for an error that is not at one offset of a string."""
 
-    def __init__(self, message, position):
-        super().__init__(f"syntax error at position {position}: {message}")
+    def __init__(self, message, position=None):
+        where = "" if position is None else f" at position {position}"
+        super().__init__(f"syntax error{where}: {message}")
         self.position = position
 
 

@@ -24,9 +24,10 @@ import ast
 import csv
 import io
 import re
+from contextlib import contextmanager
 from functools import lru_cache
 
-from .errors import NotationSyntaxError, PresentationError
+from .errors import NotationSyntaxError, PresentationError, SfsNormError
 from .notation import GRAMMARS, INTEGER, Cursor, canonical_form, \
     detect_notation, read_presentation
 
@@ -48,7 +49,8 @@ _LITERAL_SLOT = re.compile(INTEGER)
 
 
 def parse_scan_file(text):
-    """One family per line: ``template | var=lo..hi | var=lo..hi ...``"""
+    """One family per line: ``template | var=lo..hi | var=lo..hi ...``,
+    as (line number, template, grid) triples.  An error names its line."""
     families = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -56,23 +58,33 @@ def parse_scan_file(text):
             continue
         fields = [field.strip() for field in line.split("|")]
         template, grid = fields[0], []
-        for field in fields[1:]:
-            if "=" not in field or ".." not in field:
-                raise NotationSyntaxError(
-                    f"line {lineno}: expected 'var=lo..hi', got "
-                    f"{field!r}", lineno)
-            name, span = field.split("=", 1)
-            lo, hi = span.split("..", 1)
-            name = name.strip()
-            if not (name.isidentifier() and name.isascii()):
-                raise NotationSyntaxError(
-                    f"line {lineno}: bad variable name {name!r}", lineno)
-            if any(name == seen for seen, _, _ in grid):
-                raise NotationSyntaxError(
-                    f"line {lineno}: variable {name!r} ranged twice", lineno)
-            grid.append((name, lo.strip(), hi.strip()))
-        families.append((template, grid))
+        with _on_line(lineno):
+            for field in fields[1:]:
+                if "=" not in field or ".." not in field:
+                    raise NotationSyntaxError(
+                        f"expected 'var=lo..hi', got {field!r}")
+                name, span = field.split("=", 1)
+                lo, hi = span.split("..", 1)
+                name = name.strip()
+                if not (name.isidentifier() and name.isascii()):
+                    raise NotationSyntaxError(f"bad variable name {name!r}")
+                if any(name == seen for seen, _, _ in grid):
+                    raise NotationSyntaxError(
+                        f"variable {name!r} ranged twice")
+                grid.append((name, lo.strip(), hi.strip()))
+        families.append((lineno, template, grid))
     return families
+
+
+@contextmanager
+def _on_line(lineno):
+    """Prefix the message of an error raised inside with ``line N:``,
+    keeping its type, so the exit code stays the same."""
+    try:
+        yield
+    except SfsNormError as err:
+        err.args = (f"line {lineno}: {err}",)
+        raise
 
 
 def _clip(text):
@@ -212,10 +224,12 @@ def instances(template, grid):
 
 def check_families(families):
     """Raise the first template error of ``families``, as ``instances``
-    would raise it, holding one instance text at a time."""
-    for template, grid in families:
-        for _ in instances(template, grid):
-            pass
+    would raise it with its line named, holding one instance text at a
+    time.  ``families`` are the triples of ``parse_scan_file``."""
+    for lineno, template, grid in families:
+        with _on_line(lineno):
+            for _ in instances(template, grid):
+                pass
 
 
 def class_rows(report):

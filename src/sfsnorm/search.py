@@ -58,12 +58,16 @@ Case 1 also bounds the caps before it prices them: N >= 1 for every cap
 slope but the meridian, which the slope (lam, m_j) gives only when lam =
 a_j.  That floor of one per off-meridian cap prunes the case-1 degree
 loop, the outer sweep and each inner sweep.
-Every enumerator is a plain call that prices each candidate into the
-search state as it finds it, so the bounds the sweeps prune against are
-always current, whether they run inside ``compute_norms`` or on their
-own, and returns the list of candidates it priced.  Pricing is one
-existence check and one integer genus count per candidate, against the
-homology structure the state holds for the presentation.
+``_sweep`` is a generator: it owns every step of a sweep direction and
+yields only the coefficients that survive its floors and the exact
+check.  Every enumerator is a plain call whose loops price each yielded
+candidate into the search state before the sweep takes its next step,
+so the bounds the sweeps prune against are always current, whether they
+run inside ``compute_norms`` or on their own; case 1 nests its inner
+sweep in the loop over the outer one.  Each enumerator returns the list
+of candidates it priced.  Pricing is one existence check and one
+integer genus count per candidate, against the homology structure the
+state holds for the presentation.
 """
 
 from __future__ import annotations
@@ -237,21 +241,29 @@ def _price(presentation, state, params, out):
     out.append(params)
 
 
-def _sweep(state, cls, lam, base, legs, center, window, visit):
+def _sweep(state, cls, lam, base, legs, center, window):
     """Certified outward coefficient sweep at degree ``lam``, both ways.
 
-    The sweep parameter mu runs from ``center`` in steps of 2 and from
-    ``center - 2`` in steps of -2 while it stays within ``window`` of the
-    center.  Each leg ``(fiber, offset, sign)`` is a slope of coefficient
-    ``offset + sign*mu`` on that fiber, and a candidate at mu costs at
-    least ``base`` plus the N of its legs.  At every mu that
-    ``_visit_step`` does not rule out it calls ``visit(mu)``, which
-    prices what it finds into ``state``.  At every step t >= the largest
-    ``t_min`` of the legs' pencil certificates, a direction stops once
-    ``base`` plus their N bounds at t, which hold at every later step,
-    exceed the bound of ``cls``.  A direction that runs out of window
-    instead marks ``cls`` capped.  The steps before t_min go through
-    ``_lead_steps``.
+    A generator of the coefficients mu worth pricing.  mu runs from
+    ``center`` in steps of 2 and from ``center - 2`` in steps of -2 while
+    it stays within ``window`` of the center.  Each leg ``(fiber, offset,
+    sign)`` is a slope of coefficient ``offset + sign*mu`` on that fiber,
+    and a candidate at mu costs at least ``base`` plus the N of its legs.
+    Steps before the largest ``t_min`` of the legs' pencil certificates
+    are bisected left-first: a span is dropped when ``base`` plus the
+    legs' ``lead_floor`` over it exceeds the bound of ``cls``, and a span
+    of at most ``LEAD_SPAN`` steps is stepped through, skipping each step
+    that the same floor rules out on its own, which spares most steps of
+    a tall sweep their coprimality test.  Every other step, and every
+    step from t_min on, is yielded when ``_worth_pricing`` holds.
+    From t_min on a direction stops once ``base`` plus the legs' N bounds
+    at t, which hold at every later step, exceed the bound of ``cls``.
+    A direction that runs out of window instead marks ``cls`` capped.
+
+    The bound of ``cls`` is read afresh at every check, so what the
+    caller prices between two yields prunes the rest of the sweep.
+    Callers drain the generator: the capped mark is set only when a
+    direction ends, so a sweep abandoned early would flag nothing.
     """
     for step in (2, -2):
         mu0 = center if step > 0 else center - 2
@@ -263,9 +275,23 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
             else inf
         steps = (window - abs(mu0 - center)) // 2 + 1  # mu within window
         lead = min(t_min, steps)
-        _lead_steps(state, cls, base, pencils, mu0, step, lead, visit)
+        spans = [(0, lead - 1)] if lead > 0 else []
+        while spans:
+            t0, t1 = spans.pop()
+            if _lead_bound(base, pencils, t0, t1) > state.need(cls):
+                continue
+            if t1 - t0 >= LEAD_SPAN:
+                mid = (t0 + t1) // 2
+                spans.append((mid + 1, t1))
+                spans.append((t0, mid))
+                continue
+            for t in range(t0, t1 + 1):
+                if _lead_bound(base, pencils, t, t) <= state.need(cls) \
+                        and _worth_pricing(state, cls, base, pencils, t):
+                    yield mu0 + step * t
         for t in range(lead, steps):
-            _visit_step(state, cls, base, pencils, t, mu0 + step * t, visit)
+            if _worth_pricing(state, cls, base, pencils, t):
+                yield mu0 + step * t
             bound = base
             for cert in certs:
                 bound += cert.bound_at(t)
@@ -275,33 +301,6 @@ def _sweep(state, cls, lam, base, legs, center, window, visit):
             state.capped.add(cls)
 
 
-def _lead_steps(state, cls, base, pencils, mu0, step, end, visit):
-    """Steps 0..end-1 of one ``_sweep`` direction, in order.
-
-    The steps are bisected left-first.  A span is dropped when ``base``
-    plus the legs' ``lead_floor`` over it exceeds the bound of ``cls``,
-    read afresh at each span.  A span of at most ``LEAD_SPAN`` steps is
-    stepped through, skipping each step that the same floor rules out on
-    its own.  ``_visit_step`` then checks each remaining step's exact N,
-    but the per-step floor still spares most steps of a tall sweep their
-    coprimality test.
-    """
-    spans = [(0, end - 1)] if end > 0 else []
-    while spans:
-        t0, t1 = spans.pop()
-        if _lead_bound(base, pencils, t0, t1) > state.need(cls):
-            continue
-        if t1 - t0 >= LEAD_SPAN:
-            mid = (t0 + t1) // 2
-            spans.append((mid + 1, t1))
-            spans.append((t0, mid))
-            continue
-        for t in range(t0, t1 + 1):
-            if _lead_bound(base, pencils, t, t) <= state.need(cls):
-                _visit_step(state, cls, base, pencils, t, mu0 + step * t,
-                            visit)
-
-
 def _lead_bound(base, pencils, t0, t1):
     total = base
     for first, second in pencils:
@@ -309,8 +308,8 @@ def _lead_bound(base, pencils, t0, t1):
     return total
 
 
-def _visit_step(state, cls, base, pencils, t, mu, visit):
-    """Call ``visit(mu)`` unless step ``t`` is ruled out before pricing.
+def _worth_pricing(state, cls, base, pencils, t):
+    """Whether step ``t`` survives the checks that need no pricing.
 
     Each leg's pencil gives its cap slope (2k, q) at step t.  The step is
     ruled out when a cap slope is not coprime (one search ``gcd`` call
@@ -325,16 +324,16 @@ def _visit_step(state, cls, base, pencils, t, mu, visit):
             for first, second in pencils]
     for twok, q in caps:
         if gcd(twok, q) != 1:
-            return
+            return False
     best = state.need(cls)
     total = base
     for twok, q in caps:
         if twok % 2 != 0:
-            return
+            return False
         total += slope_genus(twok, q)
         if total > best:
-            return
-    visit(mu)
+            return False
+    return True
 
 
 def enumerate_case3(presentation, budget=None, state=None):
@@ -380,16 +379,14 @@ def enumerate_case3(presentation, budget=None, state=None):
                 p += 1
                 continue
             total = -p * fi.beta  # mu_j + mu_k
-
-            def visit(mu_j):
+            for mu_j in _sweep(state, cls, lam, base,
+                               ((fj, 0, 1), (fk, total, -1)),
+                               _parity_center(total // 2, fj.beta), window):
                 pairs = [None, None, None]
                 pairs[i] = fi.pair
                 pairs[j] = (lam, mu_j)
                 pairs[k] = (lam, total - mu_j)
                 _price(presentation, state, PHParams(tuple(pairs)), out)
-
-            _sweep(state, cls, lam, base, ((fj, 0, 1), (fk, total, -1)),
-                   _parity_center(total // 2, fj.beta), window, visit)
             p += 1
     return out
 
@@ -436,23 +433,17 @@ def enumerate_case1(presentation, budget=None, state=None):
         if lam > degree_cap:
             state.capped.add(cls)
             break
-        outer_base = lam - 1 + floor2 + floor3
+        center1 = _parity_center(_round_half_even(lam * f1.beta, f1.alpha),
+                                 f1.beta)
         center2 = _parity_center(_round_half_even(lam * f2.beta, f2.alpha),
                                  f2.beta)
-
-        def visit(mu1):
-            def price(mu2):
+        for mu1 in _sweep(state, cls, lam, lam - 1 + floor2 + floor3,
+                          ((f1, 0, 1),), center1, window):
+            n1 = n_genus(LensCurve(*f1.cap_slope(lam, mu1)))
+            for mu2 in _sweep(state, cls, lam, lam - 1 + n1,
+                              ((f2, 0, 1), (f3, -mu1, -1)), center2, window):
                 _price(presentation, state, PHParams(
                     ((lam, mu1), (lam, mu2), (lam, -mu1 - mu2))), out)
-
-            n1 = n_genus(LensCurve(*f1.cap_slope(lam, mu1)))
-            _sweep(state, cls, lam, lam - 1 + n1,
-                   ((f2, 0, 1), (f3, -mu1, -1)), center2, window, price)
-
-        _sweep(state, cls, lam, outer_base, ((f1, 0, 1),),
-               _parity_center(_round_half_even(lam * f1.beta, f1.alpha),
-                              f1.beta),
-               window, visit)
         lam += 2
     return out
 

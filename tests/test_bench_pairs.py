@@ -1,0 +1,66 @@
+"""The summary of ``tools/bench_pairs.py``, on synthetic runs.
+
+The tool runs the benchmark in two checkouts; its medians and its claim
+sentence are plain functions of the runs, checked here without running
+anything.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+def load_tool_module():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pair(parent, change):
+    return {"parent": {"wall_s": parent}, "change": {"wall_s": change}}
+
+
+RUNS = [pair(1.0, 0.9), pair(1.2, 1.0), pair(1.1, 1.3), pair(1.3, 1.0)]
+
+
+def test_medians():
+    tool = load_tool_module()
+    m = tool.medians(RUNS)["wall_s"]
+    assert m["parent_median"] == 1.15 and m["change_median"] == 1.0
+    assert m["change_pct"] == -13.0
+    assert m["change_lower_pairs"] == 3 and m["change_higher_pairs"] == 1
+    assert m["parent_iqr"] == pytest.approx(0.25)  # exclusive quartiles
+    assert tool.medians([]) == {}
+
+
+def test_claim_text():
+    tool = load_tool_module()
+    workloads = {"mix": {"pairs": len(RUNS), "medians": tool.medians(RUNS)}}
+    assert tool.claim_text(workloads, "mix:wall_s") == (
+        "wall_s on mix against the parent: -13.0% in the median, lower in "
+        "3 of 4 pairs, against a parent interquartile range of 21.7%")
+    with pytest.raises(ValueError, match="reports no peak_rss_mb"):
+        tool.claim_text(workloads, "mix:peak_rss_mb")
+    empty = {"mix": {"pairs": 0, "medians": tool.medians([])}}
+    with pytest.raises(ValueError, match="no pair of mix completed"):
+        tool.claim_text(empty, "mix:wall_s")
+
+
+def test_claim_without_pairs_is_one_line_error(tmp_path, monkeypatch,
+                                               capsys):
+    tool = load_tool_module()
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    failed = [{"seed": 1, "first": "parent", "failed": ["change"]}]
+    monkeypatch.setattr(tool, "run_pairs", lambda *args: ([], failed))
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                   "--workload", "mix", "--pairs", "1", "--claim",
+                   "mix:wall_s"])
+    assert exit_info.value.code == "error: --claim mix:wall_s: no pair of " \
+        "mix completed"

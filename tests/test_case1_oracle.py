@@ -1,22 +1,29 @@
-"""Brute-force box oracle for the all-odd (case 1) search.
+"""Brute-force box oracles for the pruned search.
 
 A case-1 candidate has three slopes (lam, m1), (lam, m2), (lam, -m1-m2)
-of one odd degree lam.  The oracle lists every such triple in a box and
-prices each surface that exists, with no pruning and no certificates.
-Every box surface is a real surface, so the pruned search may never
-report a larger minimum than the box holds.
+of one odd degree lam.  ``brute_case1`` lists every such triple in a
+box, and ``brute_norms`` every candidate of every shape, each leg either
+its fiber pair or of the box's degree.  Both price each surface that
+exists, with no pruning and no certificates.  Every box surface is a
+real surface, so the pruned search may never report a larger minimum
+than the box holds.
 """
 
 import random
+from collections import Counter
+from itertools import product
 from math import gcd
 
 from sfsnorm.errors import PresentationError
 from sfsnorm.search import _SearchState, compute_norms, enumerate_case1
-from sfsnorm.seifert import SeifertPresentation, homology_structure
-from sfsnorm.surfaces import PHParams, ph_exists, ph_genus
+from sfsnorm.seifert import HomologyCase, SeifertPresentation, \
+    homology_structure
+from sfsnorm.surfaces import PHParams, ph_class, ph_exists, ph_genus, \
+    vertical_surfaces
 
 MAX_ALPHA = 9
 MU_MAX = 16
+MU_MAX_ALL = 12  # the coefficient half-width of the ``brute_norms`` box
 # Case-1 minima above degree 1 (genus 6 at degree 3, 6 and 8 at degree
 # 5), which a floor over-claimed by one prunes.
 HIGH_DEGREE = [SeifertPresentation.from_pairs(pairs) for pairs in (
@@ -44,6 +51,63 @@ def all_odd_presentations(count, seed):
         if homology_structure(m).nonzero_classes:
             found.append(m)
     return found
+
+
+def random_presentations(count, seed, max_alpha):
+    """Seeded presentations with every a_i <= max_alpha, of any case."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        pairs = []
+        for _ in range(3):
+            a = rng.randrange(2, max_alpha + 1)
+            b = rng.choice([b for b in range(-a + 1, a) if gcd(a, b) == 1])
+            pairs.append((a, b))
+        try:
+            found.append(SeifertPresentation.from_pairs(pairs))
+        except PresentationError:
+            continue
+    return found
+
+
+def brute_norms(presentation, lam_max, mu_max):
+    """Least genus per class label of the pseudo-vertical surfaces and of
+    every pseudo-horizontal candidate in a box, with no pruning.
+
+    At each degree lam <= lam_max each leg is either its fiber pair, when
+    a_i divides lam, or (lam, m) with |m| <= mu_max, except that the last
+    leg of the second kind is solved from the zero sum.
+    """
+    structure = homology_structure(presentation)
+    best = {}
+
+    def offer(cls, genus):
+        best[cls.label] = min(genus, best.get(cls.label, genus))
+
+    for report in vertical_surfaces(presentation, structure):
+        offer(report.z2class, report.genus)
+    fibers = presentation.fibers
+    for lam in range(1, lam_max + 1):
+        for legs in product(*([f.pair, None] if lam % f.alpha == 0
+                              else [None] for f in fibers)):
+            free = [i for i, leg in enumerate(legs) if leg is None]
+            if not free:
+                continue  # every slope its fiber pair: no surface
+            # sum m_i * lam / l_i over the legs that are fiber pairs
+            fixed = sum(f.beta * (lam // f.alpha)
+                        for f, leg in zip(fibers, legs) if leg is not None)
+            for ms in product(range(-mu_max, mu_max + 1),
+                              repeat=len(free) - 1):
+                pairs = list(legs)
+                for i, m in zip(free, ms + (-fixed - sum(ms),)):
+                    pairs[i] = (lam, m)
+                if any(gcd(l, m) != 1 for l, m in pairs):
+                    continue
+                params = PHParams(pairs)
+                if ph_exists(presentation, params):
+                    offer(ph_class(presentation, params, structure),
+                          ph_genus(presentation, params))
+    return best
 
 
 def brute_case1(presentation, lam_max, mu_max):
@@ -78,3 +142,26 @@ def test_pruned_search_never_exceeds_box():
         state = _SearchState(homology_structure(m))
         enumerate_case1(m, state=state)
         assert state.best[entry.z2class] <= box, m
+
+
+def test_pruned_search_never_exceeds_box_of_every_shape():
+    # Any box is sound.  Degrees up to 2g + 2 hold every case-3 and
+    # case-1 candidate of genus at most g, whose capped-cover part alone
+    # is at least lam / 2.
+    corpus = random_presentations(250, seed=7, max_alpha=8)
+    corpus += all_odd_presentations(20, seed=6)
+    cases = Counter()
+    for m in corpus:
+        report = compute_norms(m)
+        if not report.entries:
+            continue
+        cases[report.case] += len(report.entries)
+        box = brute_norms(m, 2 * max(e.min_genus for e in report.entries)
+                          + 2, MU_MAX_ALL)
+        for entry in report.entries:
+            assert entry.exhaustive
+            assert entry.min_genus <= box[entry.z2class.label], m
+    assert set(cases) == {HomologyCase.CYCLIC_TWO_EVEN,
+                          HomologyCase.KLEIN_FOUR,
+                          HomologyCase.CYCLIC_VERTICAL}
+    assert sum(cases.values()) >= 250

@@ -304,13 +304,24 @@ class TestScan:
          "unsupported arithmetic"),
         (b"S2((2,-1),(3,1),(__builtins__,1)) | __builtins__=8..8\n", 0,
          None),
+        (b"S2((2,-1),(3,1),(8,1))\n# a comment\n"
+         b"S2((2,-1),(3,1),(n,1) | n=4..5\nS2((2,-1),(3,1),(9,1))\n", 1,
+         "error: line 3: syntax error at position 21: expected ')'"),
+        (b"S2((2,-1),(3,1),(8,1))\n\nS2((2,-1),(3,1),(2*k,1)) | n=4..5\n",
+         2, "error: line 3: unbound variable 'k'"),
+        (b"S2((2,-1),(3,1),(8,1))\n"
+         b"S2((2,-1),(3,1),(8//(n-2),1)) | n=1..3\n", 2,
+         "error: line 2: division by zero in '8//(n-2)'"),
+        (b"S2((2,-1),(3,1),(8,1))\n\nS2((2,-1),(3,1),(n,1)) | n\n", 1,
+         "error: line 3: syntax error: expected 'var=lo..hi', got 'n'"),
     ], ids=["floor_div_slot", "parenthesised_slot", "hatcher_parentheses",
             "orlik_parentheses", "zero_range_bound", "zero_slot",
             "zero_slot_late", "unbound_name", "trailing_text",
             "unclosed_template", "not_utf8", "repeated_variable",
             "bad_second_line", "long_literal_line", "long_literal_slot",
             "non_ascii_name", "builtins_in_slot", "builtins_in_bound",
-            "bool_slot", "builtins_ranged"])
+            "bool_slot", "builtins_ranged", "template_line_3",
+            "unbound_line_3", "zero_slot_line_2", "bad_range_line_3"])
     def test_scan_file_defects(self, capsys, tmp_path, monkeypatch, content,
                                code, fragment):
         def refuse(*args):
@@ -328,6 +339,7 @@ class TestScan:
         else:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert fragment in err and "Traceback" not in err
+            assert err.count("line ") <= 1
 
 
 class TestUsage:

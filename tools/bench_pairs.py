@@ -114,9 +114,15 @@ def medians(runs):
 
 
 def claim_text(workloads, claim):
+    """The claim sentence for ``WORKLOAD:METRIC``; ValueError when that
+    workload completed no pair or reports no such metric."""
     workload, metric = claim.split(":", 1)
-    m = workloads[workload]["medians"][metric]
     pairs = workloads[workload]["pairs"]
+    if not pairs:
+        raise ValueError(f"--claim {claim}: no pair of {workload} completed")
+    if metric not in workloads[workload]["medians"]:
+        raise ValueError(f"--claim {claim}: {workload} reports no {metric}")
+    m = workloads[workload]["medians"][metric]
     iqr_pct = 100.0 * m["parent_iqr"] / m["parent_median"]
     return (f"{metric} on {workload} against the parent: "
             f"{m['change_pct']:+.1f}% in the median, lower in "
@@ -160,8 +166,12 @@ def main(argv=None):
                                "medians": medians(runs),
                                "runs": runs,
                                "failed_runs": failed}
+    try:
+        claim = claim_text(workloads, args.claim) if args.claim else None
+    except ValueError as err:
+        sys.exit(f"error: {err}")
     result = {
-        "claim": claim_text(workloads, args.claim) if args.claim else None,
+        "claim": claim,
         "command": "python3 perfbench/run.py --workload W --seed S "
                    "--seconds N --trace 0",
         "seconds": {workload: args.seconds for workload in args.workload},
