@@ -20,22 +20,31 @@ l_3 relative to the covering degree:
   which is asserted on every emitted candidate.
 
 The sweeps are infinite a priori.  Termination is by branch and bound,
-and every skip and stop in this module uses one bound: the least genus
-already offered to the class a loop feeds, of either kind
-(``_SearchState.need``).  A candidate is skipped only when it is shown to
-cost more than that, so it could be neither a new minimum nor a witness,
-and ties are still priced, so every kind that reaches the minimum is
-recorded.  Every candidate under a skipped case-1 outer step costs more
-than the bound too, so its inner sweep is not run and marks no class
-capped.  No output moves with the pruning.
-The capped-cover part of the genus prunes the degree loops, and every
-outward coefficient sweep, the one of case 3 and both of case 1, runs
-through ``_sweep``.  Its one stop rule is a slope-pencil certificate
-(exact Euclid on linear forms, see ``pencils``), whose N bound holds at
-every step from its threshold t_min on: a direction stops once that
-bound proves every further candidate exceeds the bound.  A sweep that
-instead hits the hard window cap marks its class non-exhaustive;
-nothing is silently dropped.
+and every skip and stop in this module compares a lower bound on what
+it would leave out against one bound per class (``_SearchState.need``):
+the least genus already offered to the class, of either kind, or two
+less once a pseudo-horizontal surface reaches it.  Every surface of one
+class of one presentation has the same genus parity, because
+chi(F) = <w^3, [M]> (mod 2) depends on the class of F alone, so below
+the best genus the next that can occur is two less.  A further tie
+with a horizontal best changes no output: not the minimum, not the
+witness (the first surface offered at the best genus), not the kinds
+that reach it and neither per-kind minimum.  Until a horizontal
+surface reaches the best, ties are priced, so one that ties a vertical
+surface is recorded.  A candidate is left out only when its lower bound
+exceeds the bound, so no output moves with the pruning, but a check
+that over-claimed N by one could drop a minimum.  For the same reason a
+sweep or loop that is skipped, or that stops, on the bound owes its
+class no capped mark: what it leaves out costs more than the bound, so
+by parity it is no cheaper than the best, and at the best it would only
+tie a horizontal surface already found.
+Every outward coefficient sweep, the one of case 3 and both of case 1,
+runs through ``_sweep``.  Its one stop rule is a slope-pencil
+certificate (exact Euclid on linear forms, see ``pencils``), whose N
+bound holds at every step from its threshold t_min on: a direction
+stops once that bound proves every further candidate exceeds the bound.
+A sweep that instead hits the hard window cap marks its class
+non-exhaustive; nothing is silently dropped.
 Before t_min no certificate holds, but the leading continued-fraction
 digit a0 of a cap slope (2k, q) still gives N >= ceil(a0/2), and on a
 span of steps where the integer part of q/2k stays fixed that floor
@@ -49,15 +58,23 @@ step is priced only when its base plus those N is at most the bound.
 In case 3 and the case-1 inner sweep that sum is the candidate's exact
 genus (case 3's pinned fiber caps with the meridian, N = 0); in the
 case-1 outer sweep it is the lower bound its inner sweep is pruned by.
-Every surface offered to one class of one presentation has the same
-genus parity, because chi(F) = <w^3, [M]> (mod 2) depends on the class
-of F alone.  So a check that over-claimed N by 1 or 2 would still drop
-only surfaces no cheaper than the best; an over-claim of 3 can drop a
-minimum.
-Case 1 also bounds the caps before it prices them: N >= 1 for every cap
-slope but the meridian, which the slope (lam, m_j) gives only when lam =
-a_j.  That floor of one per off-meridian cap prunes the case-1 degree
-loop, the outer sweep and each inner sweep.
+The capped-cover part of the genus prunes the degree loops.  A case-3
+candidate of degree p*a_i costs p*(a_i - 1) + N_j + N_k, and
+N_j + N_k >= 1: two meridian caps would give the slopes b_j/a_j and
+b_k/a_k, and the zero-sum identity would then make the Euler sum zero.
+So the loop stops once p*(a_i - 1) alone reaches the bound.
+Case 1 bounds its caps the same way: N >= 1 for every cap slope but the
+meridian, which the slope (lam, m_j) gives only when lam = a_j.  That
+floor of one per off-meridian cap prunes the case-1 degree loop, the
+outer sweep and each inner sweep.
+``compute_norms`` offers the pseudo-vertical surfaces first, then runs
+case 4, case 1 and case 3, in that order.  On an all-odd presentation
+the low degrees of case 1 usually hold the minimum, and case 3's degree
+loop then mostly stops at p = 2: on S2((19,-16),(19,-1),(25,-23)) the
+best genus is 15 after case 1 but 61 after case 3.  On the all-odd
+ladder S2((a,2),(a+2,5),(a-2,-3)) the search prices 4 candidates and
+makes 13,689 search ``gcd`` calls at a = 61, and 517,708 calls in about
+1.8 s at a = 121.
 ``_sweep`` is a generator: it owns every step of a sweep direction and
 yields only the coefficients that survive its floors and the exact
 check.  Every enumerator is a plain call whose loops price each yielded
@@ -142,6 +159,7 @@ class _SearchState:
     ``best[cls]`` is the least genus offered, ``witness[cls]`` the first
     report offered at that genus and ``kinds[cls]`` the set of kinds that
     reach it; ``capped`` holds the classes whose sweeps hit a cap.
+    ``need(cls)`` is the bound every skip and stop compares against.
     """
 
     def __init__(self, structure):
@@ -152,7 +170,12 @@ class _SearchState:
         self.capped = set()
 
     def need(self, cls):
-        return self.best.get(cls, inf)
+        best = self.best.get(cls, inf)
+        if HORIZONTAL in self.kinds.get(cls, ()):
+            # A further tie changes nothing, and by genus parity the
+            # next genus that can matter is two below.
+            return best - 2
+        return best
 
     def offer(self, report):
         cls, genus = report.z2class, report.genus
@@ -344,7 +367,8 @@ def enumerate_case3(presentation, budget=None, state=None):
     free coefficient mu_j sweeps outward from the balanced center with
     mu_k determined by the zero-sum identity.  Parity prunes most p; the
     degree loop stops when the capped-cover genus p*(a_i - 1) alone
-    reaches the best genus known for the class this sweep represents.
+    reaches the bound of the class this sweep represents, since the two
+    swept caps add N_j + N_k >= 1.
     Each candidate is priced into ``state`` (a fresh one when omitted) as
     it is found, so the bounds prune the rest of the search, and the list
     of candidates priced is returned.
@@ -369,6 +393,8 @@ def enumerate_case3(presentation, budget=None, state=None):
         while True:
             lam = p * fi.alpha
             base = lam - p
+            # The swept caps add N_j + N_k >= 1: two meridian caps would
+            # make the Euler sum zero.
             if base >= state.need(cls):
                 break
             if lam > degree_cap:
@@ -400,12 +426,12 @@ def enumerate_case1(presentation, budget=None, state=None):
     mu_2.  A candidate costs lam - 1 + N_1 + N_2 + N_3, and N_j >= 1
     unless the cap slope on fiber j is the meridian, which needs lam =
     a_j; the three caps are never all meridians.  With these floors the
-    degree loop stops once lam - 1 plus the floors (at least 1) reaches
-    the best genus, a bound that never falls as lam grows; the outer
-    sweep's certificate counts the floors of the two inner legs; and the
-    inner sweep at mu_1 is skipped when lam - 1 + N_1 plus those floors
-    exceeds the best genus.  Candidates are priced into ``state`` as in
-    ``enumerate_case3``.
+    degree loop stops once lam - 1 plus the floors (at least 1) exceeds
+    the bound of the class, a lower bound that never falls as lam grows;
+    the outer sweep's certificate counts the floors of the two inner
+    legs; and the inner sweep at mu_1 is skipped when lam - 1 + N_1 plus
+    those floors exceeds the bound.  Candidates are priced into
+    ``state`` as in ``enumerate_case3``.
     """
     from .lens import n_genus
 
@@ -428,7 +454,7 @@ def enumerate_case1(presentation, budget=None, state=None):
         # N_j >= 1 unless lam == a_j, and the three caps are never all
         # meridians.  The bound at lam + 2 is at least its largest value
         # here, so the break covers every higher degree too.
-        if lam - 1 + max(1, floor1 + floor2 + floor3) >= state.need(cls):
+        if lam - 1 + max(1, floor1 + floor2 + floor3) > state.need(cls):
             break
         if lam > degree_cap:
             state.capped.add(cls)
@@ -452,9 +478,10 @@ def compute_norms(presentation, budget=None):
     """Minimal genus, witness and norm for every nonzero Z/2 class.
 
     Pseudo-vertical surfaces seed the bounds, then the finite
-    distinct-multiplicity candidates, then the sweeps.  Every class of
-    the homology structure is guaranteed a representative; a class whose
-    sweep hit a window cap without certification is flagged
+    distinct-multiplicity candidates, then the case-1 sweeps, whose low
+    degrees bound case 3 on all-odd presentations, then case 3.  Every
+    class of the homology structure is guaranteed a representative; a
+    class whose sweep hit a window cap without certification is flagged
     non-exhaustive.
     """
     if not isinstance(presentation, SeifertPresentation):
@@ -469,8 +496,8 @@ def compute_norms(presentation, budget=None):
             state.offer(report)
         # The enumerators price into ``state`` themselves.
         enumerate_case4(presentation, state)
-        enumerate_case3(presentation, budget, state)
         enumerate_case1(presentation, budget, state)
+        enumerate_case3(presentation, budget, state)
     entries = []
     for cls in structure.nonzero_classes:
         if cls not in state.witness:

@@ -3,10 +3,10 @@
 A case-1 candidate has three slopes (lam, m1), (lam, m2), (lam, -m1-m2)
 of one odd degree lam.  ``brute_case1`` lists every such triple in a
 box, and ``brute_norms`` every candidate of every shape, each leg either
-its fiber pair or of the box's degree.  Both price each surface that
-exists, with no pruning and no certificates.  Every box surface is a
-real surface, so the pruned search may never report a larger minimum
-than the box holds.
+its fiber pair or of the box's degree (``box_surfaces``).  Both price
+each surface that exists, with no pruning and no certificates.  Every
+box surface is a real surface, so the pruned search may never report a
+larger minimum than the box holds.
 """
 
 import random
@@ -70,22 +70,17 @@ def random_presentations(count, seed, max_alpha):
     return found
 
 
-def brute_norms(presentation, lam_max, mu_max):
-    """Least genus per class label of the pseudo-vertical surfaces and of
-    every pseudo-horizontal candidate in a box, with no pruning.
+def box_surfaces(presentation, lam_max, mu_max):
+    """Class and genus of each pseudo-vertical surface and of every
+    pseudo-horizontal candidate in a box that exists, with no pruning.
 
     At each degree lam <= lam_max each leg is either its fiber pair, when
     a_i divides lam, or (lam, m) with |m| <= mu_max, except that the last
     leg of the second kind is solved from the zero sum.
     """
     structure = homology_structure(presentation)
-    best = {}
-
-    def offer(cls, genus):
-        best[cls.label] = min(genus, best.get(cls.label, genus))
-
     for report in vertical_surfaces(presentation, structure):
-        offer(report.z2class, report.genus)
+        yield report.z2class, report.genus
     fibers = presentation.fibers
     for lam in range(1, lam_max + 1):
         for legs in product(*([f.pair, None] if lam % f.alpha == 0
@@ -105,8 +100,15 @@ def brute_norms(presentation, lam_max, mu_max):
                     continue
                 params = PHParams(pairs)
                 if ph_exists(presentation, params):
-                    offer(ph_class(presentation, params, structure),
-                          ph_genus(presentation, params))
+                    yield (ph_class(presentation, params, structure),
+                           ph_genus(presentation, params))
+
+
+def brute_norms(presentation, lam_max, mu_max):
+    """Least genus per class label over ``box_surfaces``."""
+    best = {}
+    for cls, genus in box_surfaces(presentation, lam_max, mu_max):
+        best[cls.label] = min(genus, best.get(cls.label, genus))
     return best
 
 

@@ -314,7 +314,8 @@ TALL = SeifertPresentation.from_pairs([(2, -1), (3, 1), (800, 1)])
 def test_search_pencils_hold_from_t_min(monkeypatch):
     # A sweep stops on its certificates alone, so every pencil the
     # search builds must keep its digit prefix and N bound from t_min on.
-    corpus = presentations_by_case(5, seed=1) + [ALL_ODD]
+    corpus = presentations_by_case(5, seed=1) + \
+        presentations_by_case(5, seed=3, max_alpha=30) + [ALL_ODD]
     pencils = search_pencils(monkeypatch, corpus)
     assert len(pencils) >= 300
     checked = sum(check_certificate(first, second, horizon=40)

@@ -10,6 +10,7 @@ import pytest
 
 import sfsnorm.search
 import sfsnorm.surfaces
+import test_case1_oracle as oracle
 from sfsnorm.errors import PresentationError
 from sfsnorm.report import norm_report_from_json
 from sfsnorm.scan import SCAN_CSV_HEADER, class_rows
@@ -35,6 +36,7 @@ M_238 = M((2, -1), (3, 1), (8, 1))
 M_PRISM6 = M((2, -1), (2, 1), (6, 1))
 M_ODD = M((3, 2), (5, 2), (7, 4))  # all multiplicities odd: case 1 runs
 M_ODD_TALL = M((31, 2), (33, 5), (29, -3))  # genus 10, at degree 1
+M_ODD_PINNED3 = M((9, -4), (3, 1), (7, 1))  # genus 7, at degree 1
 
 
 def random_presentations(count, seed, max_alpha=12):
@@ -191,11 +193,17 @@ class TestComputeNorms:
     @pytest.mark.parametrize("m, budget, genus, exhaustive, case1_capped", [
         (M_ODD, SearchBudget(), 4, True, False),
         (M_ODD, SearchBudget(mu_window=2), 4, False, True),
-        # The N floors close the case-1 degree loop at degree 3
-        # (3 - 1 + 3 >= 4) before the cap binds; case 3 still hits it.
-        (M_ODD, SearchBudget(lambda_cap=1), 4, False, False),
+        # Case 1 finds genus 4 at degree 1, so the bound is 2: its N
+        # floors close the degree loop at degree 3 (3 - 1 + 3 > 2) and
+        # case 3 breaks at p = 2 (2 * (3 - 1) > 2), both before the cap.
+        (M_ODD, SearchBudget(lambda_cap=1), 4, True, False),
         (M_ODD_TALL, SearchBudget(lambda_cap=1), 10, False, True),
-    ], ids=["default", "mu_window", "lambda_cap", "lambda_cap_binds"])
+        # Case 1 closes at degree 5 (5 - 1 + 3 > 5), but case 3 with the
+        # fiber (3, 1) pinned reaches p = 2 (2 * (3 - 1) <= 5), whose
+        # degree 6 is past the cap.
+        (M_ODD_PINNED3, SearchBudget(lambda_cap=3), 7, False, False),
+    ], ids=["default", "mu_window", "lambda_cap", "lambda_cap_binds",
+            "lambda_cap_case3"])
     def test_case1_cap_sets_flag(self, m, budget, genus, exhaustive,
                                  case1_capped):
         report = compute_norms(m, budget)
@@ -370,6 +378,7 @@ class TestInvariants:
         monkeypatch.setattr(sfsnorm.search, "slope_genus", lambda *args: 0)
         corpus = random_presentations(300, seed=41)
         corpus += random_presentations(60, seed=42, max_alpha=60)
+        corpus += random_presentations(200, seed=44, max_alpha=100)
         corpus += [m for m in random_presentations(500, seed=43,
                                                    max_alpha=25)
                    if all(f.alpha % 2 for f in m.fibers)]
@@ -408,6 +417,7 @@ class TestExactCheck:
     def corpus():
         corpus = random_presentations(120, seed=61)
         corpus += random_presentations(30, seed=62, max_alpha=40)
+        corpus += random_presentations(100, seed=64, max_alpha=100)
         corpus += [m for m in random_presentations(300, seed=63,
                                                    max_alpha=21)
                    if all(f.alpha % 2 for f in m.fibers)]
@@ -428,9 +438,12 @@ class TestExactCheck:
 
     def test_one_genus_parity_per_class(self, monkeypatch):
         # chi(F) = <w^3, [M]> mod 2 depends on the class of F alone, so
-        # every surface offered to one class has the same genus parity.
-        # So a check that over-claimed N by 1 or 2 would move no output;
-        # an over-claim of 3 can drop a minimum.
+        # every surface of one class has the same genus parity.  The
+        # search leans on it: once a horizontal surface reaches the best
+        # genus of a class, it prunes against two below, so a check that
+        # over-claimed N by 1 can drop a minimum.  The search offers
+        # only what its pruning keeps, so the box surfaces of the
+        # oracle, which nothing prunes, are checked too.
         offer, offers = _SearchState.offer, []
 
         def recording_offer(state, report):
@@ -450,14 +463,25 @@ class TestExactCheck:
             offers.clear()
         assert count >= 7500
         assert mixed == []
+        box = 0
+        for m in oracle.random_presentations(40, seed=71, max_alpha=8) + \
+                oracle.all_odd_presentations(10, seed=72):
+            parities = {}
+            for cls, genus in oracle.box_surfaces(m, 16, oracle.MU_MAX_ALL):
+                parities.setdefault(cls, set()).add(genus % 2)
+                box += 1
+            mixed += [(m, cls) for cls, seen in parities.items()
+                      if len(seen) > 1]
+        assert box >= 5000
+        assert mixed == []
 
     @pytest.mark.parametrize("a, genus, gcd_calls, report_limit", [
-        (31, 10, 2142, 30),
-        (61, 18, 28096, 50),
+        (31, 10, 428, 30),
+        (61, 18, 13689, 50),
     ], ids=["ladder_31", "ladder_61"])
     def test_ladder_prices_few_steps(self, monkeypatch, a, genus, gcd_calls,
                                      report_limit):
-        # The check prices 13 and 23 of these ladder candidates, where
+        # The check prices 4 of these ladder candidates each, where
         # pricing every coprime step took 704 and 9,370.  It adds and
         # drops no step, so the gcd calls are those of the sweeps alone.
         calls, reports = [], []
