@@ -39,22 +39,22 @@ class no capped mark: what it leaves out costs more than the bound, so
 by parity it is no cheaper than the best, and at the best it would only
 tie a horizontal surface already found.
 Every outward coefficient sweep, the one of case 3 and both of case 1,
-runs through ``_sweep``.  Its one stop rule is a slope-pencil
-certificate (exact Euclid on linear forms, see ``pencils``), whose N
-bound holds at every step from its threshold t_min on: a direction
-stops once that bound proves every further candidate exceeds the bound.
-A sweep that instead hits the hard window cap marks its class
-non-exhaustive; nothing is silently dropped.
-Before t_min no certificate holds, but the leading continued-fraction
-digit a0 of a cap slope (2k, q) still gives N >= ceil(a0/2), and on a
-span of steps where the integer part of q/2k stays fixed that floor
-holds for the whole span (``pencils.lead_floor``).  The sweep bisects
-its steps before t_min and skips every span and step whose floor
-prices it above the bound.
-A step that survives these floors, before or after t_min, is checked
-once more before it is priced.  Each leg's cap slope at that step is
-two ints, whose exact N ``slope_genus`` reads from a cache, and the
-step is priced only when its base plus those N is at most the bound.
+runs through ``_sweep``.  Each of its legs, a cap slope moving with the
+swept coefficient, has a slope-pencil certificate (exact Euclid on
+linear forms, see ``pencils``) whose N bound holds at every step from
+the leg's own threshold t_min on.  A sweep direction bisects its steps
+left-first and stops at the first span where its base plus the bounds
+of the legs past their t_min, which hold at every later step, exceed
+the bound.  A direction that runs out of window instead marks its class
+non-exhaustive, unless that sum at the window's end already excludes
+every step beyond it; nothing is silently dropped.
+Other spans are dropped on the leading continued-fraction digit a0 of
+each cap slope (2k, q): N >= ceil(a0/2), and on a span where the
+integer part of q/2k stays fixed that floor holds throughout
+(``pencils.lead_floor``).  A single step that survives is checked once
+more before it is priced: each leg's cap slope at that step is two
+ints, whose exact N ``slope_genus`` reads from a cache, and the step is
+priced only when its base plus those N is at most the bound.
 In case 3 and the case-1 inner sweep that sum is the candidate's exact
 genus (case 3's pinned fiber caps with the meridian, N = 0); in the
 case-1 outer sweep it is the lower bound its inner sweep is pruned by.
@@ -73,8 +73,8 @@ the low degrees of case 1 usually hold the minimum, and case 3's degree
 loop then mostly stops at p = 2: on S2((19,-16),(19,-1),(25,-23)) the
 best genus is 15 after case 1 but 61 after case 3.  On the all-odd
 ladder S2((a,2),(a+2,5),(a-2,-3)) the search prices 4 candidates and
-makes 13,689 search ``gcd`` calls at a = 61, and 517,708 calls in about
-1.8 s at a = 121.
+makes 3,399 search ``gcd`` calls at a = 61 and 77,801 in about 0.5 s at
+a = 121.
 ``_sweep`` is a generator: it owns every step of a sweep direction and
 yields only the coefficients that survive its floors and the exact
 check.  Every enumerator is a plain call whose loops price each yielded
@@ -116,10 +116,6 @@ from .surfaces import (
 )
 
 log = logging.getLogger(__name__)
-
-# Spans before t_min of at most this many steps are stepped through.
-LEAD_SPAN = 8
-
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -272,18 +268,15 @@ def _sweep(state, cls, lam, base, legs, center, window):
     it stays within ``window`` of the center.  Each leg ``(fiber, offset,
     sign)`` is a slope of coefficient ``offset + sign*mu`` on that fiber,
     and a candidate at mu costs at least ``base`` plus the N of its legs.
-    Steps before the largest ``t_min`` of the legs' pencil certificates
-    are bisected left-first: a span is dropped when ``base`` plus the
-    legs' ``lead_floor`` over it exceeds the bound of ``cls``, and a span
-    of at most ``LEAD_SPAN`` steps is stepped through, skipping each step
-    that the same floor rules out on its own, which spares most steps of
-    a tall sweep their coprimality test.  Every other step, and every
-    step from t_min on, is yielded when ``_worth_pricing`` holds.
-    From t_min on a direction stops once ``base`` plus the legs' N bounds
-    at t, which hold at every later step, exceed the bound of ``cls``.
-    A direction that runs out of window instead marks ``cls`` capped.
+    Each direction pops spans [t0, t1] of steps left-first, starting from
+    two split at the least ``t_min`` of the legs' certificates.  It stops
+    once ``_certified_bound`` at t0, a bound at every later step, exceeds
+    the bound of ``cls``, drops a span whose ``_lead_bound`` does, halves
+    a longer span and yields a single step when ``_worth_pricing`` holds.
+    A direction that runs out of spans marks ``cls`` capped unless
+    ``_certified_bound`` at the window's end exceeds the bound.
 
-    The bound of ``cls`` is read afresh at every check, so what the
+    The bound of ``cls`` is read afresh at every span, so what the
     caller prices between two yields prunes the rest of the sweep.
     Callers drain the generator: the capped mark is set only when a
     direction ends, so a sweep abandoned early would flag nothing.
@@ -292,36 +285,37 @@ def _sweep(state, cls, lam, base, legs, center, window):
         mu0 = center if step > 0 else center - 2
         pencils = [slope_pencil(fiber, lam, offset + sign * mu0, sign * step)
                    for fiber, offset, sign in legs]
-        certs = [certified_tail(*pencil) for pencil in pencils]
-        # Without a certificate on every leg the direction never stops early.
-        t_min = max(cert.t_min for cert in certs) if None not in certs \
-            else inf
+        certs = [cert for cert in (certified_tail(*pencil)
+                                   for pencil in pencils) if cert is not None]
         steps = (window - abs(mu0 - center)) // 2 + 1  # mu within window
-        lead = min(t_min, steps)
-        spans = [(0, lead - 1)] if lead > 0 else []
+        onset = min([steps] + [cert.t_min for cert in certs])
+        # Popped first: [0, onset), where no leg is certified yet.
+        spans = [(t0, t1) for t0, t1 in ((onset, steps - 1), (0, onset - 1))
+                 if t0 <= t1]
         while spans:
             t0, t1 = spans.pop()
-            if _lead_bound(base, pencils, t0, t1) > state.need(cls):
-                continue
-            if t1 - t0 >= LEAD_SPAN:
-                mid = (t0 + t1) // 2
-                spans.append((mid + 1, t1))
-                spans.append((t0, mid))
-                continue
-            for t in range(t0, t1 + 1):
-                if _lead_bound(base, pencils, t, t) <= state.need(cls) \
-                        and _worth_pricing(state, cls, base, pencils, t):
-                    yield mu0 + step * t
-        for t in range(lead, steps):
-            if _worth_pricing(state, cls, base, pencils, t):
-                yield mu0 + step * t
-            bound = base
-            for cert in certs:
-                bound += cert.bound_at(t)
-            if bound > state.need(cls):
+            need = state.need(cls)
+            if _certified_bound(base, certs, t0) > need:
                 break
+            if _lead_bound(base, pencils, t0, t1) > need:
+                continue
+            if t0 < t1:
+                mid = (t0 + t1) // 2
+                spans += [(mid + 1, t1), (t0, mid)]
+            elif _worth_pricing(state, cls, base, pencils, t0):
+                yield mu0 + step * t0
         else:
-            state.capped.add(cls)
+            if _certified_bound(base, certs, steps) <= state.need(cls):
+                state.capped.add(cls)
+
+
+def _certified_bound(base, certs, t):
+    """``base`` plus the N bound at t of each leg whose t_min is <= t."""
+    total = base
+    for cert in certs:
+        if cert.t_min <= t:
+            total += cert.bound_at(t)
+    return total
 
 
 def _lead_bound(base, pencils, t0, t1):

@@ -39,13 +39,17 @@ def complete_matrix(alpha, beta):
 
 
 def _check_fiber_pair(alpha, beta):
+    _check_multiplicity(alpha)
+    if gcd(alpha, beta) != 1:
+        raise PresentationError(
+            f"fiber pair ({alpha}, {beta}) is not coprime")
+
+
+def _check_multiplicity(alpha):
     if alpha < 2:
         raise PresentationError(
             f"fiber multiplicity must be at least 2, got alpha={alpha} "
             "(alpha < 2 degenerates to a lens space)")
-    if gcd(alpha, beta) != 1:
-        raise PresentationError(
-            f"fiber pair ({alpha}, {beta}) is not coprime")
 
 
 # Fields of the frozen classes below are set once, in their ``__init__``.
@@ -62,7 +66,8 @@ class FiberMatrix:
     delta: int
 
     def __init__(self, alpha, beta, gamma, delta):
-        _check_fiber_pair(alpha, beta)
+        # A determinant of 1 already makes (alpha, beta) coprime.
+        _check_multiplicity(alpha)
         det = alpha * delta - beta * gamma
         if det != 1:
             raise PresentationError(

@@ -305,6 +305,25 @@ def search_pencils(monkeypatch, corpus):
     return pencils
 
 
+def search_directions(monkeypatch, corpus):
+    """The leg pencils of every sweep direction ``compute_norms`` runs on
+    ``corpus``, one list per direction."""
+    directions = []
+    sweep = sfsnorm.search._sweep
+
+    def recording(state, cls, lam, base, legs, center, window):
+        for step in (2, -2):
+            mu0 = center if step > 0 else center - 2
+            directions.append([
+                slope_pencil(fiber, lam, offset + sign * mu0, sign * step)
+                for fiber, offset, sign in legs])
+        return sweep(state, cls, lam, base, legs, center, window)
+    monkeypatch.setattr(sfsnorm.search, "_sweep", recording)
+    for m in corpus:
+        compute_norms(m)
+    return directions
+
+
 # All-odd: case 1 sweeps it at the degrees 1, 3, 5 and 7.
 ALL_ODD = SeifertPresentation.from_pairs([(31, 2), (33, 5), (29, -3)])
 # Criterion 4, genus 399: nearly all its sweep steps lie before t_min.
@@ -391,3 +410,41 @@ def test_search_pencils_lead_floor_before_t_min(monkeypatch):
                     assert floor <= n, (first, second, t0, t1, t)
                     compared += 1
     assert compared >= 100000
+
+
+def test_certified_bound_holds_from_each_onset(monkeypatch):
+    # A sweep direction stops at step t once its base plus the bound at
+    # t of each leg certified by t exceeds the class bound, so that sum
+    # with base 0 must stay at or below the legs' exact N sum at t and at
+    # every later step where each leg is a slope.  The steps next to each
+    # onset are sampled.  A search pencil seldom over-claims one step
+    # before its onset (none of about 669,000 with alpha < 30, lam < 40
+    # does), so one pencil that does is added: at t = 2, one step early,
+    # its bound is 2 and N(-2, -1) is 1.
+    corpus = presentations_by_case(5, seed=2) + [ALL_ODD, TALL]
+    directions = search_directions(monkeypatch, corpus)
+    assert len(directions) >= 250
+    directions.append([(Lin(36, -74), Lin(24, -49))])
+    rng = random.Random(11)
+    compared = 0
+    for pencils in directions:
+        certs = [cert for cert in (certified_tail(*pencil)
+                                   for pencil in pencils)
+                 if cert is not None]
+        onsets = [cert.t_min for cert in certs]
+        steps = {t for onset in onsets for t in (onset - 1, onset, onset + 1)}
+        steps |= {rng.randrange(max(onsets, default=0) + 40)
+                  for _ in range(6)}
+        steps = sorted(t for t in steps if t >= 0)
+        exact = {}
+        for t in steps:
+            ns = [slope_n(first, second, t) for first, second in pencils]
+            if None not in ns:
+                exact[t] = sum(ns)
+        for i, t in enumerate(steps):
+            bound = sfsnorm.search._certified_bound(0, certs, t)
+            for later in steps[i:]:
+                if later in exact:
+                    assert bound <= exact[later], (pencils, t, later)
+                    compared += 1
+    assert compared >= 8000

@@ -11,6 +11,7 @@ import pytest
 import sfsnorm.search
 import sfsnorm.surfaces
 import test_case1_oracle as oracle
+from test_pencils import presentations_by_case
 from sfsnorm.errors import PresentationError
 from sfsnorm.report import norm_report_from_json
 from sfsnorm.scan import SCAN_CSV_HEADER, class_rows
@@ -24,7 +25,11 @@ from sfsnorm.search import (
     enumerate_case4,
     family_scan,
 )
-from sfsnorm.seifert import SeifertPresentation, homology_structure
+from sfsnorm.seifert import (
+    HomologyCase,
+    SeifertPresentation,
+    homology_structure,
+)
 from sfsnorm.surfaces import PHParams, ph_exists, ph_genus
 
 
@@ -192,7 +197,10 @@ class TestComputeNorms:
 
     @pytest.mark.parametrize("m, budget, genus, exhaustive, case1_capped", [
         (M_ODD, SearchBudget(), 4, True, False),
-        (M_ODD, SearchBudget(mu_window=2), 4, False, True),
+        # At the window's end the legs' certificates already bound every
+        # later step above the class bound, so no sweep caps the class.
+        (M_ODD, SearchBudget(mu_window=2), 4, True, False),
+        (M_ODD_TALL, SearchBudget(mu_window=2), 10, False, True),
         # Case 1 finds genus 4 at degree 1, so the bound is 2: its N
         # floors close the degree loop at degree 3 (3 - 1 + 3 > 2) and
         # case 3 breaks at p = 2 (2 * (3 - 1) > 2), both before the cap.
@@ -202,8 +210,8 @@ class TestComputeNorms:
         # fiber (3, 1) pinned reaches p = 2 (2 * (3 - 1) <= 5), whose
         # degree 6 is past the cap.
         (M_ODD_PINNED3, SearchBudget(lambda_cap=3), 7, False, False),
-    ], ids=["default", "mu_window", "lambda_cap", "lambda_cap_binds",
-            "lambda_cap_case3"])
+    ], ids=["default", "mu_window", "mu_window_binds", "lambda_cap",
+            "lambda_cap_binds", "lambda_cap_case3"])
     def test_case1_cap_sets_flag(self, m, budget, genus, exhaustive,
                                  case1_capped):
         report = compute_norms(m, budget)
@@ -379,12 +387,22 @@ class TestInvariants:
         corpus = random_presentations(300, seed=41)
         corpus += random_presentations(60, seed=42, max_alpha=60)
         corpus += random_presentations(200, seed=44, max_alpha=100)
+        corpus += random_presentations(100, seed=45, max_alpha=200)
+        corpus += random_presentations(200, seed=48, max_alpha=100)
         corpus += [m for m in random_presentations(500, seed=43,
                                                    max_alpha=25)
                    if all(f.alpha % 2 for f in m.fibers)]
+        corpus += presentations_by_case(300, seed=46)
+        # Only a Klein-four presentation has more than one nonzero
+        # class, so only there can a candidate land in another class.
+        klein = 0
         for m in corpus:
+            before = len(priced)
             compute_norms(m)
+            if homology_structure(m).case is HomologyCase.KLEIN_FOUR:
+                klein += len(priced) - before
         assert len(priced) >= 8000
+        assert klein >= 300
         assert [p for p in priced if p[0] != p[1]] == []
 
 
@@ -420,6 +438,8 @@ class TestExactCheck:
         corpus += random_presentations(100, seed=64, max_alpha=100)
         corpus += [m for m in random_presentations(300, seed=63,
                                                    max_alpha=21)
+                   + random_presentations(600, seed=65, max_alpha=100)
+                   + random_presentations(800, seed=66, max_alpha=100)
                    if all(f.alpha % 2 for f in m.fibers)]
         corpus += [M((2, -1), (3, 1), (2 * n, 1)) for n in (5, 40, 100)]
         corpus += [ladder(a) for a in (19, 31)]
@@ -476,8 +496,8 @@ class TestExactCheck:
         assert mixed == []
 
     @pytest.mark.parametrize("a, genus, gcd_calls, report_limit", [
-        (31, 10, 428, 30),
-        (61, 18, 13689, 50),
+        (31, 10, 159, 30),
+        (61, 18, 3399, 50),
     ], ids=["ladder_31", "ladder_61"])
     def test_ladder_prices_few_steps(self, monkeypatch, a, genus, gcd_calls,
                                      report_limit):
@@ -536,9 +556,10 @@ class TestWorkCounts:
     def test_lead_floors_skip_before_t_min(self, monkeypatch, pairs, genus,
                                            gcd_limit, report_limit):
         # Almost every step of these sweeps lies before t_min, where the
-        # leading-digit floors price it above the class best.  They make
-        # 363 and 1,463 gcd calls and 2 pricings each; stepping through
-        # took 79,974 and 1,284,740 gcd calls and 20,346 and
+        # leading-digit floors of whole spans price it above the class
+        # best, and each leg's certificate stops its sweep from its own
+        # t_min on.  They make no gcd call and 2 pricings each; stepping
+        # through took 79,974 and 1,284,740 gcd calls and 20,346 and
         # 324,378 pricings.
         calls, reports = [], []
         self.record(monkeypatch, sfsnorm.search, "gcd", calls)
@@ -556,13 +577,11 @@ class TestWorkCounts:
     ], ids=["all_odd", "tall_two_even"])
     def test_case1_floors_bound_sweep_steps(self, monkeypatch, pairs, genus,
                                             limit):
-        # The sweeps make the search's gcd calls, at least one a step.
-        # The N floors of case 1 and a sweep that stops on its pencil
-        # certificates alone hold these cases to 2,142 and 4,933 calls
-        # (88 for the second once the steps before t_min are skipped on
-        # their leading-digit floors); a run of 8 confirming steps
-        # before each stop made 4,668 and 6,444, and without the floors
-        # the first case made 16,822.
+        # The sweeps make the search's gcd calls, at least one for each
+        # step they do not rule out by a floor or a certificate.  The N
+        # floors of case 1, the leading-digit floors of whole spans and
+        # the certificate of each leg from its own t_min on hold these
+        # cases to 159 and 0 calls.
         calls = []
         self.record(monkeypatch, sfsnorm.search, "gcd", calls)
         report = compute_norms(M(*pairs))

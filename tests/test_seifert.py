@@ -9,6 +9,7 @@ import pytest
 
 from sfsnorm.errors import PresentationError
 from sfsnorm.seifert import (
+    FiberMatrix,
     HomologyCase,
     SeifertPresentation,
     Z2Class,
@@ -53,6 +54,12 @@ class TestCompleteMatrix:
             complete_matrix(1, 1)
         with pytest.raises(PresentationError):
             complete_matrix(4, 2)
+        # The constructor checks the multiplicity and the determinant,
+        # which rules out a pair that is not coprime.
+        with pytest.raises(PresentationError, match="at least 2"):
+            FiberMatrix(1, 1, 0, 1)
+        with pytest.raises(PresentationError, match="determinant 2"):
+            FiberMatrix(4, 2, 1, 1)
 
     def test_shifted_completion_is_valid(self):
         m = complete_matrix(5, 3)
