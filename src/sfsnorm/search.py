@@ -58,6 +58,10 @@ priced only when its base plus those N is at most the bound.
 In case 3 and the case-1 inner sweep that sum is the candidate's exact
 genus (case 3's pinned fiber caps with the meridian, N = 0); in the
 case-1 outer sweep it is the lower bound its inner sweep is pruned by.
+Case 4 has no sweep but prunes on the same exact genus: with two fibers
+pinned to their pairs, each candidate's existence and genus are a few
+integer tests and one ``slope_genus``, and only a candidate that exists
+within the bound is priced.
 The capped-cover part of the genus prunes the degree loops.  A case-3
 candidate of degree p*a_i costs p*(a_i - 1) + N_j + N_k, and
 N_j + N_k >= 1: two meridian caps would give the slopes b_j/a_j and
@@ -84,7 +88,8 @@ run inside ``compute_norms`` or on their own; case 1 nests its inner
 sweep in the loop over the outer one.  Each enumerator returns the list
 of candidates it priced.  Pricing is one existence check and one
 integer genus count per candidate, against the homology structure the
-state holds for the presentation.
+state holds for the presentation: ``homology_structure`` returns one
+interned structure per parity key, so it builds nothing per call.
 """
 
 from __future__ import annotations
@@ -133,7 +138,12 @@ class SearchBudget:
     def __post_init__(self):
         for name in ("mu_window", "lambda_cap"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise PresentationError(
+                    f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise PresentationError(f"{name} must be positive")
 
     def window(self, presentation):
@@ -146,6 +156,10 @@ class SearchBudget:
         if self.lambda_cap is not None:
             return self.lambda_cap
         return 8 * sum(presentation.alphas) + 64
+
+
+# The budget of every call that passes none.
+_DEFAULT_BUDGET = SearchBudget()
 
 
 class _SearchState:
@@ -210,35 +224,54 @@ def enumerate_case4(presentation, state=None):
     """Candidates whose three slope multiplicities are strictly ordered.
 
     For each fiber pair (i, j) with a_i < a_j the two lower slopes are
-    the fiber pairs themselves and the remaining slope is the zero-sum
-    complement in lowest terms; the candidate survives when that slope
-    is strictly the largest and the existence conditions hold.  At most
-    six candidates, no sweep.  Each survivor is priced into ``state`` (a
-    fresh one when omitted), and the list of survivors is returned.
+    the fiber pairs themselves and the remaining slope (den, num) on
+    fiber k is the zero-sum complement in lowest terms, a candidate when
+    den > a_j.  At most six candidates, no sweep.  With two slopes
+    pinned, existence comes down to integers: a_i and a_j divide den
+    (either implies the other), which is then the degree, and den = a_k,
+    num = b_k (mod 2).  The genus of a candidate that exists is
+    1 + den - den/a_i - den/a_j plus the N of its cap slope on fiber k,
+    the pinned fibers capping with meridians.  A candidate is priced
+    only when it exists and that exact genus is at most the largest
+    bound over the presentation's classes, the same rule as a sweep's
+    exact check, so no output moves; pricing still checks existence on
+    its own.  Each priced candidate goes into ``state`` (a fresh one
+    when omitted), and their list is returned.
     """
     if state is None:
         state = _SearchState(homology_structure(presentation))
+    classes = state.structure.nonzero_classes
     fibers = presentation.fibers
     out = []
+    if not classes:
+        return out  # a surface represents a nonzero class
     for i in range(3):
         for j in range(3):
-            if i == j or not fibers[i].alpha < fibers[j].alpha:
+            fi, fj = fibers[i], fibers[j]
+            if i == j or not fi.alpha < fj.alpha:
                 continue
             k = 3 - i - j
+            fk = fibers[k]
             # rest = -(b_i/a_i + b_j/a_j) in lowest terms, den > 0.
-            num = -(fibers[i].beta * fibers[j].alpha
-                    + fibers[j].beta * fibers[i].alpha)
+            num = -(fi.beta * fj.alpha + fj.beta * fi.alpha)
             if num == 0:
                 continue
-            den = fibers[i].alpha * fibers[j].alpha
+            den = fi.alpha * fj.alpha
             g = math.gcd(num, den)  # not the sweeps' traced ``gcd``
             num, den = num // g, den // g
-            pairs = [None, None, None]
-            pairs[i] = fibers[i].pair
-            pairs[j] = fibers[j].pair
-            pairs[k] = (den, num)
-            if not fibers[j].alpha < den:
+            # a_j divides den exactly when a_i does: both fail exactly
+            # when a prime of gcd(a_i, a_j) cancels from the sum.
+            if not fj.alpha < den or den % fj.alpha or \
+                    (den - fk.alpha) % 2 or (num - fk.beta) % 2:
                 continue
+            genus = 1 + den - den // fi.alpha - den // fj.alpha + \
+                slope_genus(*fk.cap_slope(den, num))
+            if genus > max([state.need(cls) for cls in classes]):
+                continue
+            pairs = [None, None, None]
+            pairs[i] = fi.pair
+            pairs[j] = fj.pair
+            pairs[k] = (den, num)
             _price(presentation, state, PHParams(tuple(pairs)), out)
     return out
 
@@ -367,7 +400,7 @@ def enumerate_case3(presentation, budget=None, state=None):
     it is found, so the bounds prune the rest of the search, and the list
     of candidates priced is returned.
     """
-    budget = budget if budget is not None else SearchBudget()
+    budget = budget if budget is not None else _DEFAULT_BUDGET
     if state is None:
         state = _SearchState(homology_structure(presentation))
     structure = state.structure
@@ -429,7 +462,7 @@ def enumerate_case1(presentation, budget=None, state=None):
     """
     from .lens import n_genus
 
-    budget = budget if budget is not None else SearchBudget()
+    budget = budget if budget is not None else _DEFAULT_BUDGET
     fibers = presentation.fibers
     out = []
     if any(f.alpha % 2 == 0 for f in fibers):
@@ -480,7 +513,7 @@ def compute_norms(presentation, budget=None):
     """
     if not isinstance(presentation, SeifertPresentation):
         raise PresentationError(f"not a presentation: {presentation!r}")
-    budget = budget if budget is not None else SearchBudget()
+    budget = budget if budget is not None else _DEFAULT_BUDGET
     structure = homology_structure(presentation)
     state = _SearchState(structure)
     vertical = {}  # each class has at most one pseudo-vertical surface

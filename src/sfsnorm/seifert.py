@@ -239,11 +239,26 @@ def homology_structure(presentation):
     even alphas give Z/2, three give the Klein four group whose nonzero
     classes pair nontrivially with exactly the two h-curves of the
     corresponding even fibers.
+
+    Structures are interned: every presentation with the same parity
+    key (a1 % 2, a2 % 2, a3 % 2, (b1 + b2 + b3) % 2) gets the one
+    instance built the first time that key is met.
     """
-    alphas = presentation.alphas
-    evens = [i for i, a in enumerate(alphas) if a % 2 == 0]
+    f1, f2, f3 = presentation.fibers
+    key = (f1.alpha % 2, f2.alpha % 2, f3.alpha % 2,
+           (f1.beta + f2.beta + f3.beta) % 2)
+    try:
+        return _STRUCTURES[key]
+    except KeyError:
+        return _STRUCTURES.setdefault(key, _build_structure(key))
+
+
+def _build_structure(key):
+    """A new ``HomologyStructure`` for the parity key of
+    ``homology_structure``; callers want that function's interned one."""
+    evens = [i for i in range(3) if key[i] == 0]
     if len(evens) == 0:
-        if sum(presentation.betas) % 2 != 0:
+        if key[3] != 0:
             return HomologyStructure(HomologyCase.TRIVIAL, ())
         return HomologyStructure(HomologyCase.CYCLIC_VERTICAL,
                                  (VERTICAL_DUAL_CLASS,))
@@ -256,6 +271,10 @@ def homology_structure(presentation):
     return HomologyStructure(HomologyCase.KLEIN_FOUR,
                              (Z2Class((1, 1, 0)), Z2Class((1, 0, 1)),
                               Z2Class((0, 1, 1))))
+
+
+# The interned structures, keyed by parity key.
+_STRUCTURES = {}
 
 
 def to_orlik_normal_form(presentation):

@@ -6,6 +6,7 @@ anything.
 """
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,27 @@ def test_claim_without_pairs_is_one_line_error(tmp_path, monkeypatch,
                    "mix:wall_s"])
     assert exit_info.value.code == "error: --claim mix:wall_s: no pair of " \
         "mix completed"
+
+
+def test_runs_compile_from_source(tmp_path, monkeypatch):
+    # Each run writes no bytecode and looks for it only in a fresh, empty
+    # directory, so no __pycache__ of a checkout is read.
+    tool = load_tool_module()
+    seen = []
+
+    def fake_run(command, cwd, capture_output, text, timeout, env):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((env["PYTHONDONTWRITEBYTECODE"], cache,
+                     list(cache.iterdir())))
+        return subprocess.CompletedProcess(command, 0, '{"x": 1}\n', "")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path))
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    assert tool.run_once(str(tmp_path), "mix", 1, 1) == {"x": 1}
+    assert tool.run_once(str(tmp_path), "mix", 2, 1) == {"x": 1}
+    (flag1, cache1, held1), (flag2, cache2, held2) = seen
+    assert flag1 == flag2 == "1"
+    assert held1 == held2 == []
+    assert cache1 != cache2 and tmp_path not in (cache1, cache2)
+    assert not cache1.exists() and not cache2.exists()

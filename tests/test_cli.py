@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
+import sfsnorm.cli
 import sfsnorm.notation
 import sfsnorm.scan
 import sfsnorm.search
 from sfsnorm.cli import main
-from sfsnorm.errors import PresentationError
+from sfsnorm.errors import InternalInvariantError, PresentationError
 from sfsnorm.report import norm_report_from_json
 from sfsnorm.scan import SCAN_CSV_HEADER
 from sfsnorm.search import compute_norms
@@ -372,6 +373,25 @@ class TestUsage:
         code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
         assert code == 1 and err.startswith("error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("norm", "S2((2,-1),(3,1),(8,1))"),
+        ("norm", "S2((2,-1),(3,1),(8,1))", "--format", "json"),
+        ("scan", "{spec}"),
+    ], ids=["norm_text", "norm_json", "scan"])
+    def test_internal_error_exit_3(self, capsys, tmp_path, monkeypatch,
+                                   argv):
+        def broken(presentation, budget=None):
+            raise InternalInvariantError("class 101 ended with no "
+                                         "representative")
+        monkeypatch.setattr(sfsnorm.cli, "compute_norms", broken)
+        monkeypatch.setattr(sfsnorm.search, "compute_norms", broken)
+        spec = tmp_path / "fam.txt"
+        spec.write_text("S2((2,-1),(3,1),(8,1))\n")
+        code, out, err = run(capsys, *(a.format(spec=spec) for a in argv))
+        assert code == 3 and out == ""
+        assert err == "internal error: class 101 ended with no " \
+            "representative\n"
 
 
 # Expressions past the interpreter's limits: more digits than int() and

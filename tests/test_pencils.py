@@ -412,6 +412,45 @@ def test_search_pencils_lead_floor_before_t_min(monkeypatch):
     assert compared >= 100000
 
 
+def test_lead_bound_holds_past_each_onset(monkeypatch):
+    # From its onset, the least t_min of its legs, a sweep direction
+    # drops a span [t0, t1] once its base plus ``_lead_bound`` over the
+    # span exceeds the class bound, so that sum with base 0 must stay at
+    # or below the least exact N sum over the span's slope steps.  Spans
+    # of one step and longer ones are sampled at and past each onset.
+    # Past its onset no search direction was seen to meet that sum (none
+    # of about 2,700 directions, over all-odd presentations too), so one
+    # direction that does is added: N(2t + 2, 1) = t + 1 = ceil(a0/2).
+    corpus = presentations_by_case(5, seed=2) + [ALL_ODD, TALL]
+    directions = search_directions(monkeypatch, corpus)
+    assert len(directions) >= 250
+    directions.append([(Lin(2, 2), Lin(0, 1))])
+    rng = random.Random(13)
+    compared = tight = 0
+    for pencils in directions:
+        onsets = [cert.t_min for cert in (certified_tail(*pencil)
+                                          for pencil in pencils)
+                  if cert is not None]
+        if not onsets:
+            continue  # the direction runs to its window's end unstopped
+        onset = min(onsets)
+        starts = [onset, onset, onset + 1] + \
+            [onset + rng.randrange(80) for _ in range(12)]
+        for t0 in starts:
+            t1 = t0 + rng.choice((0, 0, 1, rng.randrange(2, 48)))
+            sums = []
+            for t in range(t0, t1 + 1):
+                ns = [slope_n(first, second, t) for first, second in pencils]
+                if None not in ns:
+                    sums.append(sum(ns))
+            if sums:
+                bound = sfsnorm.search._lead_bound(0, pencils, t0, t1)
+                assert bound <= min(sums), (pencils, t0, t1)
+                compared += 1
+                tight += bound == min(sums)
+    assert compared >= 2000 and tight >= 10, (compared, tight)
+
+
 def test_certified_bound_holds_from_each_onset(monkeypatch):
     # A sweep direction stops at step t once its base plus the bound at
     # t of each leg certified by t exceeds the class bound, so that sum

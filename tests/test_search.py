@@ -12,6 +12,7 @@ import sfsnorm.search
 import sfsnorm.surfaces
 import test_case1_oracle as oracle
 from test_pencils import presentations_by_case
+from test_surfaces import case4_complements
 from sfsnorm.errors import PresentationError
 from sfsnorm.report import norm_report_from_json
 from sfsnorm.scan import SCAN_CSV_HEADER, class_rows
@@ -30,7 +31,14 @@ from sfsnorm.seifert import (
     SeifertPresentation,
     homology_structure,
 )
-from sfsnorm.surfaces import PHParams, ph_exists, ph_genus
+from sfsnorm.surfaces import (
+    PHParams,
+    horizontal_report,
+    ph_class,
+    ph_exists,
+    ph_genus,
+    ph_obstruction,
+)
 
 
 def M(*pairs):
@@ -93,6 +101,57 @@ class TestCase4:
                 assert all(gcd(lam, mu) == 1 for lam, mu in p.pairs)
                 count += 1
         assert count >= 20
+
+    @staticmethod
+    def priced_within(m, bound, priced):
+        """Every candidate ``enumerate_case4`` hands to ``horizontal_report``
+        when every class bound stays at ``bound``: the state keeps the
+        bound and drops the offers.  ``priced`` is the recorded list."""
+        structure = homology_structure(m)
+        state = _SearchState(structure)
+        if bound < inf:
+            state.best = dict.fromkeys(structure.nonzero_classes, bound)
+        state.offer = lambda report: None
+        priced.clear()
+        out = enumerate_case4(m, state)
+        assert out == priced
+        return out
+
+    def test_prices_exactly_within_bound(self, monkeypatch):
+        # Case 4 decides existence and genus on integers before pricing:
+        # with no bound it prices exactly the complements that bound a
+        # surface, and with a finite bound exactly those of them whose
+        # genus is within it, ties included.
+        priced = []
+
+        def recording(m, params, structure):
+            priced.append(params)
+            return horizontal_report(m, params, structure)
+        monkeypatch.setattr(sfsnorm.search, "horizontal_report", recording)
+        bounded = 0
+        corpus = presentations_by_case(40, seed=23, max_alpha=30) + \
+            random_presentations(150, seed=24, max_alpha=40)
+        for m in corpus:
+            structure = homology_structure(m)
+            exist = [p for p in case4_complements(m)
+                     if ph_obstruction(m, p) is None]
+            assert self.priced_within(m, inf, priced) == exist, m
+            genus = {p: horizontal_report(m, p, structure).genus
+                     for p in exist}
+            for bound in {g + d for g in genus.values() for d in (-1, 0)}:
+                assert self.priced_within(m, bound, priced) == \
+                    [p for p in exist if genus[p] <= bound], (m, bound)
+                bounded += 1
+            # Pricing into a state that keeps its offers still reaches the
+            # least genus of each class.
+            state = _SearchState(structure)
+            enumerate_case4(m, state)
+            least = {}
+            for p in exist:
+                cls = ph_class(m, p, structure)
+                least[cls] = min(least.get(cls, inf), genus[p])
+            assert state.best == least, m
+        assert bounded >= 400
 
 
 class TestCase3:
@@ -295,8 +354,18 @@ class TestBudget:
         assert budget.window(M_238) == 64 * 8
 
     def test_validation(self):
-        with pytest.raises(PresentationError):
-            SearchBudget(mu_window=0)
+        # A bool is an int to Python: mu_window=True used to run as a
+        # window of 1.
+        for field in ("mu_window", "lambda_cap"):
+            for value, message in [
+                    (0, "must be positive"), (-3, "must be positive"),
+                    (2.5, "must be an integer"), (3.0, "must be an integer"),
+                    (True, "must be an integer"),
+                    (False, "must be an integer"),
+                    ("4", "must be an integer")]:
+                with pytest.raises(PresentationError, match=message):
+                    SearchBudget(**{field: value})
+            assert getattr(SearchBudget(**{field: 3}), field) == 3
 
 
 class TestCenters:

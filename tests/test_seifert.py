@@ -3,10 +3,12 @@
 import copy
 import pickle
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
+import sfsnorm.seifert as seifert
 from sfsnorm.errors import PresentationError
 from sfsnorm.seifert import (
     FiberMatrix,
@@ -173,8 +175,6 @@ class TestHomologyStructure:
         assert len(h.nonzero_classes) == 1
 
     def test_class_count_matches_parity_census(self):
-        from itertools import product
-        from math import gcd
         for alphas in product(range(2, 11), repeat=3):
             for betas in product((1, 2), repeat=3):
                 if any(gcd(a, b) != 1 for a, b in zip(alphas, betas)):
@@ -193,6 +193,33 @@ class TestHomologyStructure:
                     assert count == 0
                 else:
                     assert count == (1 if sum(betas) % 2 == 0 else 0)
+
+    def test_interned_per_parity_key(self, monkeypatch):
+        # One structure per key (a1, a2, a3, b1 + b2 + b3) mod 2, built
+        # the first time the key is met and equal to one built afresh.
+        # Three even alphas force three odd betas, so the key (0, 0, 0, 0)
+        # names no presentation; the builder is still checked on it.
+        monkeypatch.setattr(seifert, "_STRUCTURES", {})
+        interned = {}
+        for alphas in product(range(2, 8), repeat=3):
+            for betas in product((-1, 1, 2), repeat=3):
+                try:
+                    m = M(*zip(alphas, betas))
+                except PresentationError:
+                    continue
+                key = tuple(a % 2 for a in alphas) + (sum(betas) % 2,)
+                h = homology_structure(m)
+                assert h is interned.setdefault(key, h), key
+                assert homology_structure(m) is h
+        assert len(interned) == 15
+        for key in product((0, 1), repeat=4):
+            fresh = seifert._build_structure(key)
+            evens = key[:3].count(0)
+            expected = {0: 1 - key[3], 1: 0, 2: 1, 3: 3}[evens]
+            assert len(fresh.nonzero_classes) == expected, key
+            if key in interned:
+                assert fresh == interned[key] and fresh is not interned[key]
+                assert seifert._STRUCTURES[key] is interned[key]
 
 
 class TestZ2Class:

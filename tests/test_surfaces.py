@@ -1,5 +1,6 @@
 """Tests for pseudo-horizontal and pseudo-vertical surface machinery."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,7 +16,7 @@ from sfsnorm.errors import (
     PresentationError,
 )
 from sfsnorm.lens import LensCurve, n_genus, slope_genus
-from sfsnorm.search import compute_norms
+from sfsnorm.search import enumerate_case1, enumerate_case3, enumerate_case4
 from sfsnorm.seifert import (
     HomologyCase,
     SeifertPresentation,
@@ -425,17 +426,39 @@ def assert_priced_as_reference(presentation, params, structure):
     return None
 
 
+def case4_complements(presentation):
+    """Every triple of the case-4 shape, in the order ``enumerate_case4``
+    meets them: the fiber pairs of fibers i and j with a_i < a_j, and on
+    the third fiber their zero-sum complement, kept when its denominator
+    exceeds a_j.  Whether each bounds a surface is left open."""
+    fibers = presentation.fibers
+    for i, j in itertools.permutations(range(3), 2):
+        fi, fj = fibers[i], fibers[j]
+        if not fi.alpha < fj.alpha:
+            continue
+        rest = -(Fraction(fi.beta, fi.alpha) + Fraction(fj.beta, fj.alpha))
+        if rest == 0 or rest.denominator <= fj.alpha:
+            continue
+        pairs = [None, None, None]
+        pairs[i], pairs[j] = fi.pair, fj.pair
+        pairs[3 - i - j] = (rest.denominator, rest.numerator)
+        yield PHParams(pairs)
+
+
 class TestPricingKernel:
     """The integer pricing kernel against the object-based references."""
 
     def test_enumerated_candidates(self, monkeypatch):
         # Every candidate the enumerators price, accepted or not, checked
         # as it is priced, so a wrong price stops the search at once.
+        # Each enumerator runs from a fresh state, bounded by its own
+        # candidates only, so it prices more than behind the vertical
+        # surfaces of ``compute_norms``.
         outcomes = Counter()
         real = sfsnorm.search.horizontal_report
 
         def spy(presentation, params, structure=None):
-            assert structure == homology_structure(presentation)
+            assert structure is homology_structure(presentation)
             reason = assert_priced_as_reference(presentation, params,
                                                 structure)
             outcomes[structure.case, reason is None] += 1
@@ -443,8 +466,19 @@ class TestPricingKernel:
 
         monkeypatch.setattr(sfsnorm.search, "horizontal_report", spy)
         for m in seeded_presentations(75):
-            compute_norms(m)
-        # The case-1 sweeps visit only slopes that bound a surface.
+            enumerate_case4(m)
+            enumerate_case3(m)
+            enumerate_case1(m)
+            # Case 4 prices only the complements that bound a surface and
+            # rules the others out on integers, so those are checked here.
+            structure = homology_structure(m)
+            for params in case4_complements(m):
+                if assert_priced_as_reference(m, params,
+                                              structure) is not None:
+                    outcomes[structure.case, False] += 1
+        # The enumerators price only slopes that bound a surface, so the
+        # rejected ones are case-4 complements, none of them here on a
+        # cyclic-vertical presentation.
         for case in (HomologyCase.CYCLIC_VERTICAL,
                      HomologyCase.CYCLIC_TWO_EVEN, HomologyCase.KLEIN_FOUR):
             assert outcomes[case, True] >= 50, outcomes

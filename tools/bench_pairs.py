@@ -9,11 +9,12 @@ pair runs ``perfbench/run.py --workload W --seed SEED --seconds S
 --trace 0`` once in each checkout, one seed per pair (K, K+1, ...), and
 the side that runs first alternates from pair to pair, so that a slow
 or fast phase of the host falls on both sides alike.  Every run gets a
-fresh, empty ``PYTHONPYCACHEPREFIX`` directory with bytecode writing on:
-Python then reads and writes ``.pyc`` files only there, so each run
-compiles its modules once and reuses them alike, whatever
-``__pycache__`` a checkout holds.  Nothing but ``perfbench/run.py`` and
-its last line of output is used.
+fresh, empty ``PYTHONPYCACHEPREFIX`` directory and
+``PYTHONDONTWRITEBYTECODE=1``: Python then looks for ``.pyc`` files only
+in that empty directory and writes none, so every pass of every run
+compiles its modules from source, whatever ``__pycache__`` a checkout
+holds.  Nothing but ``perfbench/run.py`` and its last line of output is
+used.
 
 The output holds, for each workload and end-to-end metric, the medians
 of the two sides over the pairs, the change in percent, the parent's
@@ -43,8 +44,7 @@ def run_once(checkout, workload, seed, seconds):
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds),
                "--trace", "0"]
-    env = {name: value for name, value in os.environ.items()
-           if name != "PYTHONDONTWRITEBYTECODE"}
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
         env["PYTHONPYCACHEPREFIX"] = cache
         proc = subprocess.run(command, cwd=checkout, capture_output=True,
