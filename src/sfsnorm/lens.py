@@ -23,26 +23,29 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from ._value import Value, _set
 from .errors import LensCurveError
 
 
-@dataclass(frozen=True)
-class LensCurve:
+class LensCurve(Value):
     """Slope ``twok``[l] + ``q``[m] on a solid torus boundary.
 
     The longitude coefficient must be even and coprime to the meridian
     coefficient, which forces q odd unless twok = 0 (and then q = +-1).
     """
 
-    twok: int
-    q: int
+    __slots__ = _fields = ("twok", "q")
 
-    def __post_init__(self):
-        _check_slope(self.twok, self.q)
+    def __init__(self, twok, q):
+        if type(twok) is not int or type(q) is not int:
+            raise LensCurveError(
+                f"slope coefficients must be integers, got ({twok!r}, {q!r})")
+        _check_slope(twok, q)
+        _set(self, "twok", twok)
+        _set(self, "q", q)
 
 
 def _check_slope(twok, q):

@@ -8,15 +8,13 @@ report, so the JSON output is a lossless record of a search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value, _set
 from .notation import canonical_form, format_presentation, parse_presentation
-from .seifert import HomologyCase, SeifertPresentation, Z2Class
-from .surfaces import SurfaceReport, surface_report_from_json
+from .seifert import HomologyCase, Z2Class
+from .surfaces import surface_report_from_json
 
 
-@dataclass(frozen=True)
-class ClassNorm:
+class ClassNorm(Value):
     """Search result for one nonzero Z/2 class.
 
     ``min_vertical_genus`` is the genus of the class's pseudo-vertical
@@ -27,13 +25,19 @@ class ClassNorm:
     exact wherever they are given.
     """
 
-    z2class: Z2Class
-    min_genus: int
-    witness: SurfaceReport
-    witness_kinds: tuple
-    min_vertical_genus: int | None
-    min_horizontal_genus: int | None
-    exhaustive: bool
+    __slots__ = _fields = ("z2class", "min_genus", "witness",
+                           "witness_kinds", "min_vertical_genus",
+                           "min_horizontal_genus", "exhaustive")
+
+    def __init__(self, z2class, min_genus, witness, witness_kinds,
+                 min_vertical_genus, min_horizontal_genus, exhaustive):
+        _set(self, "z2class", z2class)
+        _set(self, "min_genus", min_genus)
+        _set(self, "witness", witness)
+        _set(self, "witness_kinds", witness_kinds)
+        _set(self, "min_vertical_genus", min_vertical_genus)
+        _set(self, "min_horizontal_genus", min_horizontal_genus)
+        _set(self, "exhaustive", exhaustive)
 
     @property
     def norm(self):
@@ -54,13 +58,15 @@ class ClassNorm:
         }
 
 
-@dataclass(frozen=True)
-class NormReport:
+class NormReport(Value):
     """Per-class minima for one presentation."""
 
-    presentation: SeifertPresentation
-    case: HomologyCase
-    entries: tuple
+    __slots__ = _fields = ("presentation", "case", "entries")
+
+    def __init__(self, presentation, case, entries):
+        _set(self, "presentation", presentation)
+        _set(self, "case", case)
+        _set(self, "entries", entries)
 
     @property
     def per_class(self):

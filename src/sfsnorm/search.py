@@ -96,9 +96,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from math import gcd, inf
 
+from ._value import Value, _set
 from .errors import (
     InternalInvariantError,
     NoSurfaceError,
@@ -122,8 +122,8 @@ from .surfaces import (
 
 log = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
-class SearchBudget:
+
+class SearchBudget(Value):
     """Explicit constants behind the 'sufficiently large' cutoffs.
 
     ``mu_window`` is the half-width of every coefficient sweep (default
@@ -132,12 +132,11 @@ class SearchBudget:
     A sweep that reaches either cap marks its class non-exhaustive.
     """
 
-    mu_window: int | None = None
-    lambda_cap: int | None = None
+    __slots__ = _fields = ("mu_window", "lambda_cap")
 
-    def __post_init__(self):
-        for name in ("mu_window", "lambda_cap"):
-            value = getattr(self, name)
+    def __init__(self, mu_window=None, lambda_cap=None):
+        for name, value in (("mu_window", mu_window),
+                            ("lambda_cap", lambda_cap)):
             if value is None:
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
@@ -145,6 +144,8 @@ class SearchBudget:
                     f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise PresentationError(f"{name} must be positive")
+        _set(self, "mu_window", mu_window)
+        _set(self, "lambda_cap", lambda_cap)
 
     def window(self, presentation):
         if self.mu_window is not None:

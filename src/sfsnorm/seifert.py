@@ -16,10 +16,10 @@ machinery applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
+from ._value import Value, _set
 from .errors import PresentationError
 
 
@@ -39,6 +39,9 @@ def complete_matrix(alpha, beta):
 
 
 def _check_fiber_pair(alpha, beta):
+    if type(alpha) is not int or type(beta) is not int:
+        raise PresentationError(
+            f"fiber pair ({alpha!r}, {beta!r}) needs integer entries")
     _check_multiplicity(alpha)
     if gcd(alpha, beta) != 1:
         raise PresentationError(
@@ -52,20 +55,16 @@ def _check_multiplicity(alpha):
             "(alpha < 2 degenerates to a lens space)")
 
 
-# Fields of the frozen classes below are set once, in their ``__init__``.
-_set = object.__setattr__
-
-
-@dataclass(frozen=True, init=False)
-class FiberMatrix:
+class FiberMatrix(Value):
     """Gluing matrix (alpha beta; gamma delta) of one exceptional fiber."""
 
-    alpha: int
-    beta: int
-    gamma: int
-    delta: int
+    __slots__ = _fields = ("alpha", "beta", "gamma", "delta")
 
     def __init__(self, alpha, beta, gamma, delta):
+        if {type(alpha), type(beta), type(gamma), type(delta)} != {int}:
+            raise PresentationError(
+                f"gluing matrix ({alpha!r} {beta!r}; {gamma!r} {delta!r}) "
+                "needs integer entries")
         # A determinant of 1 already makes (alpha, beta) coprime.
         _check_multiplicity(alpha)
         det = alpha * delta - beta * gamma
@@ -97,11 +96,10 @@ class FiberMatrix:
                            self.delta + t * self.beta)
 
 
-@dataclass(frozen=True, init=False)
-class SeifertPresentation:
+class SeifertPresentation(Value):
     """Ordered triple of fiber matrices with nonzero Euler sum."""
 
-    fibers: tuple
+    __slots__ = _fields = ("fibers",)
 
     def __init__(self, fibers):
         fibers = tuple(fibers)
@@ -151,8 +149,7 @@ class HomologyCase(Enum):
     KLEIN_FOUR = "klein_four"
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Z2Class:
+class Z2Class(Value):
     """A nonzero class in H_2(M; Z/2), tagged by parities against the
     horizontal curves h_1, h_2, h_3.
 
@@ -168,7 +165,9 @@ class Z2Class:
     hashing are those of identity.
     """
 
-    parities: tuple
+    __slots__ = _fields = ("parities",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, parities):
         try:
@@ -181,7 +180,7 @@ class Z2Class:
         if ps == (0, 0, 0):
             raise PresentationError("(0, 0, 0) is the zero class")
         self = object.__new__(cls)
-        object.__setattr__(self, "parities", ps)
+        _set(self, "parities", ps)
         return _Z2_CLASSES.setdefault(ps, self)
 
     def __reduce__(self):
@@ -196,22 +195,22 @@ class Z2Class:
 _Z2_CLASSES = {}
 
 
-@dataclass(frozen=True)
-class HomologyStructure:
+class HomologyStructure(Value):
     """H_1(M; Z/2) = H_2(M; Z/2) and its nonzero classes."""
 
-    case: HomologyCase
-    nonzero_classes: tuple
+    __slots__ = _fields = ("case", "nonzero_classes")
 
-    def __post_init__(self):
+    def __init__(self, case, nonzero_classes):
         expected = {HomologyCase.TRIVIAL: 0,
                     HomologyCase.CYCLIC_VERTICAL: 1,
                     HomologyCase.CYCLIC_TWO_EVEN: 1,
-                    HomologyCase.KLEIN_FOUR: 3}[self.case]
-        if len(self.nonzero_classes) != expected:
+                    HomologyCase.KLEIN_FOUR: 3}[case]
+        if len(nonzero_classes) != expected:
             raise PresentationError(
-                f"{self.case.value} needs {expected} classes, got "
-                f"{len(self.nonzero_classes)}")
+                f"{case.value} needs {expected} classes, got "
+                f"{len(nonzero_classes)}")
+        _set(self, "case", case)
+        _set(self, "nonzero_classes", nonzero_classes)
 
     def class_off(self, k):
         """The nonzero class off fiber k (0-based).

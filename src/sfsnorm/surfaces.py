@@ -19,9 +19,9 @@ and its class is the interned ``Z2Class`` of its parities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, lcm
 
+from ._value import Value, _set
 from .errors import InternalInvariantError, NoSurfaceError, PresentationError
 from .lens import LensCurve, n_genus, slope_genus
 from .seifert import HomologyCase, Z2Class, homology_structure
@@ -29,18 +29,14 @@ from .seifert import HomologyCase, Z2Class, homology_structure
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
 
-# Fields of the frozen classes below are set once, in their ``__init__``.
-_set = object.__setattr__
 
-
-@dataclass(frozen=True, init=False)
-class PHParams:
+class PHParams(Value):
     """Boundary slopes ((l1,m1),(l2,m2),(l3,m3)) of a pseudo-horizontal
     candidate; ``lam`` is the lcm of the l_i, the degree of the branched
-    cover over the base sphere."""
+    cover over the base sphere, kept out of the repr and comparisons."""
 
-    pairs: tuple
-    lam: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("pairs", "lam")
+    _fields = ("pairs",)
 
     def __init__(self, pairs):
         pairs = tuple([(int(l), int(m)) for l, m in pairs])
@@ -55,28 +51,23 @@ class PHParams:
         _set(self, "lam", lcm(pairs[0][0], pairs[1][0], pairs[2][0]))
 
 
-@dataclass(frozen=True)
-class VerticalSurface:
+class VerticalSurface(Value):
     """The pseudo-vertical surface connecting fibers i and j (1-based)."""
 
-    connects: tuple
+    __slots__ = _fields = ("connects",)
 
-    def __post_init__(self):
-        ij = tuple(sorted(self.connects))
-        object.__setattr__(self, "connects", ij)
+    def __init__(self, connects):
+        ij = tuple(sorted(connects))
         if len(ij) != 2 or not set(ij) <= {1, 2, 3} or ij[0] == ij[1]:
-            raise PresentationError(f"bad fiber pair {self.connects}")
+            raise PresentationError(f"bad fiber pair {ij}")
+        _set(self, "connects", ij)
 
 
-@dataclass(frozen=True, init=False)
-class SurfaceReport:
+class SurfaceReport(Value):
     """One candidate surface: its kind, parameters, genus and class."""
 
-    kind: str
-    vertical: VerticalSurface | None
-    horizontal: PHParams | None
-    genus: int
-    z2class: Z2Class
+    __slots__ = _fields = ("kind", "vertical", "horizontal", "genus",
+                           "z2class")
 
     def __init__(self, kind, vertical, horizontal, genus, z2class):
         if kind not in (VERTICAL, HORIZONTAL):

@@ -68,24 +68,40 @@ def test_claim_without_pairs_is_one_line_error(tmp_path, monkeypatch,
 
 
 def test_runs_compile_from_source(tmp_path, monkeypatch):
-    # Each run writes no bytecode and looks for it only in a fresh, empty
-    # directory, so no __pycache__ of a checkout is read.
+    # Each run writes no bytecode and sets no PYTHONPYCACHEPREFIX, so
+    # Python reads the standard library's compiled files as usual and
+    # compiles the checkout, which holds no __pycache__, from source.
     tool = load_tool_module()
     seen = []
 
     def fake_run(command, cwd, capture_output, text, timeout, env):
-        cache = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((env["PYTHONDONTWRITEBYTECODE"], cache,
-                     list(cache.iterdir())))
+        seen.append(env)
         return subprocess.CompletedProcess(command, 0, '{"x": 1}\n', "")
 
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
     monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path))
     monkeypatch.setattr(tool.subprocess, "run", fake_run)
     assert tool.run_once(str(tmp_path), "mix", 1, 1) == {"x": 1}
-    assert tool.run_once(str(tmp_path), "mix", 2, 1) == {"x": 1}
-    (flag1, cache1, held1), (flag2, cache2, held2) = seen
-    assert flag1 == flag2 == "1"
-    assert held1 == held2 == []
-    assert cache1 != cache2 and tmp_path not in (cache1, cache2)
-    assert not cache1.exists() and not cache2.exists()
+    (env,) = seen
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert "PYTHONPYCACHEPREFIX" not in env
+
+
+@pytest.mark.parametrize("top", ["src", "perfbench", "tools"])
+def test_refuses_checkout_with_bytecode(tmp_path, monkeypatch, top):
+    # A checkout's own __pycache__ would spare its passes the compiling
+    # that a new checkout pays; the tool names it and runs nothing.
+    tool = load_tool_module()
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+        (tmp_path / side / "tests" / "__pycache__").mkdir(parents=True)
+    cache = tmp_path / "change" / top / "pkg" / "__pycache__"
+    cache.mkdir(parents=True)
+    monkeypatch.setattr(tool, "run_pairs", lambda *args: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                   "--workload", "mix"])
+    assert exit_info.value.code == f"error: the change checkout holds " \
+        f"{cache}; run on a fresh checkout"
+    assert cache.is_dir()

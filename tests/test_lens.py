@@ -91,6 +91,13 @@ class TestLensCurve:
     def test_meridian_allows_unit_q(self):
         assert LensCurve(0, -1).q == -1
 
+    @pytest.mark.parametrize("twok, q", [(2.0, 1), (2, 1.0), (True, 1),
+                                         (2, True), ("2", 1)])
+    def test_rejects_non_integers(self, twok, q):
+        # 2.0 used to reach gcd's TypeError, and True passed as 1.
+        with pytest.raises(LensCurveError, match="must be integers"):
+            LensCurve(twok, q)
+
 
 class TestNormalize:
     def test_sign_flip(self):

@@ -451,6 +451,78 @@ def test_lead_bound_holds_past_each_onset(monkeypatch):
     assert compared >= 2000 and tight >= 10, (compared, tight)
 
 
+class FixedBound:
+    """A search state whose bound is ``bound`` for every class."""
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.capped = set()
+
+    def need(self, cls):
+        return self.bound
+
+
+def steps_within(pencils, base, bound, steps):
+    """The steps below ``steps`` where every leg is a slope and ``base``
+    plus the legs' exact N sum is at most ``bound``."""
+    out = []
+    for t in range(steps):
+        ns = [slope_n(first, second, t) for first, second in pencils]
+        if None not in ns and base + sum(ns) <= bound:
+            out.append(t)
+    return out
+
+
+def test_sweep_yields_every_step_within_a_fixed_bound(monkeypatch):
+    # ``_sweep`` stops a direction and drops a span on lower bounds only,
+    # so with the class bound held fixed it must yield exactly the steps
+    # within the bound, in order.  Every sweep ``compute_norms`` runs is
+    # replayed over a short window at bounds drawn from its own sums.
+    # Search directions leave the lead floor short of the exact sum past
+    # each onset (see test_lead_bound_holds_past_each_onset), so the
+    # pencil (2t + 2, 1), where it is exact at every step, is swept too:
+    # a drop that over-claims by one past the onset loses a step there.
+    sweep, sweeps = sfsnorm.search._sweep, []
+
+    def recording(state, cls, lam, base, legs, center, window):
+        sweeps.append((lam, base, legs, center))
+        return sweep(state, cls, lam, base, legs, center, window)
+    monkeypatch.setattr(sfsnorm.search, "_sweep", recording)
+    for m in presentations_by_case(15, seed=2) + [ALL_ODD, TALL]:
+        compute_norms(m)
+    assert len(sweeps) >= 200, len(sweeps)
+    window, compared = 60, 0
+    for lam, base, legs, center in sweeps:
+        directions = []
+        for step in (2, -2):
+            mu0 = center if step > 0 else center - 2
+            pencils = [slope_pencil(fiber, lam, offset + sign * mu0,
+                                    sign * step)
+                       for fiber, offset, sign in legs]
+            directions.append((mu0, step, pencils,
+                               (window - abs(mu0 - center)) // 2 + 1))
+        sums = sorted({base + sum(ns) for _, _, pencils, steps in directions
+                       for t in range(steps)
+                       for ns in [[slope_n(*pencil, t) for pencil in pencils]]
+                       if None not in ns})
+        for bound in {sums[0] - 1, sums[0], sums[len(sums) // 2]}:
+            expected = [mu0 + step * t for mu0, step, pencils, steps
+                        in directions
+                        for t in steps_within(pencils, base, bound, steps)]
+            assert list(sweep(FixedBound(bound), None, lam, base, legs,
+                              center, window)) == expected, \
+                (lam, base, legs, center, bound)
+            compared += len(expected)
+    assert compared >= 5000, compared
+    monkeypatch.setattr(sfsnorm.search, "slope_pencil",
+                        lambda *args: (Lin(2, 2), Lin(0, 1)))
+    for bound in range(1, 12):
+        expected = [2 * t for t in range(bound)] + \
+            [-2 - 2 * t for t in range(bound)]
+        assert list(sweep(FixedBound(bound), None, 1, 0, [(None, 0, 1)],
+                          0, window)) == expected, bound
+
+
 def test_certified_bound_holds_from_each_onset(monkeypatch):
     # A sweep direction stops at step t once its base plus the bound at
     # t of each leg certified by t exceeds the class bound, so that sum

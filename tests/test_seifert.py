@@ -63,6 +63,18 @@ class TestCompleteMatrix:
         with pytest.raises(PresentationError, match="determinant 2"):
             FiberMatrix(4, 2, 1, 1)
 
+    @pytest.mark.parametrize("entries", [(2.0, -1, 1, 0.0), (2, True, 1, 1),
+                                         (2, -1, -1, 1.0), (2, -1, "1", 0)])
+    def test_rejects_non_integers(self, entries):
+        # (2.0, -1, 1, 0.0) used to pass, and compute_norms then died
+        # with a bare TypeError; beta=True passed as 1.
+        with pytest.raises(PresentationError, match="integer entries"):
+            FiberMatrix(*entries)
+        alpha, beta = entries[:2]
+        if type(alpha) is not int or type(beta) is not int:
+            with pytest.raises(PresentationError, match="integer entries"):
+                complete_matrix(alpha, beta)
+
     def test_shifted_completion_is_valid(self):
         m = complete_matrix(5, 3)
         for t in range(-5, 6):

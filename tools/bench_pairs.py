@@ -8,13 +8,13 @@ PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each
 pair runs ``perfbench/run.py --workload W --seed SEED --seconds S
 --trace 0`` once in each checkout, one seed per pair (K, K+1, ...), and
 the side that runs first alternates from pair to pair, so that a slow
-or fast phase of the host falls on both sides alike.  Every run gets a
-fresh, empty ``PYTHONPYCACHEPREFIX`` directory and
-``PYTHONDONTWRITEBYTECODE=1``: Python then looks for ``.pyc`` files only
-in that empty directory and writes none, so every pass of every run
-compiles its modules from source, whatever ``__pycache__`` a checkout
-holds.  Nothing but ``perfbench/run.py`` and its last line of output is
-used.
+or fast phase of the host falls on both sides alike.  Every run gets
+``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``, and a
+checkout that holds a ``__pycache__`` directory under ``src``,
+``perfbench`` or ``tools`` is refused: every pass then compiles the
+checkout's modules from source, as in a new checkout, and reads the
+standard library's compiled files as usual.  Nothing but
+``perfbench/run.py`` and its last line of output is used.
 
 The output holds, for each workload and end-to-end metric, the medians
 of the two sides over the pairs, the change in percent, the parent's
@@ -32,11 +32,12 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 RUN_TIMEOUT_S = 600
 SIDES = ("parent", "change")
+# Where a checkout keeps the code a benchmark run imports.
+CODE_DIRS = ("src", "perfbench", "tools")
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -45,14 +46,19 @@ def run_once(checkout, workload, seed, seconds):
                "--seed", str(seed), "--seconds", str(seconds),
                "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env["PYTHONPYCACHEPREFIX"] = cache
-        proc = subprocess.run(command, cwd=checkout, capture_output=True,
-                              text=True, timeout=RUN_TIMEOUT_S, env=env)
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    proc = subprocess.run(command, cwd=checkout, capture_output=True,
+                          text=True, timeout=RUN_TIMEOUT_S, env=env)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr[-2000:])
         return None
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def bytecode_dirs(checkout):
+    """The ``__pycache__`` directories under the checkout's code."""
+    return sorted(path for top in CODE_DIRS
+                  for path in (Path(checkout) / top).rglob("__pycache__"))
 
 
 def run_pairs(checkouts, workload, pairs, seconds, first_seed):
@@ -156,6 +162,11 @@ def main(argv=None):
                          f"{checkout}")
     if args.claim and args.claim.split(":", 1)[0] not in args.workload:
         parser.error(f"--claim {args.claim} names no --workload")
+    for side, checkout in checkouts.items():
+        cached = bytecode_dirs(checkout)
+        if cached:
+            sys.exit(f"error: the {side} checkout holds {cached[0]}; "
+                     f"run on a fresh checkout")
 
     workloads = {}
     for i, workload in enumerate(args.workload):
