@@ -14,8 +14,9 @@ Everything here is exact integer arithmetic on linear forms, which
 through Euclid as plain pairs of ints.  Each "eventual" decision (a
 floor, a sign, a comparison) also yields the onset step from which it is
 valid, so the returned certificate carries a hard threshold t_min, not
-an asymptotic promise.  Before t_min, ``lead_floor`` bounds N over a
-whole span of steps by the leading digit alone.
+an asymptotic promise.  ``lead_floor`` needs no Euclid: wherever the
+first form keeps one sign, the leading digit alone bounds N over a whole
+span of steps, or over every step from one on.
 """
 
 from __future__ import annotations
@@ -146,49 +147,47 @@ def certified_tail(first, second):
                            None if skipped else (xa, xb - c + 1, c))
 
 
-def lead_floor(first, second, t0, t1):
-    """Lower bound on N(first(t), second(t)) over the steps t0..t1.
+def lead_floor(first, second, t0, t1=None):
+    """Lower bound on N(first(t), second(t)) over the steps t0..t1, or
+    over every step from t0 on when ``t1`` is None (a tail).
 
     The leading digit a0 of the normalized slope (2k, q) is always kept
-    by the skip rule, so N >= ceil(a0/2) at every step that is a slope.
-    On a single step that is the bound itself; the meridian and a step
-    with an odd longitude coefficient get 0.  On a longer span the
-    longitude form X = first must keep one strict sign and floor(Y/X),
-    Y = second, one value m at both ends.  Then Y/X is monotone, so
-    r = Y - m*X stays in [0, X) and u = r/X is monotone; q/X = min(u,
-    1 - u) is at most min(max u, 1 - min u), taken at the endpoints,
-    which bounds a0 = floor(X/q) below over the whole span.  In every
-    other case the bound is 0.
+    by the skip rule, so N >= ceil(a0/2) at every step that is a slope,
+    and a0 = floor(1/dist(u, Z)) for u = Y/X, X = first, Y = second.
+    The longitude form X must keep one strict sign over the range; then
+    u is monotone on it, and runs between u(t0) and u(t1), or for a tail
+    between u(t0) and its limit c/a (a constant X needs a constant Y).
+    For every integer m, dist(u, Z) <= |u - m|, which is largest at an
+    end of that range; with m nearest its middle and d the larger end
+    distance, a0 >= floor(1/d) throughout.  A single step gets a0
+    itself, but 0 for an odd longitude coefficient; in every other case
+    the bound is 0.
     """
     a, b = first
     c, d = second
     x0, y0 = a * t0 + b, c * t0 + d
-    if t0 == t1:
+    if t1 is None:
+        if a == 0 and c != 0:
+            return 0
+        x1, y1 = (a, c) if a else (x0, y0)
+    elif t0 == t1:
         if x0 == 0 or x0 % 2 != 0:
             return 0
-        if x0 < 0:
-            x0, y0 = -x0, -y0
-        r = y0 % x0
-        q = min(r, x0 - r)
-        return 0 if q == 0 else (x0 // q + 1) // 2
-    x1, y1 = a * t1 + b, c * t1 + d
-    if x0 < 0 and x1 < 0:
-        x0, x1, y0, y1 = -x0, -x1, -y0, -y1
-    elif x0 <= 0 or x1 <= 0:
+        r = y0 % abs(x0)
+        return (abs(x0) // min(r, abs(x0) - r) + 1) // 2 if r else 0
+    else:
+        x1, y1 = a * t1 + b, c * t1 + d
+    if x0 == 0 or x1 == 0 or (x0 < 0) != (x1 < 0):
         return 0
-    m = y0 // x0
-    if y1 // x1 != m:
-        return 0
-    r0, r1 = y0 - m * x0, y1 - m * x1
-    # max u = hn/hd and 1 - min u = ln/ld, each taken at an endpoint.
-    hn, hd = (r0, x0) if r0 * x1 >= r1 * x0 else (r1, x1)
-    s0, s1 = x0 - r0, x1 - r1
-    ln, ld = (s0, x0) if s0 * x1 >= s1 * x0 else (s1, x1)
-    if hn * ld > ln * hd:
-        hn, hd = ln, ld
-    if hn == 0:
-        return 0  # r = 0 throughout: no step is a slope
-    return (hd // hn + 1) // 2
+    if x0 < 0:
+        x0, y0, x1, y1 = -x0, -y0, -x1, -y1
+    m = (y0 * x1 + y1 * x0 + x0 * x1) // (2 * x0 * x1)
+    # d = e/x, the larger of |u - m| at the two ends.
+    e0, e1 = abs(y0 - m * x0), abs(y1 - m * x1)
+    e, x = (e0, x0) if e0 * x1 >= e1 * x0 else (e1, x1)
+    if e == 0:
+        return 0  # u = m throughout: no step is a slope
+    return (x // e + 1) // 2
 
 
 def slope_pencil(fiber, lam, mu0, step):

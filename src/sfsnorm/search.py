@@ -39,22 +39,25 @@ class no capped mark: what it leaves out costs more than the bound, so
 by parity it is no cheaper than the best, and at the best it would only
 tie a horizontal surface already found.
 Every outward coefficient sweep, the one of case 3 and both of case 1,
-runs through ``_sweep``.  Each of its legs, a cap slope moving with the
-swept coefficient, has a slope-pencil certificate (exact Euclid on
-linear forms, see ``pencils``) whose N bound holds at every step from
-the leg's own threshold t_min on.  A sweep direction bisects its steps
-left-first and stops at the first span where its base plus the bounds
-of the legs past their t_min, which hold at every later step, exceed
-the bound.  A direction that runs out of window instead marks its class
-non-exhaustive, unless that sum at the window's end already excludes
-every step beyond it; nothing is silently dropped.
-Other spans are dropped on the leading continued-fraction digit a0 of
-each cap slope (2k, q): N >= ceil(a0/2), and on a span where the
-integer part of q/2k stays fixed that floor holds throughout
-(``pencils.lead_floor``).  A single step that survives is checked once
-more before it is priced: each leg's cap slope at that step is two
-ints, whose exact N ``slope_genus`` reads from a cache, and the step is
-priced only when its base plus those N is at most the bound.
+runs through ``_sweep``.  Each of its legs is a cap slope (2k, q) moving
+with the swept coefficient, and its leading continued-fraction digit a0
+gives N >= ceil(a0/2).  Wherever 2k keeps one strict sign, that floor
+holds over a whole span of steps, or over every step from one on
+(``pencils.lead_floor``).  So a sweep direction cuts its steps at each
+leg's pole, where 2k changes sign, and first drops every span whose base
+plus the legs' floors exceeds the bound.  At the first span that
+survives it builds each leg's slope-pencil certificate (exact Euclid on
+linear forms, see ``pencils``), whose N bound holds at every step from
+the leg's own threshold t_min on, bisects its spans left-first and stops
+at the first where its base plus the bounds of the legs past their
+t_min, which hold at every later step, exceed the bound.  A direction
+that runs out of window instead marks its class non-exhaustive, unless
+its legs' floors from the window's end on, or else their certificates
+there, exclude every step beyond it; nothing is silently dropped.  A
+single step that survives is checked once more before it is priced:
+each leg's cap slope at that step is two ints, whose exact N
+``slope_genus`` reads from a cache, and the step is priced only when its
+base plus those N is at most the bound.
 In case 3 and the case-1 inner sweep that sum is the candidate's exact
 genus (case 3's pinned fiber caps with the meridian, N = 0); in the
 case-1 outer sweep it is the lower bound its inner sweep is pruned by.
@@ -302,13 +305,16 @@ def _sweep(state, cls, lam, base, legs, center, window):
     it stays within ``window`` of the center.  Each leg ``(fiber, offset,
     sign)`` is a slope of coefficient ``offset + sign*mu`` on that fiber,
     and a candidate at mu costs at least ``base`` plus the N of its legs.
-    Each direction pops spans [t0, t1] of steps left-first, starting from
-    two split at the least ``t_min`` of the legs' certificates.  It stops
-    once ``_certified_bound`` at t0, a bound at every later step, exceeds
-    the bound of ``cls``, drops a span whose ``_lead_bound`` does, halves
-    a longer span and yields a single step when ``_worth_pricing`` holds.
-    A direction that runs out of spans marks ``cls`` capped unless
-    ``_certified_bound`` at the window's end exceeds the bound.
+    Each direction cuts its steps at every leg's pole, where the leg's
+    longitude form changes sign, and pops spans [t0, t1] left-first.  It
+    drops a span whose ``_lead_bound`` exceeds the bound of ``cls``.  At
+    the first span that survives it builds the legs' certificates and
+    cuts the spans at their least ``t_min``; from then on it stops once
+    ``_certified_bound`` at t0, a bound at every later step, exceeds the
+    bound, halves a longer span and yields a single step when
+    ``_worth_pricing`` holds.  A direction that runs out of spans marks
+    ``cls`` capped unless the legs' lead floors from the window's end on,
+    or else ``_certified_bound`` there, exceed the bound.
 
     The bound of ``cls`` is read afresh at every span, so what the
     caller prices between two yields prunes the rest of the sweep.
@@ -319,28 +325,62 @@ def _sweep(state, cls, lam, base, legs, center, window):
         mu0 = center if step > 0 else center - 2
         pencils = [slope_pencil(fiber, lam, offset + sign * mu0, sign * step)
                    for fiber, offset, sign in legs]
-        certs = [cert for cert in (certified_tail(*pencil)
-                                   for pencil in pencils) if cert is not None]
         steps = (window - abs(mu0 - center)) // 2 + 1  # mu within window
-        onset = min([steps] + [cert.t_min for cert in certs])
-        # Popped first: [0, onset), where no leg is certified yet.
-        spans = [(t0, t1) for t0, t1 in ((onset, steps - 1), (0, onset - 1))
-                 if t0 <= t1]
+        # X = a*t + b changes sign at the pole -b/a, so cut at its ceiling
+        # and one past its floor (a single step where it is an integer).
+        spans = _cut([(0, steps - 1)] if steps > 0 else [],
+                     {cut for (a, b), _ in pencils if a
+                      for cut in (-(b // a), -b // a + 1)})
+        certs = None
         while spans:
             t0, t1 = spans.pop()
             need = state.need(cls)
-            if _certified_bound(base, certs, t0) > need:
+            if certs is not None and \
+                    _certified_bound(base, certs, t0) > need:
                 break
             if _lead_bound(base, pencils, t0, t1) > need:
                 continue
+            if certs is None:
+                # The first span that survives its lead floor: build the
+                # certificates, cut at their onset, go on with its first part.
+                certs = _certificates(pencils)
+                onset = min([steps] + [cert.t_min for cert in certs])
+                spans = _cut(spans + [(t0, t1)], {onset})
+                t0, t1 = spans.pop()
+                if _certified_bound(base, certs, t0) > need:
+                    break
             if t0 < t1:
                 mid = (t0 + t1) // 2
                 spans += [(mid + 1, t1), (t0, mid)]
             elif _worth_pricing(state, cls, base, pencils, t0):
                 yield mu0 + step * t0
         else:
-            if _certified_bound(base, certs, steps) <= state.need(cls):
-                state.capped.add(cls)
+            need = state.need(cls)
+            if _lead_bound(base, pencils, steps, None) <= need:
+                if certs is None:
+                    certs = _certificates(pencils)
+                if _certified_bound(base, certs, steps) <= need:
+                    state.capped.add(cls)
+
+
+def _cut(spans, cuts):
+    """The stack ``spans`` (its leftmost span last) with each span cut
+    before every step of ``cuts`` that lies inside it."""
+    cuts = sorted(cuts)
+    out = []
+    for t0, t1 in reversed(spans):
+        for cut in cuts:
+            if t0 < cut <= t1:
+                out.append((t0, cut - 1))
+                t0 = cut
+        out.append((t0, t1))
+    return out[::-1]
+
+
+def _certificates(pencils):
+    """The slope-pencil certificates of the legs that have one."""
+    return [cert for cert in (certified_tail(*pencil) for pencil in pencils)
+            if cert is not None]
 
 
 def _certified_bound(base, certs, t):

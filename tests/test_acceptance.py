@@ -279,9 +279,20 @@ def test_criterion_10_exhaustiveness_honesty():
         for report in _REPORTS.values():
             assert report.exhaustive
 
+        # At a window of 2 the lead-digit floors of every step past the
+        # window already exceed the class bounds, so this one certifies.
         tiny = compute_norms(
             SeifertPresentation.from_pairs([(2, -1), (2, 1), (6, 1)]),
             SearchBudget(mu_window=2))
-        assert not tiny.exhaustive
+        assert tiny.exhaustive
         assert {e.z2class.parities: e.min_genus for e in tiny.entries} \
             == {(1, 1, 0): 2, (1, 0, 1): 4, (0, 1, 1): 4}
+        # Here the window still binds, and the report says so.
+        tiny = compute_norms(
+            SeifertPresentation.from_pairs([(2, -1), (2, -1), (4, 5)]),
+            SearchBudget(mu_window=2))
+        assert not tiny.exhaustive
+        assert {e.z2class.parities: (e.min_genus, e.exhaustive)
+                for e in tiny.entries} == {(1, 1, 0): (2, True),
+                                           (1, 0, 1): (3, False),
+                                           (0, 1, 1): (3, False)}

@@ -6,6 +6,7 @@ anything.
 """
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -57,7 +58,8 @@ def test_claim_without_pairs_is_one_line_error(tmp_path, monkeypatch,
     for side in ("parent", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text("")
-    failed = [{"seed": 1, "first": "parent", "failed": ["change"]}]
+    failed = [{"seed": 1, "first": "parent",
+               "failed": {"change": "exit code 1"}}]
     monkeypatch.setattr(tool, "run_pairs", lambda *args: ([], failed))
     with pytest.raises(SystemExit) as exit_info:
         tool.main([str(tmp_path / "parent"), str(tmp_path / "change"),
@@ -105,3 +107,46 @@ def test_refuses_checkout_with_bytecode(tmp_path, monkeypatch, top):
     assert exit_info.value.code == f"error: the change checkout holds " \
         f"{cache}; run on a fresh checkout"
     assert cache.is_dir()
+
+
+def fake_output(wall_s, correct=True):
+    return json.dumps({"correct": correct, "attempted": 1, "failed": 0,
+                       "metrics": {"wall_s": {"value": wall_s}}})
+
+
+@pytest.mark.parametrize("stdout, reason", [
+    ("", "the last line of output is not a JSON object"),
+    ("done\n", "the last line of output is not a JSON object"),
+    ('{"metrics": {}\n', "the last line of output is not a JSON object"),
+    ("[1, 2]\n", "the last line of output is not a JSON object"),
+    (fake_output(9.0, correct=False), 'it reported "correct": false'),
+], ids=["empty", "text", "truncated", "not_object", "incorrect"])
+def test_bad_run_is_listed_and_left_out(tmp_path, monkeypatch, stdout,
+                                        reason):
+    # A run that exits 0 with no usable result, or that reports wrong
+    # answers, fails its pair: the pair is listed with the reason and
+    # its times stay out of the medians, and the other pairs still count.
+    tool = load_tool_module()
+    checkouts = {side: str(tmp_path / side) for side in ("parent", "change")}
+    calls = []
+
+    def fake_run(command, cwd, capture_output, text, timeout, env):
+        calls.append(cwd)
+        seed = int(command[command.index("--seed") + 1])
+        side = "parent" if cwd == checkouts["parent"] else "change"
+        out = stdout if (seed, side) == (2, "change") else \
+            fake_output(1.0 if side == "parent" else 0.5)
+        return subprocess.CompletedProcess(command, 0, out, "")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    runs, failed = tool.run_pairs(checkouts, "mix", 3, 1, 1)
+    assert len(calls) == 6
+    assert [run["seed"] for run in runs] == [1, 3]
+    assert failed == [{"seed": 2, "first": "change",
+                       "failed": {"change": reason}}]
+    m = tool.medians(runs)["wall_s"]
+    assert m["parent_median"] == 1.0 and m["change_median"] == 0.5
+    monkeypatch.setattr(tool.subprocess, "run", lambda command, **kwargs:
+                        subprocess.CompletedProcess(command, 3, "", "boom"))
+    with pytest.raises(tool.RunFailed, match="exit code 3"):
+        tool.run_once(checkouts["parent"], "mix", 1, 1)

@@ -100,10 +100,14 @@ class TestNorm:
         assert code == 2 and "horizontal incompressible" in err
 
     def test_mu_window_flag(self, capsys):
-        code, out, _ = run(capsys, "norm", "S2((2,-1),(2,1),(6,1))",
-                           "--mu-window", "2", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["exhaustive"] is False
+        # The lead-digit floors past a window of 2 certify the first, and
+        # the window still binds the second.
+        for text, exhaustive in (("S2((2,-1),(2,1),(6,1))", True),
+                                 ("S2((2,-1),(2,-1),(4,5))", False)):
+            code, out, _ = run(capsys, "norm", text, "--mu-window", "2",
+                               "--format", "json")
+            assert code == 0
+            assert json.loads(out)["exhaustive"] is exhaustive, text
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

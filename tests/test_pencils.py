@@ -559,3 +559,61 @@ def test_certified_bound_holds_from_each_onset(monkeypatch):
                     assert bound <= exact[later], (pencils, t, later)
                     compared += 1
     assert compared >= 8000
+
+
+def later_steps(t0):
+    """The 200 steps after t0, then t0 plus each power of two to 2**20."""
+    return list(range(t0, t0 + 201)) + [t0 + 2 ** j for j in range(8, 21)]
+
+
+def test_floors_hold_past_each_pole_and_onset(monkeypatch):
+    # A sweep direction cuts its steps at each leg's pole, where the
+    # longitude form changes sign, and drops a span once its legs' lead
+    # floors over it exceed the class bound; at the window's end it leaves
+    # its class uncapped once the legs' tail floors do.  So on every leg
+    # the search builds, the tail floor from t0 must stay at or below N
+    # at every later slope step, and the floor of a span that ends or
+    # starts next to a pole at or below N at each of its slope steps.
+    # Starts: 0, each pole and a step either side, the leg's onset and
+    # random steps.  ALL_ODD is the ladder at a = 31.  On the pencil
+    # (2t + 2, 1), added, both floors are exact: N(2t + 2, 1) = t + 1.
+    corpus = presentations_by_case(5, seed=2) + [ALL_ODD, TALL]
+    legs = {pencil for pencils in search_directions(monkeypatch, corpus)
+            for pencil in pencils}
+    assert len(legs) >= 400
+    legs.add((Lin(2, 2), Lin(0, 1)))
+    rng = random.Random(17)
+    compared = tight = 0
+    for first, second in sorted(legs):
+        exact = {}
+
+        def check(floor, steps):
+            nonlocal compared, tight
+            for t in steps:
+                if t not in exact:
+                    exact[t] = slope_n(first, second, t)
+                if exact[t] is not None:
+                    assert floor <= exact[t], (first, second, steps[0], t)
+                    compared += 1
+                    tight += floor == exact[t]
+
+        cert = certified_tail(first, second)
+        # The first step at or past the pole -b/a, if the form has one.
+        poles = [-(first.b // first.a)] if first.a else []
+        starts = {0, rng.randrange(64), rng.randrange(256)}
+        starts |= {pole + s for pole in poles for s in (-1, 0, 1)}
+        if cert is not None:
+            starts.add(cert.t_min)
+        for t0 in sorted(t for t in starts if t >= 0):
+            check(lead_floor(first, second, t0), later_steps(t0))
+        for pole in poles:
+            # Spans [t0, t1] that end just before the pole, and spans
+            # from the first step past it on, where X is not zero.
+            after = pole + (first.at(pole) == 0)
+            spans = [(pole - 1 - width, pole - 1) for width in (0, 1, 7, 60)]
+            spans += [(after, after + width) for width in (0, 1, 7, 60)]
+            for t0, t1 in spans:
+                if t0 >= 0:
+                    check(lead_floor(first, second, t0, t1),
+                          list(range(t0, t1 + 1)))
+    assert compared >= 300000 and tight >= 500, (compared, tight)

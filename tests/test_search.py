@@ -249,10 +249,19 @@ class TestComputeNorms:
                        for row in class_rows(report))
 
     def test_tiny_window_sets_flag_without_crashing(self):
-        report = compute_norms(M_PRISM6, SearchBudget(mu_window=2))
-        assert not report.exhaustive
-        labels = {e.z2class.label: e.min_genus for e in report.entries}
-        assert labels == {"110": 2, "101": 4, "011": 4}
+        # The lead-digit floors from the window's end on certify the
+        # prism; on the second the window still binds two classes.
+        for m, flags in [
+            (M_PRISM6, {"110": (2, True), "101": (4, True),
+                        "011": (4, True)}),
+            (M((2, -1), (2, -1), (4, 5)), {"110": (2, True),
+                                           "101": (3, False),
+                                           "011": (3, False)}),
+        ]:
+            report = compute_norms(m, SearchBudget(mu_window=2))
+            assert report.exhaustive == all(e for _, e in flags.values())
+            assert {e.z2class.label: (e.min_genus, e.exhaustive)
+                    for e in report.entries} == flags
 
     @pytest.mark.parametrize("m, budget, genus, exhaustive, case1_capped", [
         (M_ODD, SearchBudget(), 4, True, False),
@@ -618,27 +627,31 @@ class TestWorkCounts:
         assert len(checked) == len(set(checked))
         assert len(homology) <= 4
 
-    @pytest.mark.parametrize("pairs, genus, gcd_limit, report_limit", [
-        (((2, -1), (3, 1), (800, 1)), 399, 1000, 400),
-        (((2, -1), (3, 1), (3200, 1)), 1599, 4000, 1500),
-    ], ids=["tall_800", "tall_3200"])
+    @pytest.mark.parametrize(
+        "pairs, genus, gcd_limit, report_limit, cert_limit", [
+            (((2, -1), (3, 1), (800, 1)), 399, 1000, 400, 10),
+            (((2, -1), (3, 1), (3200, 1)), 1599, 4000, 1500, 40),
+        ], ids=["tall_800", "tall_3200"])
     def test_lead_floors_skip_before_t_min(self, monkeypatch, pairs, genus,
-                                           gcd_limit, report_limit):
-        # Almost every step of these sweeps lies before t_min, where the
-        # leading-digit floors of whole spans price it above the class
-        # best, and each leg's certificate stops its sweep from its own
-        # t_min on.  They make no gcd call and 2 pricings each; stepping
-        # through took 79,974 and 1,284,740 gcd calls and 20,346 and
-        # 324,378 pricings.
-        calls, reports = [], []
+                                           gcd_limit, report_limit,
+                                           cert_limit):
+        # Cut at each leg's pole, every span of these sweeps has lead
+        # floors that price it above the class best, and past the window
+        # so do the legs' tail floors.  They make no gcd call, 2 pricings
+        # and no certificate each; stepping through took 79,974 and
+        # 1,284,740 gcd calls and 20,346 and 324,378 pricings, and
+        # building four certificates at every degree took 396 and 1,596.
+        calls, reports, certs = [], [], []
         self.record(monkeypatch, sfsnorm.search, "gcd", calls)
         self.record(monkeypatch, sfsnorm.search, "horizontal_report",
                     reports)
+        self.record(monkeypatch, sfsnorm.search, "certified_tail", certs)
         report = compute_norms(M(*pairs))
         assert [(e.min_genus, e.exhaustive) for e in report.entries] == \
             [(genus, True)]
         assert len(calls) <= gcd_limit
         assert len(reports) <= report_limit
+        assert len(certs) <= cert_limit
 
     @pytest.mark.parametrize("pairs, genus, limit", [
         (((31, 2), (33, 5), (29, -3)), 10, 3000),

@@ -19,8 +19,10 @@ standard library's compiled files as usual.  Nothing but
 The output holds, for each workload and end-to-end metric, the medians
 of the two sides over the pairs, the change in percent, the parent's
 interquartile range, and in how many pairs the change was lower and
-higher; then every run.  ``--claim`` states the named metric's result
-as the file's claim.
+higher; then every completed pair, and every pair with a failed run and
+the reason: a non-zero exit, a last line that is not a JSON object, or
+a run that does not report ``"correct": true``.  ``--claim`` states
+the named metric's result as the file's claim.
 """
 
 from __future__ import annotations
@@ -40,8 +42,13 @@ SIDES = ("parent", "change")
 CODE_DIRS = ("src", "perfbench", "tools")
 
 
+class RunFailed(Exception):
+    """A benchmark run that gave no usable result, and why."""
+
+
 def run_once(checkout, workload, seed, seconds):
-    """The result object of one benchmark run, or None if it failed."""
+    """The result object of one benchmark run; RunFailed when the run
+    exits non-zero or its last line of output is not a JSON object."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds),
                "--trace", "0"]
@@ -51,8 +58,15 @@ def run_once(checkout, workload, seed, seconds):
                           text=True, timeout=RUN_TIMEOUT_S, env=env)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr[-2000:])
-        return None
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        raise RunFailed(f"exit code {proc.returncode}")
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        raise RunFailed("the last line of output is not a JSON object")
+    return result
 
 
 def bytecode_dirs(checkout):
@@ -62,21 +76,32 @@ def bytecode_dirs(checkout):
 
 
 def run_pairs(checkouts, workload, pairs, seconds, first_seed):
+    """The completed pairs, and the pairs with a failed run and why.
+
+    A run fails when ``run_once`` raises ``RunFailed`` or when it does
+    not report ``"correct": true``; only completed pairs are summed up.
+    """
     runs, failed = [], []
     for i in range(pairs):
         seed = first_seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        results = {}
+        results, reasons = {}, {}
         for side in order:
-            results[side] = run_once(checkouts[side], workload, seed,
-                                     seconds)
-            print(f"{workload} seed {seed} {side}: "
-                  f"{'failed' if results[side] is None else 'done'}",
+            try:
+                results[side] = run_once(checkouts[side], workload, seed,
+                                         seconds)
+                if results[side].get("correct") is not True:
+                    raise RunFailed('it reported "correct": ' + json.dumps(
+                        results[side].get("correct")))
+            except RunFailed as err:
+                reasons[side] = str(err)
+            status = f"failed: {reasons[side]}" if side in reasons \
+                else "done"
+            print(f"{workload} seed {seed} {side}: {status}",
                   file=sys.stderr)
-        if None in results.values():
+        if reasons:
             failed.append({"seed": seed, "first": order[0],
-                           "failed": [side for side in SIDES
-                                      if results[side] is None]})
+                           "failed": reasons})
             continue
         runs.append({
             "seed": seed,
@@ -84,7 +109,6 @@ def run_pairs(checkouts, workload, pairs, seconds, first_seed):
             **{side: {name: metric["value"] for name, metric
                       in results[side]["metrics"].items()}
                for side in SIDES},
-            "correct": [results[side]["correct"] for side in SIDES],
             "failed_ops": [results[side]["failed"] for side in SIDES],
         })
     return runs, failed
