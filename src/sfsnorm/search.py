@@ -50,14 +50,14 @@ survives it builds each leg's slope-pencil certificate (exact Euclid on
 linear forms, see ``pencils``), whose N bound holds at every step from
 the leg's own threshold t_min on, bisects its spans left-first and stops
 at the first where its base plus the bounds of the legs past their
-t_min, which hold at every later step, exceed the bound.  A direction
-that runs out of window instead marks its class non-exhaustive, unless
-its legs' floors from the window's end on, or else their certificates
-there, exclude every step beyond it; nothing is silently dropped.  A
-single step that survives is checked once more before it is priced:
-each leg's cap slope at that step is two ints, whose exact N
-``slope_genus`` reads from a cache, and the step is priced only when its
-base plus those N is at most the bound.
+t_min, which hold at every later step, exceed the bound.  The last
+span of a direction is its tail, every step past the window: unless
+the legs' floors or their certificates exclude it, it marks the class
+non-exhaustive, so nothing is silently dropped.  A single step that
+survives is checked once more before it is priced: each leg's cap slope
+at that step is two ints, whose exact N ``slope_genus`` reads from a
+cache, and the step is priced only when its base plus those N is at
+most the bound.
 In case 3 and the case-1 inner sweep that sum is the candidate's exact
 genus (case 3's pinned fiber caps with the meridian, N = 0); in the
 case-1 outer sweep it is the lower bound its inner sweep is pruned by.
@@ -91,14 +91,14 @@ run inside ``compute_norms`` or on their own; case 1 nests its inner
 sweep in the loop over the outer one.  Each enumerator returns the list
 of candidates it priced.  Pricing is one existence check and one
 integer genus count per candidate, against the homology structure the
-state holds for the presentation: ``homology_structure`` returns one
-interned structure per parity key, so it builds nothing per call.
+state looks up once for its presentation.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from itertools import count
 from math import gcd, inf
 
 from ._value import Value, _set
@@ -167,8 +167,9 @@ _DEFAULT_BUDGET = SearchBudget()
 
 
 class _SearchState:
-    """Search results per class, for the presentation whose homology
-    ``structure`` it holds.
+    """Search results per class for ``presentation``, whose homology
+    ``structure`` it looks up once, so the enumerators and ``_price``
+    read both from the state.
 
     ``best[cls]`` is the least genus offered, ``witness[cls]`` the first
     report offered at that genus and ``kinds[cls]`` the set of kinds that
@@ -176,8 +177,9 @@ class _SearchState:
     ``need(cls)`` is the bound every skip and stop compares against.
     """
 
-    def __init__(self, structure):
-        self.structure = structure
+    def __init__(self, presentation):
+        self.presentation = presentation
+        self.structure = homology_structure(presentation)
         self.best = {}
         self.witness = {}
         self.kinds = {}
@@ -243,7 +245,7 @@ def enumerate_case4(presentation, state=None):
     when omitted), and their list is returned.
     """
     if state is None:
-        state = _SearchState(homology_structure(presentation))
+        state = _SearchState(presentation)
     classes = state.structure.nonzero_classes
     fibers = presentation.fibers
     out = []
@@ -276,11 +278,11 @@ def enumerate_case4(presentation, state=None):
             pairs[i] = fi.pair
             pairs[j] = fj.pair
             pairs[k] = (den, num)
-            _price(presentation, state, PHParams(tuple(pairs)), out)
+            _price(state, PHParams(tuple(pairs)), out)
     return out
 
 
-def _price(presentation, state, params, out):
+def _price(state, params, out):
     """Offer the surface ``params`` to ``state`` and append it to ``out``
     if it exists.
 
@@ -289,7 +291,8 @@ def _price(presentation, state, params, out):
     dropped.
     """
     try:
-        report = horizontal_report(presentation, params, state.structure)
+        report = horizontal_report(state.presentation, params,
+                                   state.structure)
     except NoSurfaceError:
         return
     _check_shape(params)
@@ -306,15 +309,16 @@ def _sweep(state, cls, lam, base, legs, center, window):
     sign)`` is a slope of coefficient ``offset + sign*mu`` on that fiber,
     and a candidate at mu costs at least ``base`` plus the N of its legs.
     Each direction cuts its steps at every leg's pole, where the leg's
-    longitude form changes sign, and pops spans [t0, t1] left-first.  It
-    drops a span whose ``_lead_bound`` exceeds the bound of ``cls``.  At
-    the first span that survives it builds the legs' certificates and
+    longitude form changes sign, puts the tail (steps, None) of every
+    step past the window under them, and pops spans [t0, t1] left-first.
+    It drops a span whose ``_lead_bound`` exceeds the bound of ``cls``.
+    At the first span that survives it builds the legs' certificates and
     cuts the spans at their least ``t_min``; from then on it stops once
     ``_certified_bound`` at t0, a bound at every later step, exceeds the
-    bound, halves a longer span and yields a single step when
-    ``_worth_pricing`` holds.  A direction that runs out of spans marks
-    ``cls`` capped unless the legs' lead floors from the window's end on,
-    or else ``_certified_bound`` there, exceed the bound.
+    bound.  It halves a longer span and yields a single step when
+    ``_worth_pricing`` holds.  The tail survives only when neither bound
+    excludes it, and then marks ``cls`` capped, the one place a
+    direction does: what lies past the window may still be cheaper.
 
     The bound of ``cls`` is read afresh at every span, so what the
     caller prices between two yields prunes the rest of the sweep.
@@ -328,9 +332,10 @@ def _sweep(state, cls, lam, base, legs, center, window):
         steps = (window - abs(mu0 - center)) // 2 + 1  # mu within window
         # X = a*t + b changes sign at the pole -b/a, so cut at its ceiling
         # and one past its floor (a single step where it is an integer).
-        spans = _cut([(0, steps - 1)] if steps > 0 else [],
-                     {cut for (a, b), _ in pencils if a
-                      for cut in (-(b // a), -b // a + 1)})
+        spans = [(steps, None)] + _cut(
+            [(0, steps - 1)] if steps > 0 else [],
+            {cut for (a, b), _ in pencils if a
+             for cut in (-(b // a), -b // a + 1)})
         certs = None
         while spans:
             t0, t1 = spans.pop()
@@ -349,23 +354,19 @@ def _sweep(state, cls, lam, base, legs, center, window):
                 t0, t1 = spans.pop()
                 if _certified_bound(base, certs, t0) > need:
                     break
-            if t0 < t1:
+            if t1 is None:
+                state.capped.add(cls)
+            elif t0 < t1:
                 mid = (t0 + t1) // 2
                 spans += [(mid + 1, t1), (t0, mid)]
             elif _worth_pricing(state, cls, base, pencils, t0):
                 yield mu0 + step * t0
-        else:
-            need = state.need(cls)
-            if _lead_bound(base, pencils, steps, None) <= need:
-                if certs is None:
-                    certs = _certificates(pencils)
-                if _certified_bound(base, certs, steps) <= need:
-                    state.capped.add(cls)
 
 
 def _cut(spans, cuts):
     """The stack ``spans`` (its leftmost span last) with each span cut
-    before every step of ``cuts`` that lies inside it."""
+    before every step of ``cuts`` that lies inside it.  A tail (t0, None)
+    may sit at the bottom if no cut lies past its t0."""
     cuts = sorted(cuts)
     out = []
     for t0, t1 in reversed(spans):
@@ -443,7 +444,7 @@ def enumerate_case3(presentation, budget=None, state=None):
     """
     budget = budget if budget is not None else _DEFAULT_BUDGET
     if state is None:
-        state = _SearchState(homology_structure(presentation))
+        state = _SearchState(presentation)
     structure = state.structure
     out = []
     if not structure.nonzero_classes:
@@ -457,8 +458,7 @@ def enumerate_case3(presentation, budget=None, state=None):
         if (fj.alpha - fk.alpha) % 2 != 0:
             continue  # no degree parity can satisfy both congruences
         cls = structure.class_off(i)
-        p = 2
-        while True:
+        for p in count(2):
             lam = p * fi.alpha
             base = lam - p
             # The swept caps add N_j + N_k >= 1: two meridian caps would
@@ -470,7 +470,6 @@ def enumerate_case3(presentation, budget=None, state=None):
                 break
             if (lam - fj.alpha) % 2 != 0 or \
                     (p * fi.beta + fj.beta + fk.beta) % 2 != 0:
-                p += 1
                 continue
             total = -p * fi.beta  # mu_j + mu_k
             for mu_j in _sweep(state, cls, lam, base,
@@ -480,8 +479,7 @@ def enumerate_case3(presentation, budget=None, state=None):
                 pairs[i] = fi.pair
                 pairs[j] = (lam, mu_j)
                 pairs[k] = (lam, total - mu_j)
-                _price(presentation, state, PHParams(tuple(pairs)), out)
-            p += 1
+                _price(state, PHParams(tuple(pairs)), out)
     return out
 
 
@@ -509,15 +507,14 @@ def enumerate_case1(presentation, budget=None, state=None):
     if any(f.alpha % 2 == 0 for f in fibers):
         return out
     if state is None:
-        state = _SearchState(homology_structure(presentation))
+        state = _SearchState(presentation)
     if not state.structure.nonzero_classes:
         return out  # odd beta sum: parity excludes every candidate
     cls = state.structure.nonzero_classes[0]
     window = budget.window(presentation)
     degree_cap = budget.degree_cap(presentation)
     f1, f2, f3 = fibers
-    lam = 1
-    while True:
+    for lam in count(1, 2):
         floor1, floor2, floor3 = (0 if lam == f.alpha else 1 for f in fibers)
         # N_j >= 1 unless lam == a_j, and the three caps are never all
         # meridians.  The bound at lam + 2 is at least its largest value
@@ -536,9 +533,8 @@ def enumerate_case1(presentation, budget=None, state=None):
             n1 = n_genus(LensCurve(*f1.cap_slope(lam, mu1)))
             for mu2 in _sweep(state, cls, lam, lam - 1 + n1,
                               ((f2, 0, 1), (f3, -mu1, -1)), center2, window):
-                _price(presentation, state, PHParams(
+                _price(state, PHParams(
                     ((lam, mu1), (lam, mu2), (lam, -mu1 - mu2))), out)
-        lam += 2
     return out
 
 
@@ -555,8 +551,8 @@ def compute_norms(presentation, budget=None):
     if not isinstance(presentation, SeifertPresentation):
         raise PresentationError(f"not a presentation: {presentation!r}")
     budget = budget if budget is not None else _DEFAULT_BUDGET
-    structure = homology_structure(presentation)
-    state = _SearchState(structure)
+    state = _SearchState(presentation)
+    structure = state.structure
     vertical = {}  # each class has at most one pseudo-vertical surface
     if structure.nonzero_classes:
         for report in vertical_surfaces(presentation, structure):

@@ -22,45 +22,28 @@ from pathlib import Path
 from sfsnorm.errors import PresentationError
 from sfsnorm.notation import canonical_form, format_presentation
 from sfsnorm.search import compute_norms
-from sfsnorm.seifert import HomologyCase, SeifertPresentation, \
-    homology_structure
+from sfsnorm.seifert import SeifertPresentation
+
+from corpora import presentations_by_case
 
 FIXTURE = Path(__file__).with_name("norm_fixture.json")
 
 CRITERION4_N = (2, *range(4, 41), 64, 100, 150, 200)  # n = 3: zero Euler sum
 
 
-def _draw(rng, max_alpha, odd=False):
-    pairs = []
-    for _ in range(3):
-        a = rng.randrange(3 if odd else 2, max_alpha + 1)
-        if odd and a % 2 == 0:
-            a += 1
-        b = rng.choice([b for b in range(-a + 1, a) if gcd(a, b) == 1])
-        pairs.append((a, b))
-    return SeifertPresentation.from_pairs(pairs)
-
-
-def _by_case(per_case, seed, max_alpha):
-    rng = random.Random(seed)
-    found = {case: [] for case in HomologyCase}
-    while any(len(ms) < per_case for ms in found.values()):
-        try:
-            m = _draw(rng, max_alpha)
-        except PresentationError:
-            continue
-        ms = found[homology_structure(m).case]
-        if len(ms) < per_case:
-            ms.append(m)
-    return [m for ms in found.values() for m in ms]
-
-
 def _all_odd(count, seed, max_alpha):
     rng = random.Random(seed)
     found = []
     while len(found) < count:
+        pairs = []
+        for _ in range(3):
+            a = rng.randrange(3, max_alpha + 1)
+            if a % 2 == 0:
+                a += 1
+            b = rng.choice([b for b in range(-a + 1, a) if gcd(a, b) == 1])
+            pairs.append((a, b))
         try:
-            found.append(_draw(rng, max_alpha, odd=True))
+            found.append(SeifertPresentation.from_pairs(pairs))
         except PresentationError:
             continue
     return found
@@ -68,8 +51,8 @@ def _all_odd(count, seed, max_alpha):
 
 def corpus():
     """The fixture's presentations, in a fixed order."""
-    ms = _by_case(100, seed=2021, max_alpha=12)
-    ms += _by_case(30, seed=2022, max_alpha=40)
+    ms = presentations_by_case(100, seed=2021, max_alpha=12)
+    ms += presentations_by_case(30, seed=2022, max_alpha=40)
     ms += _all_odd(60, seed=2023, max_alpha=31)
     ms += [SeifertPresentation.from_pairs([(2, -1), (3, 1), (2 * n, 1)])
            for n in CRITERION4_N]

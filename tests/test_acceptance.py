@@ -6,17 +6,17 @@ pass/fail line.  Run with ``pytest tests/test_acceptance.py -s`` to see
 the lines as they appear.
 """
 
-import random
 import time
 from contextlib import contextmanager
 from math import gcd
 
-from sfsnorm.errors import PresentationError
 from sfsnorm.lens import LensCurve, n_genus, n_genus_oracle, normalize_lens
 from sfsnorm.search import SearchBudget, compute_norms, enumerate_case3, \
     enumerate_case4, family_scan
 from sfsnorm.seifert import SeifertPresentation
 from sfsnorm.surfaces import ph_exists, ph_genus, vertical_surfaces
+
+from corpora import random_presentations
 
 _REPORTS = {}
 
@@ -39,25 +39,6 @@ def criterion(number, description):
         raise
     print(f"[criterion {number:2d}] PASS ({time.time() - start:.1f}s) - "
           f"{description}")
-
-
-def random_presentations(count, seed, max_alpha=12):
-    rng = random.Random(seed)
-    found = []
-    while len(found) < count:
-        pairs = []
-        for _ in range(3):
-            a = rng.randrange(2, max_alpha + 1)
-            while True:
-                b = rng.randrange(-a + 1, a + 1) or 1
-                if gcd(a, b) == 1:
-                    break
-            pairs.append((a, b))
-        try:
-            found.append(SeifertPresentation.from_pairs(pairs))
-        except PresentationError:
-            continue
-    return found
 
 
 def test_criterion_1_n_function_table():

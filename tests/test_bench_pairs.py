@@ -120,12 +120,13 @@ def fake_output(wall_s, correct=True):
     ('{"metrics": {}\n', "the last line of output is not a JSON object"),
     ("[1, 2]\n", "the last line of output is not a JSON object"),
     (fake_output(9.0, correct=False), 'it reported "correct": false'),
-], ids=["empty", "text", "truncated", "not_object", "incorrect"])
+    (None, "timed out after 600 s"),
+], ids=["empty", "text", "truncated", "not_object", "incorrect", "timeout"])
 def test_bad_run_is_listed_and_left_out(tmp_path, monkeypatch, stdout,
                                         reason):
-    # A run that exits 0 with no usable result, or that reports wrong
-    # answers, fails its pair: the pair is listed with the reason and
-    # its times stay out of the medians, and the other pairs still count.
+    # A run that exits 0 with no usable result, reports wrong answers or
+    # times out (stdout None) fails its pair: the pair is listed with the
+    # reason, its times stay out of the medians, the other pairs count.
     tool = load_tool_module()
     checkouts = {side: str(tmp_path / side) for side in ("parent", "change")}
     calls = []
@@ -136,6 +137,8 @@ def test_bad_run_is_listed_and_left_out(tmp_path, monkeypatch, stdout,
         side = "parent" if cwd == checkouts["parent"] else "change"
         out = stdout if (seed, side) == (2, "change") else \
             fake_output(1.0 if side == "parent" else 0.5)
+        if out is None:
+            raise subprocess.TimeoutExpired(command, timeout)
         return subprocess.CompletedProcess(command, 0, out, "")
 
     monkeypatch.setattr(tool.subprocess, "run", fake_run)

@@ -141,7 +141,7 @@ def test_pruned_search_never_exceeds_box():
         assert entry.min_genus <= box, m
         # On its own the case-1 search prunes only against its own
         # candidates, so its minimum is the case-1 minimum.
-        state = _SearchState(homology_structure(m))
+        state = _SearchState(m)
         enumerate_case1(m, state=state)
         assert state.best[entry.z2class] <= box, m
 

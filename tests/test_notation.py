@@ -3,7 +3,6 @@
 import itertools
 import random
 import re
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -22,10 +21,7 @@ from sfsnorm.notation import (
 )
 from sfsnorm.seifert import SeifertPresentation
 
-
-def euler_sum(presentation):
-    return sum((Fraction(f.beta, f.alpha) for f in presentation.fibers),
-               Fraction(0))
+from corpora import euler_sum
 
 
 class TestParse:

@@ -1,10 +1,10 @@
 """Brute-force validation of the symbolic slope-pencil certificates."""
 
 import random
+from itertools import product
 from math import gcd
 
 import sfsnorm.search
-from sfsnorm.errors import PresentationError
 from sfsnorm.lens import (
     LensCurve,
     b_sequence,
@@ -20,12 +20,9 @@ from sfsnorm.pencils import (
     slope_pencil,
 )
 from sfsnorm.search import compute_norms
-from sfsnorm.seifert import (
-    HomologyCase,
-    SeifertPresentation,
-    complete_matrix,
-    homology_structure,
-)
+from sfsnorm.seifert import SeifertPresentation, complete_matrix
+
+from corpora import presentations_by_case
 
 
 def grows(cert):
@@ -271,26 +268,6 @@ class TestCertifiedTail:
             assert cert.bound_at(t) <= actual
 
 
-def presentations_by_case(per_case, seed, max_alpha=12):
-    """``per_case`` seeded presentations of each homology case."""
-    rng = random.Random(seed)
-    found = {case: [] for case in HomologyCase}
-    while any(len(ms) < per_case for ms in found.values()):
-        pairs = []
-        for _ in range(3):
-            a = rng.randrange(2, max_alpha + 1)
-            b = rng.choice([b for b in range(-a + 1, a) if gcd(a, b) == 1])
-            pairs.append((a, b))
-        try:
-            m = SeifertPresentation.from_pairs(pairs)
-        except PresentationError:
-            continue
-        ms = found[homology_structure(m).case]
-        if len(ms) < per_case:
-            ms.append(m)
-    return [m for ms in found.values() for m in ms]
-
-
 def search_pencils(monkeypatch, corpus):
     """Every pencil ``compute_norms`` builds on ``corpus``."""
     pencils = []
@@ -521,6 +498,41 @@ def test_sweep_yields_every_step_within_a_fixed_bound(monkeypatch):
             [-2 - 2 * t for t in range(bound)]
         assert list(sweep(FixedBound(bound), None, 1, 0, [(None, 0, 1)],
                           0, window)) == expected, bound
+
+
+def test_sweep_caps_exactly_where_both_tail_bounds_admit(monkeypatch):
+    # A direction's last span is its tail, every step from the window's
+    # end on: with the bound held fixed, the class is capped exactly when
+    # in some direction neither the legs' floors nor their certified
+    # bounds there exceed it.  Every sweep ``compute_norms`` runs is
+    # replayed; the cases that the floors alone, or the certificates
+    # alone, leave uncapped are counted, so dropping either test fails.
+    sweep, sweeps = sfsnorm.search._sweep, []
+    monkeypatch.setattr(sfsnorm.search, "_sweep",
+                        lambda *args: sweeps.append(args[2:6]) or sweep(*args))
+    for m in presentations_by_case(15, seed=2) + [ALL_ODD, TALL]:
+        compute_norms(m)
+    by_floor = by_certificates = 0
+    for (lam, base, legs, center), window in product(sweeps, (1, 2, 6, 20)):
+        floors, certified = [], []
+        for mu0, step in ((center, 2), (center - 2, -2)):
+            t = (window - abs(mu0 - center)) // 2 + 1
+            pencils = [slope_pencil(fiber, lam, offset + sign * mu0,
+                                    sign * step)
+                       for fiber, offset, sign in legs]
+            floors.append(sfsnorm.search._lead_bound(base, pencils, t, None))
+            certified.append(sfsnorm.search._certified_bound(
+                base, sfsnorm.search._certificates(pencils), t))
+        for bound in range(base, base + 8):
+            state = FixedBound(bound)
+            list(sweep(state, None, lam, base, legs, center, window))
+            capped = any(max(pair) <= bound for pair in zip(floors, certified))
+            assert state.capped == ({None} if capped else set()), \
+                (lam, base, legs, center, window, bound)
+            by_floor += not capped and min(certified) <= bound
+            by_certificates += not capped and min(floors) <= bound
+    assert len(sweeps) >= 200 and by_floor >= 800 and \
+        by_certificates >= 700, (len(sweeps), by_floor, by_certificates)
 
 
 def test_certified_bound_holds_from_each_onset(monkeypatch):

@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import random
 from fractions import Fraction
 from math import gcd, inf
 
@@ -11,7 +10,7 @@ import pytest
 import sfsnorm.search
 import sfsnorm.surfaces
 import test_case1_oracle as oracle
-from test_pencils import presentations_by_case
+from corpora import M, presentations_by_case, random_presentations
 from test_surfaces import case4_complements
 from sfsnorm.errors import PresentationError
 from sfsnorm.report import norm_report_from_json
@@ -28,7 +27,6 @@ from sfsnorm.search import (
 )
 from sfsnorm.seifert import (
     HomologyCase,
-    SeifertPresentation,
     homology_structure,
 )
 from sfsnorm.surfaces import (
@@ -41,34 +39,11 @@ from sfsnorm.surfaces import (
 )
 
 
-def M(*pairs):
-    return SeifertPresentation.from_pairs(pairs)
-
-
 M_238 = M((2, -1), (3, 1), (8, 1))
 M_PRISM6 = M((2, -1), (2, 1), (6, 1))
 M_ODD = M((3, 2), (5, 2), (7, 4))  # all multiplicities odd: case 1 runs
 M_ODD_TALL = M((31, 2), (33, 5), (29, -3))  # genus 10, at degree 1
 M_ODD_PINNED3 = M((9, -4), (3, 1), (7, 1))  # genus 7, at degree 1
-
-
-def random_presentations(count, seed, max_alpha=12):
-    rng = random.Random(seed)
-    found = []
-    while len(found) < count:
-        pairs = []
-        for _ in range(3):
-            a = rng.randrange(2, max_alpha + 1)
-            while True:
-                b = rng.randrange(-a + 1, a + 1) or 1
-                if gcd(a, b) == 1:
-                    break
-            pairs.append((a, b))
-        try:
-            found.append(M(*pairs))
-        except PresentationError:
-            continue
-    return found
 
 
 class TestCase4:
@@ -107,8 +82,8 @@ class TestCase4:
         """Every candidate ``enumerate_case4`` hands to ``horizontal_report``
         when every class bound stays at ``bound``: the state keeps the
         bound and drops the offers.  ``priced`` is the recorded list."""
-        structure = homology_structure(m)
-        state = _SearchState(structure)
+        state = _SearchState(m)
+        structure = state.structure
         if bound < inf:
             state.best = dict.fromkeys(structure.nonzero_classes, bound)
         state.offer = lambda report: None
@@ -144,7 +119,7 @@ class TestCase4:
                 bounded += 1
             # Pricing into a state that keeps its offers still reaches the
             # least genus of each class.
-            state = _SearchState(structure)
+            state = _SearchState(m)
             enumerate_case4(m, state)
             least = {}
             for p in exist:
@@ -286,7 +261,7 @@ class TestComputeNorms:
         assert [(e.min_genus, e.exhaustive) for e in report.entries] == \
             [(genus, exhaustive)]
         # The case-1 sweeps mark the class themselves, not only case 3.
-        state = _SearchState(homology_structure(m))
+        state = _SearchState(m)
         assert list(enumerate_case1(m, budget, state))
         assert state.best == {report.entries[0].z2class: genus}
         capped = {report.entries[0].z2class} if case1_capped else set()
@@ -625,7 +600,7 @@ class TestWorkCounts:
         assert len(obstructions) == len(reports) + len(exists)
         checked = [args[1] for args in obstructions]
         assert len(checked) == len(set(checked))
-        assert len(homology) <= 4
+        assert len(homology) == 1
 
     @pytest.mark.parametrize(
         "pairs, genus, gcd_limit, report_limit, cert_limit", [

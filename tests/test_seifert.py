@@ -20,14 +20,7 @@ from sfsnorm.seifert import (
     to_orlik_normal_form,
 )
 
-
-def M(*pairs):
-    return SeifertPresentation.from_pairs(pairs)
-
-
-def euler_sum(presentation):
-    return sum((Fraction(f.beta, f.alpha) for f in presentation.fibers),
-               Fraction(0))
+from corpora import M, euler_sum
 
 
 class TestCompleteMatrix:

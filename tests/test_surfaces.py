@@ -42,9 +42,7 @@ from sfsnorm.surfaces import (
     vertical_surfaces,
 )
 
-
-def M(*pairs):
-    return SeifertPresentation.from_pairs(pairs)
+from corpora import M
 
 
 def P(*pairs):

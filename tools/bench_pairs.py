@@ -20,9 +20,10 @@ The output holds, for each workload and end-to-end metric, the medians
 of the two sides over the pairs, the change in percent, the parent's
 interquartile range, and in how many pairs the change was lower and
 higher; then every completed pair, and every pair with a failed run and
-the reason: a non-zero exit, a last line that is not a JSON object, or
-a run that does not report ``"correct": true``.  ``--claim`` states
-the named metric's result as the file's claim.
+the reason: a non-zero exit, a run past RUN_TIMEOUT_S, a last line
+that is not a JSON object, or a run that does not report ``"correct":
+true``.  ``--claim`` states the named metric's result as the file's
+claim.
 """
 
 from __future__ import annotations
@@ -48,14 +49,18 @@ class RunFailed(Exception):
 
 def run_once(checkout, workload, seed, seconds):
     """The result object of one benchmark run; RunFailed when the run
-    exits non-zero or its last line of output is not a JSON object."""
+    exits non-zero, times out or its last line of output is not a JSON
+    object."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds),
                "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPYCACHEPREFIX", None)
-    proc = subprocess.run(command, cwd=checkout, capture_output=True,
-                          text=True, timeout=RUN_TIMEOUT_S, env=env)
+    try:
+        proc = subprocess.run(command, cwd=checkout, capture_output=True,
+                              text=True, timeout=RUN_TIMEOUT_S, env=env)
+    except subprocess.TimeoutExpired:
+        raise RunFailed(f"timed out after {RUN_TIMEOUT_S} s") from None
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr[-2000:])
         raise RunFailed(f"exit code {proc.returncode}")
