@@ -159,9 +159,9 @@ def lead_floor(first, second, t0, t1=None):
     between u(t0) and its limit c/a (a constant X needs a constant Y).
     For every integer m, dist(u, Z) <= |u - m|, which is largest at an
     end of that range; with m nearest its middle and d the larger end
-    distance, a0 >= floor(1/d) throughout.  A single step gets a0
-    itself, but 0 for an odd longitude coefficient; in every other case
-    the bound is 0.
+    distance, a0 >= floor(1/d) throughout.  A single step is a span of
+    one step: there d = dist(u, Z), so at a slope the floor is
+    ceil(a0/2) itself.  In every other case the bound is 0.
     """
     a, b = first
     c, d = second
@@ -170,11 +170,6 @@ def lead_floor(first, second, t0, t1=None):
         if a == 0 and c != 0:
             return 0
         x1, y1 = (a, c) if a else (x0, y0)
-    elif t0 == t1:
-        if x0 == 0 or x0 % 2 != 0:
-            return 0
-        r = y0 % abs(x0)
-        return (abs(x0) // min(r, abs(x0) - r) + 1) // 2 if r else 0
     else:
         x1, y1 = a * t1 + b, c * t1 + d
     if x0 == 0 or x1 == 0 or (x0 < 0) != (x1 < 0):

@@ -82,16 +82,18 @@ best genus is 15 after case 1 but 61 after case 3.  On the all-odd
 ladder S2((a,2),(a+2,5),(a-2,-3)) the search prices 4 candidates and
 makes 3,399 search ``gcd`` calls at a = 61 and 77,801 in about 0.5 s at
 a = 121.
-``_sweep`` is a generator: it owns every step of a sweep direction and
-yields only the coefficients that survive its floors and the exact
-check.  Every enumerator is a plain call whose loops price each yielded
-candidate into the search state before the sweep takes its next step,
-so the bounds the sweeps prune against are always current, whether they
-run inside ``compute_norms`` or on their own; case 1 nests its inner
-sweep in the loop over the outer one.  Each enumerator returns the list
-of candidates it priced.  Pricing is one existence check and one
-integer genus count per candidate, against the homology structure the
-state looks up once for its presentation.
+``_sweep`` is a generator of the coefficients that survive its floors
+and the exact check.  Each enumerator, a plain call, prices every one
+into the search state before the sweep's next step, so the bounds stay
+current, and returns the list of candidates it priced.  Pricing is one
+integer genus count against the state's homology structure and one
+existence check, which no candidate fails: each condition is met where
+a loop is set up, not re-tested on its steps.  l_i = a_i, m_i = b_i
+(mod 2) hold by case 3's degree parities, case 1's odd degrees and a
+sweep center of matching parity stepped by 2, so every cap slope's 2k
+is even; the zero sum by solving for the last coefficient; the lcm rule
+by each case's shape.  So ``_price`` raises ``InternalInvariantError``
+on a rejected candidate rather than drop it behind an exhaustive flag.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ from ._value import Value, _set
 from .errors import (
     InternalInvariantError,
     NoSurfaceError,
-    NotationSyntaxError,
     PresentationError,
     SfsNormError,
 )
@@ -114,7 +115,7 @@ from .notation import parse_presentation
 from .pencils import certified_tail, lead_floor, slope_pencil
 from .report import ClassNorm, NormReport
 from .scan import class_rows, instances
-from .seifert import SeifertPresentation, homology_structure
+from .seifert import HomologyCase, SeifertPresentation, homology_structure
 from .surfaces import (
     HORIZONTAL,
     PHParams,
@@ -221,9 +222,7 @@ def _round_half_even(num, den):
 
 
 def _parity_center(center, parity_like):
-    if (center - parity_like) % 2 != 0:
-        center += 1
-    return center
+    return center + (center - parity_like) % 2
 
 
 def enumerate_case4(presentation, state=None):
@@ -240,9 +239,9 @@ def enumerate_case4(presentation, state=None):
     the pinned fibers capping with meridians.  A candidate is priced
     only when it exists and that exact genus is at most the largest
     bound over the presentation's classes, the same rule as a sweep's
-    exact check, so no output moves; pricing still checks existence on
-    its own.  Each priced candidate goes into ``state`` (a fresh one
-    when omitted), and their list is returned.
+    exact check, so no output moves; pricing checks existence again and
+    raises if it fails.  Each priced candidate goes into ``state`` (a
+    fresh one when omitted), and their list is returned.
     """
     if state is None:
         state = _SearchState(presentation)
@@ -259,9 +258,8 @@ def enumerate_case4(presentation, state=None):
             k = 3 - i - j
             fk = fibers[k]
             # rest = -(b_i/a_i + b_j/a_j) in lowest terms, den > 0.
+            # num != 0: b_i/a_i = -b_j/a_j in lowest terms needs a_i = a_j.
             num = -(fi.beta * fj.alpha + fj.beta * fi.alpha)
-            if num == 0:
-                continue
             den = fi.alpha * fj.alpha
             g = math.gcd(num, den)  # not the sweeps' traced ``gcd``
             num, den = num // g, den // g
@@ -283,18 +281,20 @@ def enumerate_case4(presentation, state=None):
 
 
 def _price(state, params, out):
-    """Offer the surface ``params`` to ``state`` and append it to ``out``
-    if it exists.
+    """Offer the surface ``params`` to ``state`` and append it to ``out``.
 
-    ``horizontal_report`` checks existence once and raises
-    ``NoSurfaceError`` for slopes that bound no surface, which are
-    dropped.
+    ``horizontal_report`` checks existence once.  Every enumerator builds
+    only slopes that meet the existence conditions, so a
+    ``NoSurfaceError`` there is a fault of the search, and it raises
+    ``InternalInvariantError`` rather than narrow the search unseen.
     """
     try:
         report = horizontal_report(state.presentation, params,
                                    state.structure)
-    except NoSurfaceError:
-        return
+    except NoSurfaceError as err:
+        raise InternalInvariantError(
+            f"enumerated candidate {params.pairs} bounds no surface: "
+            f"{err}") from None
     _check_shape(params)
     state.offer(report)
     out.append(params)
@@ -405,12 +405,10 @@ def _worth_pricing(state, cls, base, pencils, t):
 
     Each leg's pencil gives its cap slope (2k, q) at step t.  The step is
     ruled out when a cap slope is not coprime (one search ``gcd`` call
-    per leg up to the first common factor), when a 2k is odd, or when
-    ``base`` plus the legs' exact N exceeds the bound of ``cls``.  The
-    gluing matrix has determinant 1, so gcd(2k, q) is the gcd of the
-    leg's slope (lam, c) itself.  The congruence l = a, m = b (mod 2)
-    makes 2k even for every surface that exists, so an odd one bounds
-    none.
+    per leg up to the first common factor), or when ``base`` plus the
+    legs' exact N exceeds the bound of ``cls``.  The gluing matrix has
+    determinant 1, so gcd(2k, q) is the gcd of the leg's slope (lam, c)
+    itself.
     """
     caps = [(first.a * t + first.b, second.a * t + second.b)
             for first, second in pencils]
@@ -419,9 +417,8 @@ def _worth_pricing(state, cls, base, pencils, t):
             return False
     best = state.need(cls)
     total = base
+    # 2k = m*a - l*b is even: every sweep keeps l = a, m = b (mod 2).
     for twok, q in caps:
-        if twok % 2 != 0:
-            return False
         total += slope_genus(twok, q)
         if total > best:
             return False
@@ -502,15 +499,14 @@ def enumerate_case1(presentation, budget=None, state=None):
     from .lens import n_genus
 
     budget = budget if budget is not None else _DEFAULT_BUDGET
-    fibers = presentation.fibers
-    out = []
-    if any(f.alpha % 2 == 0 for f in fibers):
-        return out
     if state is None:
         state = _SearchState(presentation)
-    if not state.structure.nonzero_classes:
-        return out  # odd beta sum: parity excludes every candidate
+    out = []
+    # Odd l_i = a_i and m-sum 0 = b-sum (mod 2): all a_i odd, even b-sum.
+    if state.structure.case is not HomologyCase.CYCLIC_VERTICAL:
+        return out
     cls = state.structure.nonzero_classes[0]
+    fibers = presentation.fibers
     window = budget.window(presentation)
     degree_cap = budget.degree_cap(presentation)
     f1, f2, f3 = fibers
@@ -589,16 +585,17 @@ def family_scan(template, grid, budget=None):
     instance runs, and a slot or bound error at the first instance that
     meets it: a caller who wants every error of a file raised before
     anything runs calls ``scan.check_families`` first, as ``sfs-norm
-    scan`` does.  Instances that fail validation are skipped and logged.
-    The rows are those of ``scan.class_rows``.
+    scan`` does.  An instance is its template with integer literals in
+    the slots, so its syntax is the template's; instances that fail
+    validation are skipped and logged.  The rows are those of
+    ``scan.class_rows``.
     """
     rows = []
     for text in instances(template, grid):
+        # No syntax error reaches here: ``instances`` raised it first.
         try:
             presentation = parse_presentation(text)
             report = compute_norms(presentation, budget)
-        except NotationSyntaxError:
-            raise
         except SfsNormError as err:
             log.warning("skipping %s: %s", text, err)
             continue

@@ -39,10 +39,13 @@ class PHParams(Value):
     _fields = ("pairs",)
 
     def __init__(self, pairs):
-        pairs = tuple([(int(l), int(m)) for l, m in pairs])
+        pairs = tuple([(l, m) for l, m in pairs])
         if len(pairs) != 3:
             raise PresentationError("need three slope pairs")
         for l, m in pairs:
+            if type(l) is not int or type(m) is not int:
+                raise PresentationError(
+                    f"slope ({l!r}, {m!r}) needs integer entries")
             if l <= 0:
                 raise PresentationError(f"slope ({l}, {m}) needs l > 0")
             if gcd(l, m) != 1:
@@ -57,7 +60,10 @@ class VerticalSurface(Value):
     __slots__ = _fields = ("connects",)
 
     def __init__(self, connects):
-        ij = tuple(sorted(connects))
+        ij = tuple(connects)
+        if any(type(i) is not int for i in ij):
+            raise PresentationError(f"fiber pair {ij!r} needs integer entries")
+        ij = tuple(sorted(ij))
         if len(ij) != 2 or not set(ij) <= {1, 2, 3} or ij[0] == ij[1]:
             raise PresentationError(f"bad fiber pair {ij}")
         _set(self, "connects", ij)

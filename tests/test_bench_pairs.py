@@ -153,3 +153,55 @@ def test_bad_run_is_listed_and_left_out(tmp_path, monkeypatch, stdout,
                         subprocess.CompletedProcess(command, 3, "", "boom"))
     with pytest.raises(tool.RunFailed, match="exit code 3"):
         tool.run_once(checkouts["parent"], "mix", 1, 1)
+
+
+END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+              {"name": "passed_share", "better": "higher", "bound": 0.01},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
+
+
+def shares(parent, change):
+    return {"parent": {"passed_share": parent},
+            "change": {"passed_share": change}}
+
+
+@pytest.mark.parametrize("wall, share, expected", [
+    ((1.0, 1.24), (1.0, 0.995), []),
+    ((1.0, 1.26), (1.0, 1.0), ["mix:wall_s"]),
+    ((1.0, 0.5), (1.0, 0.98), ["mix:passed_share"]),
+    ((2.0, 1.0), (0.5, 1.0), []),
+], ids=["within_bounds", "slower", "fewer_passed", "better"])
+def test_worse_than_bound(wall, share, expected):
+    # Worse means more than bound * parent median away in the metric's
+    # better direction; a metric the runs do not report is not listed.
+    tool = load_tool_module()
+    runs = [{side: {**pair(*wall)[side], **shares(*share)[side]}
+             for side in ("parent", "change")}]
+    workloads = {"mix": {"pairs": 1, "medians": tool.medians(runs)}}
+    assert tool.worse_than_bound(workloads, END_TO_END) == expected
+
+
+def test_claim_text_follows_better_direction():
+    tool = load_tool_module()
+    runs = [shares(0.9, 1.0), shares(0.9, 0.95), shares(1.0, 0.9)]
+    workloads = {"mix": {"pairs": len(runs), "medians": tool.medians(runs)}}
+    assert tool.claim_text(workloads, "mix:passed_share", END_TO_END) == (
+        "passed_share on mix against the parent: +5.6% in the median, "
+        "higher in 2 of 3 pairs, against a parent interquartile range of "
+        "11.1%")
+
+
+def test_main_writes_worse_than_bound(tmp_path, monkeypatch, capsys):
+    tool = load_tool_module()
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": END_TO_END}))
+    runs = [pair(1.0, 1.3), pair(1.0, 1.4)]
+    monkeypatch.setattr(tool, "run_pairs", lambda *args: (runs, []))
+    out = tmp_path / "bench.json"
+    tool.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+               "--workload", "mix", "--out", str(out)])
+    assert json.loads(out.read_text())["worse_than_bound"] == ["mix:wall_s"]
+    assert "worse than bound: ['mix:wall_s']" in capsys.readouterr().err

@@ -14,7 +14,11 @@ import sfsnorm.notation
 import sfsnorm.scan
 import sfsnorm.search
 from sfsnorm.cli import main
-from sfsnorm.errors import InternalInvariantError, PresentationError
+from sfsnorm.errors import (
+    InternalInvariantError,
+    NoSurfaceError,
+    PresentationError,
+)
 from sfsnorm.report import norm_report_from_json
 from sfsnorm.scan import SCAN_CSV_HEADER
 from sfsnorm.search import compute_norms
@@ -396,6 +400,29 @@ class TestUsage:
         assert code == 3 and out == ""
         assert err == "internal error: class 101 ended with no " \
             "representative\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("norm", "S2((2,-1),(3,1),(8,1))"),
+        ("scan", "{spec}"),
+    ], ids=["norm", "scan"])
+    def test_rejected_candidate_exit_3(self, capsys, tmp_path, monkeypatch,
+                                       argv):
+        # The enumerators build only slopes that bound a surface, so a
+        # rejection is a fault of the search: it stops the run, where a
+        # silent drop used to print genus 5 (the minimum is 3) as
+        # exhaustive with exit 0.
+        def reject(presentation, params, structure=None):
+            raise NoSurfaceError(f"{params.pairs} bound no surface")
+        monkeypatch.setattr(sfsnorm.search, "horizontal_report", reject)
+        with pytest.raises(InternalInvariantError, match="bounds no surface"):
+            compute_norms(SeifertPresentation.from_pairs(
+                [(2, -1), (3, 1), (8, 1)]))
+        spec = tmp_path / "fam.txt"
+        spec.write_text("S2((2,-1),(3,1),(8,1))\n")
+        code, out, err = run(capsys, *(a.format(spec=spec) for a in argv))
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: enumerated candidate ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # Expressions past the interpreter's limits: more digits than int() and

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from math import gcd, inf
 
@@ -11,6 +12,7 @@ import sfsnorm.search
 import sfsnorm.surfaces
 import test_case1_oracle as oracle
 from corpora import M, presentations_by_case, random_presentations
+from record_norm_fixture import corpus as fixture_corpus
 from test_surfaces import case4_complements
 from sfsnorm.errors import PresentationError
 from sfsnorm.report import norm_report_from_json
@@ -479,6 +481,38 @@ class TestLeadSkip:
 def ladder(a):
     # The all-odd ladder: case 1 carries every sweep step.
     return M((a, 2), (a + 2, 5), (a - 2, -3))
+
+
+def test_every_sweep_leg_has_even_longitude(monkeypatch):
+    # Degree parities (case 3), odd degrees (case 1) and a center of
+    # matching parity stepped by 2 keep l = a, m = b (mod 2), so each
+    # leg's 2k = m*a - l*b is even at every step of its direction: its
+    # pencil's constant and slope are even.  Neither ``_worth_pricing``
+    # nor ``lead_floor`` tests for an odd 2k.  The lead floors see every
+    # direction, also those whose steps are all skipped.
+    worth_pricing, floor = sfsnorm.search._worth_pricing, \
+        sfsnorm.search.lead_floor
+    seen = Counter()
+
+    def even(first, what):
+        assert first.a % 2 == 0 and first.b % 2 == 0, (first, what)
+        seen[what] += 1
+
+    def worth_pricing_spy(state, cls, base, pencils, t):
+        for first, _ in pencils:
+            even(first, f"{len(pencils)}-leg step")
+        return worth_pricing(state, cls, base, pencils, t)
+
+    def floor_spy(first, second, t0, t1=None):
+        even(first, "lead floor")
+        return floor(first, second, t0, t1)
+
+    monkeypatch.setattr(sfsnorm.search, "_worth_pricing", worth_pricing_spy)
+    monkeypatch.setattr(sfsnorm.search, "lead_floor", floor_spy)
+    for m in fixture_corpus() + [ladder(31), M((2, -1), (3, 1), (800, 1))]:
+        compute_norms(m)
+    assert seen["1-leg step"] >= 5000 and seen["2-leg step"] >= 800 and \
+        seen["lead floor"] >= 40_000, seen
 
 
 class TestExactCheck:

@@ -75,6 +75,14 @@ class TestPHParams:
         with pytest.raises(PresentationError):
             P((2, -1), (3, 1), (6, 2))
 
+    @pytest.mark.parametrize("pairs", [
+        ((2.5, -1), (3, 1), (6, 1)), ((2, -1.0), (3, 1), (6, 1)),
+        (("2", -1), (3, 1), (6, 1)), ((2, -1), (3, True), (6, 1))])
+    def test_rejects_non_integers(self, pairs):
+        # 2.5 used to become 2, and '2' and True passed as 2 and 1.
+        with pytest.raises(PresentationError, match="integer entries"):
+            PHParams(pairs)
+
 
 class TestPhExists:
     def test_figure_example(self):
@@ -202,6 +210,12 @@ class TestPhClass:
 
 
 class TestVerticalSurfaces:
+    @pytest.mark.parametrize("connects", [(2.0, 1), (1, True), ("1", 2)])
+    def test_rejects_non_integers(self, connects):
+        # (2.0, 1) used to keep connects=(1, 2.0), and True passed as 1.
+        with pytest.raises(PresentationError, match="integer entries"):
+            VerticalSurface(connects)
+
     def test_klein_four_triple(self):
         reports = vertical_surfaces(M((2, -1), (2, 1), (6, 1)))
         by_pair = {r.vertical.connects: r for r in reports}

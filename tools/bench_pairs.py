@@ -23,7 +23,11 @@ higher; then every completed pair, and every pair with a failed run and
 the reason: a non-zero exit, a run past RUN_TIMEOUT_S, a last line
 that is not a JSON object, or a run that does not report ``"correct":
 true``.  ``--claim`` states the named metric's result as the file's
-claim.
+claim.  ``worse_than_bound`` lists, as ``WORKLOAD:METRIC``, each
+end-to-end metric of the parent's ``BENCHMARK.json`` whose change median
+is worse than the parent's, in the metric's ``better`` direction, by
+more than its ``bound`` times the parent median; the list is printed
+on stderr too.  It is null when the parent has no ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -148,9 +152,38 @@ def medians(runs):
     return out
 
 
-def claim_text(workloads, claim):
-    """The claim sentence for ``WORKLOAD:METRIC``; ValueError when that
-    workload completed no pair or reports no such metric."""
+def load_end_to_end(checkout):
+    """The ``end_to_end`` metrics of the checkout's ``BENCHMARK.json``,
+    or None when it has none."""
+    path = Path(checkout) / "BENCHMARK.json"
+    if not path.is_file():
+        return None
+    return json.loads(path.read_text(encoding="utf-8"))["end_to_end"]
+
+
+def worse_than_bound(workloads, end_to_end):
+    """``WORKLOAD:METRIC`` for each metric of ``end_to_end`` whose change
+    median is worse than the parent's by more than bound * parent
+    median, in the direction of its ``better``."""
+    worse = []
+    for workload, summary in workloads.items():
+        for metric in end_to_end:
+            m = summary["medians"].get(metric["name"])
+            if m is None:
+                continue
+            loss = m["change_median"] - m["parent_median"]
+            if metric["better"] == "higher":
+                loss = -loss
+            if loss > metric["bound"] * m["parent_median"]:
+                worse.append(f"{workload}:{metric['name']}")
+    return worse
+
+
+def claim_text(workloads, claim, end_to_end=()):
+    """The claim sentence for ``WORKLOAD:METRIC``, counting the pairs
+    that moved in the metric's ``better`` direction of ``end_to_end``
+    (lower when it is not listed); ValueError when that workload
+    completed no pair or reports no such metric."""
     workload, metric = claim.split(":", 1)
     pairs = workloads[workload]["pairs"]
     if not pairs:
@@ -159,10 +192,12 @@ def claim_text(workloads, claim):
         raise ValueError(f"--claim {claim}: {workload} reports no {metric}")
     m = workloads[workload]["medians"][metric]
     iqr_pct = 100.0 * m["parent_iqr"] / m["parent_median"]
+    better = {e["name"]: e["better"] for e in end_to_end}.get(metric,
+                                                               "lower")
     return (f"{metric} on {workload} against the parent: "
-            f"{m['change_pct']:+.1f}% in the median, lower in "
-            f"{m['change_lower_pairs']} of {pairs} pairs, against a parent "
-            f"interquartile range of {iqr_pct:.1f}%")
+            f"{m['change_pct']:+.1f}% in the median, {better} in "
+            f"{m[f'change_{better}_pairs']} of {pairs} pairs, against a "
+            f"parent interquartile range of {iqr_pct:.1f}%")
 
 
 def revision(checkout):
@@ -206,10 +241,15 @@ def main(argv=None):
                                "medians": medians(runs),
                                "runs": runs,
                                "failed_runs": failed}
+    end_to_end = load_end_to_end(args.parent_dir)
     try:
-        claim = claim_text(workloads, args.claim) if args.claim else None
+        claim = claim_text(workloads, args.claim, end_to_end or ()) \
+            if args.claim else None
     except ValueError as err:
         sys.exit(f"error: {err}")
+    worse = None if end_to_end is None else \
+        worse_than_bound(workloads, end_to_end)
+    print(f"worse than bound: {worse}", file=sys.stderr)
     result = {
         "claim": claim,
         "command": "python3 perfbench/run.py --workload W --seed S "
@@ -221,6 +261,7 @@ def main(argv=None):
         "method": "alternating parent/change pairs, the side that runs "
                   "first alternating from pair to pair; one seed per pair",
         "parent": revision(args.parent_dir),
+        "worse_than_bound": worse,
         "workloads": workloads,
     }
     text = json.dumps(result, indent=1) + "\n"
