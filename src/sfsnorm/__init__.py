@@ -17,12 +17,7 @@ from .errors import (
 from .lens import LensCurve, n_genus
 from .notation import parse_presentation
 from .report import norm_report_from_json
-from .search import (
-    compute_norms,
-    enumerate_case1,
-    enumerate_case3,
-    enumerate_case4,
-)
+from .search import compute_norms
 from .seifert import SeifertPresentation
 from .surfaces import (
     PHParams,
@@ -45,9 +40,6 @@ __all__ = [
     "SeifertPresentation",
     "SfsNormError",
     "compute_norms",
-    "enumerate_case1",
-    "enumerate_case3",
-    "enumerate_case4",
     "horizontal_report",
     "n_genus",
     "norm_report_from_json",

@@ -7,6 +7,9 @@ are arithmetic in the variables (``+ - * // ()``); the bounds of a range
 may use the variables ranged before it.  Each slot and bound is checked
 against that arithmetic, compiled once by Python's compiler, and run
 with no builtins, so its names are the line's variables and nothing else.
+A variable is an ASCII identifier other than a Python keyword and
+``__debug__``, which Python reads as a constant: a slot or bound that
+names ``__debug__`` is an unbound name.
 
 A template that its notation's pattern reads whole is a literal
 presentation: it has no slot to evaluate, so each of its instances is
@@ -23,6 +26,7 @@ from __future__ import annotations
 import ast
 import csv
 import io
+import keyword
 import re
 from contextlib import contextmanager
 from functools import lru_cache
@@ -66,7 +70,8 @@ def parse_scan_file(text):
                 name, span = field.split("=", 1)
                 lo, hi = span.split("..", 1)
                 name = name.strip()
-                if not (name.isidentifier() and name.isascii()):
+                if not (name.isidentifier() and name.isascii()) or \
+                        keyword.iskeyword(name) or name == "__debug__":
                     raise NotationSyntaxError(f"bad variable name {name!r}")
                 if any(name == seen for seen, _, _ in grid):
                     raise NotationSyntaxError(
@@ -123,6 +128,10 @@ def _compile(expr):
     try:
         tree = ast.parse(expr, mode="eval")
         for node in ast.walk(tree):
+            # Python compiles ``__debug__`` to a constant, so no variable
+            # can bind it and it never reaches the code's names.
+            if type(node) is ast.Name and node.id == "__debug__":
+                raise PresentationError("unbound variable '__debug__'")
             if not isinstance(node, _ARITHMETIC) and not (
                     type(node) is ast.Constant and type(node.value) is int):
                 raise PresentationError(f"unsupported arithmetic in {shown}")

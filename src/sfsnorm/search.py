@@ -74,8 +74,10 @@ Case 1 bounds its caps the same way: N >= 1 for every cap slope but the
 meridian, which the slope (lam, m_j) gives only when lam = a_j.  That
 floor of one per off-meridian cap prunes the case-1 degree loop, the
 outer sweep and each inner sweep.
-``compute_norms`` offers the pseudo-vertical surfaces first, then runs
-case 4, case 1 and case 3, in that order.  On an all-odd presentation
+``compute_norms`` builds one ``_SearchState`` per presentation, which
+resolves the budget once and is all that each enumerator reads.  It
+offers the pseudo-vertical surfaces first, then runs case 4, case 1 and
+case 3, in that order.  On an all-odd presentation
 the low degrees of case 1 usually hold the minimum, and case 3's degree
 loop then mostly stops at p = 2: on S2((19,-16),(19,-1),(25,-23)) the
 best genus is 15 after case 1 but 61 after case 3.  On the all-odd
@@ -130,10 +132,11 @@ log = logging.getLogger(__name__)
 class SearchBudget(Value):
     """Explicit constants behind the 'sufficiently large' cutoffs.
 
-    ``mu_window`` is the half-width of every coefficient sweep (default
-    64 * max(alpha)); ``lambda_cap`` bounds the covering degree when no
-    candidate has bounded it yet (default 8 * sum(alpha) + 64).
-    A sweep that reaches either cap marks its class non-exhaustive.
+    ``mu_window`` is the half-width of every coefficient sweep and
+    ``lambda_cap`` bounds the covering degree when no candidate has
+    bounded it yet; None leaves each to the default that ``_SearchState``
+    works out from the presentation.  A sweep that reaches either cap
+    marks its class non-exhaustive.
     """
 
     __slots__ = _fields = ("mu_window", "lambda_cap")
@@ -151,36 +154,31 @@ class SearchBudget(Value):
         _set(self, "mu_window", mu_window)
         _set(self, "lambda_cap", lambda_cap)
 
-    def window(self, presentation):
-        if self.mu_window is not None:
-            return self.mu_window
-        return 64 * max(presentation.alphas)
-
-    def degree_cap(self, presentation):
-        # Binds only while no candidate genus bounds the search yet.
-        if self.lambda_cap is not None:
-            return self.lambda_cap
-        return 8 * sum(presentation.alphas) + 64
-
-
-# The budget of every call that passes none.
-_DEFAULT_BUDGET = SearchBudget()
-
 
 class _SearchState:
-    """Search results per class for ``presentation``, whose homology
-    ``structure`` it looks up once, so the enumerators and ``_price``
-    read both from the state.
+    """The whole input of one search of ``presentation``, and its results
+    per class.  The enumerators and ``_price`` read everything from it.
 
+    It looks up the homology ``structure`` and resolves ``budget`` once:
+    ``window`` is its ``mu_window`` (default 64 * max(alpha)) and
+    ``degree_cap`` its ``lambda_cap`` (default 8 * sum(alpha) + 64).
     ``best[cls]`` is the least genus offered, ``witness[cls]`` the first
     report offered at that genus and ``kinds[cls]`` the set of kinds that
     reach it; ``capped`` holds the classes whose sweeps hit a cap.
     ``need(cls)`` is the bound every skip and stop compares against.
     """
 
-    def __init__(self, presentation):
+    def __init__(self, presentation, budget=None):
         self.presentation = presentation
         self.structure = homology_structure(presentation)
+        window = degree_cap = None
+        if budget is not None:
+            window, degree_cap = budget.mu_window, budget.lambda_cap
+        alphas = presentation.alphas
+        # A limit the budget sets is positive, so ``or`` keeps it.
+        self.window = window or 64 * max(alphas)
+        # Binds only while no candidate genus bounds the search yet.
+        self.degree_cap = degree_cap or 8 * sum(alphas) + 64
         self.best = {}
         self.witness = {}
         self.kinds = {}
@@ -213,19 +211,19 @@ def _check_shape(params):
             f"impossible: {params.pairs}")
 
 
-def _round_half_even(num, den):
-    """round(num/den) for den > 0, ties to even as ``round`` does."""
-    quo, rem = divmod(num, den)
-    if 2 * rem > den or (2 * rem == den and quo % 2 != 0):
-        quo += 1
-    return quo
-
-
 def _parity_center(center, parity_like):
     return center + (center - parity_like) % 2
 
 
-def enumerate_case4(presentation, state=None):
+def _case1_center(lam, fiber):
+    """lam*beta/alpha rounded half up, raised to the parity of beta.  Case
+    1 has odd alpha, so lam*beta/alpha is never a half: this rounds as
+    ``round`` does."""
+    a, b = fiber.alpha, fiber.beta
+    return _parity_center((2 * lam * b + a) // (2 * a), b)
+
+
+def enumerate_case4(state):
     """Candidates whose three slope multiplicities are strictly ordered.
 
     For each fiber pair (i, j) with a_i < a_j the two lower slopes are
@@ -240,13 +238,11 @@ def enumerate_case4(presentation, state=None):
     only when it exists and that exact genus is at most the largest
     bound over the presentation's classes, the same rule as a sweep's
     exact check, so no output moves; pricing checks existence again and
-    raises if it fails.  Each priced candidate goes into ``state`` (a
-    fresh one when omitted), and their list is returned.
+    raises if it fails.  Each priced candidate goes into ``state``, and
+    their list is returned.
     """
-    if state is None:
-        state = _SearchState(presentation)
     classes = state.structure.nonzero_classes
-    fibers = presentation.fibers
+    fibers = state.presentation.fibers
     out = []
     if not classes:
         return out  # a surface represents a nonzero class
@@ -425,7 +421,7 @@ def _worth_pricing(state, cls, base, pencils, t):
     return True
 
 
-def enumerate_case3(presentation, budget=None, state=None):
+def enumerate_case3(state):
     """Candidates with one slope strictly below the two equal others.
 
     For each fiber i the slope (l_i, m_i) is pinned to (a_i, b_i), the
@@ -435,20 +431,15 @@ def enumerate_case3(presentation, budget=None, state=None):
     degree loop stops when the capped-cover genus p*(a_i - 1) alone
     reaches the bound of the class this sweep represents, since the two
     swept caps add N_j + N_k >= 1.
-    Each candidate is priced into ``state`` (a fresh one when omitted) as
-    it is found, so the bounds prune the rest of the search, and the list
-    of candidates priced is returned.
+    Each candidate is priced into ``state`` as it is found, so the bounds
+    prune the rest of the search, and the list of candidates priced is
+    returned.
     """
-    budget = budget if budget is not None else _DEFAULT_BUDGET
-    if state is None:
-        state = _SearchState(presentation)
     structure = state.structure
     out = []
     if not structure.nonzero_classes:
         return out
-    window = budget.window(presentation)
-    degree_cap = budget.degree_cap(presentation)
-    fibers = presentation.fibers
+    fibers = state.presentation.fibers
     for i in range(3):
         j, k = (x for x in range(3) if x != i)
         fi, fj, fk = fibers[i], fibers[j], fibers[k]
@@ -462,7 +453,7 @@ def enumerate_case3(presentation, budget=None, state=None):
             # make the Euler sum zero.
             if base >= state.need(cls):
                 break
-            if lam > degree_cap:
+            if lam > state.degree_cap:
                 state.capped.add(cls)
                 break
             if (lam - fj.alpha) % 2 != 0 or \
@@ -471,7 +462,8 @@ def enumerate_case3(presentation, budget=None, state=None):
             total = -p * fi.beta  # mu_j + mu_k
             for mu_j in _sweep(state, cls, lam, base,
                                ((fj, 0, 1), (fk, total, -1)),
-                               _parity_center(total // 2, fj.beta), window):
+                               _parity_center(total // 2, fj.beta),
+                               state.window):
                 pairs = [None, None, None]
                 pairs[i] = fi.pair
                 pairs[j] = (lam, mu_j)
@@ -480,7 +472,7 @@ def enumerate_case3(presentation, budget=None, state=None):
     return out
 
 
-def enumerate_case1(presentation, budget=None, state=None):
+def enumerate_case1(state):
     """Candidates with all three multiplicities equal to an odd degree.
 
     Possible only when every multiplicity is odd; the coefficients sum
@@ -498,17 +490,12 @@ def enumerate_case1(presentation, budget=None, state=None):
     """
     from .lens import n_genus
 
-    budget = budget if budget is not None else _DEFAULT_BUDGET
-    if state is None:
-        state = _SearchState(presentation)
     out = []
     # Odd l_i = a_i and m-sum 0 = b-sum (mod 2): all a_i odd, even b-sum.
     if state.structure.case is not HomologyCase.CYCLIC_VERTICAL:
         return out
     cls = state.structure.nonzero_classes[0]
-    fibers = presentation.fibers
-    window = budget.window(presentation)
-    degree_cap = budget.degree_cap(presentation)
+    fibers = state.presentation.fibers
     f1, f2, f3 = fibers
     for lam in count(1, 2):
         floor1, floor2, floor3 = (0 if lam == f.alpha else 1 for f in fibers)
@@ -517,18 +504,16 @@ def enumerate_case1(presentation, budget=None, state=None):
         # here, so the break covers every higher degree too.
         if lam - 1 + max(1, floor1 + floor2 + floor3) > state.need(cls):
             break
-        if lam > degree_cap:
+        if lam > state.degree_cap:
             state.capped.add(cls)
             break
-        center1 = _parity_center(_round_half_even(lam * f1.beta, f1.alpha),
-                                 f1.beta)
-        center2 = _parity_center(_round_half_even(lam * f2.beta, f2.alpha),
-                                 f2.beta)
+        center1, center2 = _case1_center(lam, f1), _case1_center(lam, f2)
         for mu1 in _sweep(state, cls, lam, lam - 1 + floor2 + floor3,
-                          ((f1, 0, 1),), center1, window):
+                          ((f1, 0, 1),), center1, state.window):
             n1 = n_genus(LensCurve(*f1.cap_slope(lam, mu1)))
             for mu2 in _sweep(state, cls, lam, lam - 1 + n1,
-                              ((f2, 0, 1), (f3, -mu1, -1)), center2, window):
+                              ((f2, 0, 1), (f3, -mu1, -1)), center2,
+                              state.window):
                 _price(state, PHParams(
                     ((lam, mu1), (lam, mu2), (lam, -mu1 - mu2))), out)
     return out
@@ -546,8 +531,7 @@ def compute_norms(presentation, budget=None):
     """
     if not isinstance(presentation, SeifertPresentation):
         raise PresentationError(f"not a presentation: {presentation!r}")
-    budget = budget if budget is not None else _DEFAULT_BUDGET
-    state = _SearchState(presentation)
+    state = _SearchState(presentation, budget)
     structure = state.structure
     vertical = {}  # each class has at most one pseudo-vertical surface
     if structure.nonzero_classes:
@@ -555,9 +539,9 @@ def compute_norms(presentation, budget=None):
             vertical[report.z2class] = report.genus
             state.offer(report)
         # The enumerators price into ``state`` themselves.
-        enumerate_case4(presentation, state)
-        enumerate_case1(presentation, budget, state)
-        enumerate_case3(presentation, budget, state)
+        enumerate_case4(state)
+        enumerate_case1(state)
+        enumerate_case3(state)
     entries = []
     for cls in structure.nonzero_classes:
         if cls not in state.witness:

@@ -11,8 +11,8 @@ from contextlib import contextmanager
 from math import gcd
 
 from sfsnorm.lens import LensCurve, n_genus, n_genus_oracle, normalize_lens
-from sfsnorm.search import SearchBudget, compute_norms, enumerate_case3, \
-    enumerate_case4, family_scan
+from sfsnorm.search import SearchBudget, _SearchState, compute_norms, \
+    enumerate_case3, enumerate_case4, family_scan
 from sfsnorm.seifert import SeifertPresentation
 from sfsnorm.surfaces import ph_exists, ph_genus, vertical_surfaces
 
@@ -199,10 +199,10 @@ def test_criterion_9_property_suites():
         # Genus is blind to the choice of gluing completion.
         candidates = []
         for m in random_presentations(60, seed=901):
-            for params in enumerate_case4(m):
+            for params in enumerate_case4(_SearchState(m)):
                 candidates.append((m, params))
             if len(candidates) < 100:
-                for params in enumerate_case3(m):
+                for params in enumerate_case3(_SearchState(m)):
                     if params.lam <= 4 * max(m.alphas):
                         candidates.append((m, params))
                     if len(candidates) >= 140:

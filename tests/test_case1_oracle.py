@@ -7,6 +7,10 @@ its fiber pair or of the box's degree (``box_surfaces``).  Both price
 each surface that exists, with no pruning and no certificates.  Every
 box surface is a real surface, so the pruned search may never report a
 larger minimum than the box holds.
+
+The lens-space oracle takes its answer from outside the surface model:
+S2((a1,b1),(a2,b2),(1,b3)) is a lens space L(p, q), and for even p the
+least genus of its one nonzero class is N(p, q) (Bredon and Wood).
 """
 
 import random
@@ -14,10 +18,13 @@ from collections import Counter
 from itertools import product
 from math import gcd
 
+import sfsnorm.seifert
 from sfsnorm.errors import PresentationError
-from sfsnorm.search import _SearchState, compute_norms, enumerate_case1
+from sfsnorm.lens import slope_genus
+from sfsnorm.search import SearchBudget, _SearchState, compute_norms, \
+    enumerate_case1
 from sfsnorm.seifert import HomologyCase, SeifertPresentation, \
-    homology_structure
+    complete_matrix, homology_structure
 from sfsnorm.surfaces import PHParams, ph_class, ph_exists, ph_genus, \
     vertical_surfaces
 
@@ -142,7 +149,7 @@ def test_pruned_search_never_exceeds_box():
         # On its own the case-1 search prunes only against its own
         # candidates, so its minimum is the case-1 minimum.
         state = _SearchState(m)
-        enumerate_case1(m, state=state)
+        enumerate_case1(state)
         assert state.best[entry.z2class] <= box, m
 
 
@@ -167,3 +174,52 @@ def test_pruned_search_never_exceeds_box_of_every_shape():
                           HomologyCase.KLEIN_FOUR,
                           HomologyCase.CYCLIC_VERTICAL}
     assert sum(cases.values()) >= 250
+
+
+def lens_spaces(count, seed, max_alpha=20):
+    """Seeded S2((a1,b1),(a2,b2),(1,b3)) with 2 <= a_i <= max_alpha and
+    even p, each with the (p, q) of the lens space L(p, q) it presents.
+
+    Moving the third fiber's twist b3 onto the second leaves two fibers,
+    (a1,b1) and (a2,b2') with b2' = b2 + a2*b3, glued into L(p, q) with
+    p = |a1*b2' + a2*b1| and q = a2*delta1 + b2'*gamma1 (mod p).  b3 is
+    never 0, whose completion ``complete_matrix(1, 0)`` does not exist.
+    Building them needs ``_check_multiplicity`` to admit alpha = 1.
+    """
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        (a1, b1), (a2, b2) = [
+            (a, rng.choice([b for b in range(-a + 1, a) if gcd(a, b) == 1]))
+            for a in (rng.randrange(2, max_alpha + 1),
+                      rng.randrange(2, max_alpha + 1))]
+        b3 = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+        f1 = complete_matrix(a1, b1)
+        b2_moved = b2 + a2 * b3
+        p = abs(a1 * b2_moved + a2 * b1)
+        if p == 0 or p % 2:
+            continue  # p = 0 is not small; odd p has no nonzero class
+        q = (a2 * f1.delta + b2_moved * f1.gamma) % p
+        found.append((SeifertPresentation.from_pairs(
+            ((a1, b1), (a2, b2), (1, b3))), p, q))
+    return found
+
+
+def test_lens_spaces_match_bredon_wood(monkeypatch):
+    # The public parsers still reject alpha < 2; only this test admits 1.
+    monkeypatch.setattr(sfsnorm.seifert, "_check_multiplicity",
+                        lambda alpha: None)
+    # A pinned alpha = 1 fiber never closes case 3's degree loop, so the
+    # degree cap only bounds the run time; the minima stay exact.
+    budget = SearchBudget(lambda_cap=16)
+    kinds = Counter()
+    for seed in (1, 2, 3):
+        for m, p, q in lens_spaces(400, seed):
+            report = compute_norms(m, budget)
+            (entry,) = report.entries
+            assert entry.min_genus == slope_genus(p, q), (m.pairs(), p, q)
+            kinds[report.case, entry.witness_kinds] += 1
+    assert {case for case, _ in kinds} == {HomologyCase.CYCLIC_TWO_EVEN,
+                                           HomologyCase.CYCLIC_VERTICAL}
+    assert {witness for _, witness in kinds} == {
+        ("horizontal",), ("horizontal", "vertical")}

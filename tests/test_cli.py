@@ -323,6 +323,15 @@ class TestScan:
          "error: line 2: division by zero in '8//(n-2)'"),
         (b"S2((2,-1),(3,1),(8,1))\n\nS2((2,-1),(3,1),(n,1)) | n\n", 1,
          "error: line 3: syntax error: expected 'var=lo..hi', got 'n'"),
+        # Python compiles __debug__ to the constant True: no binding
+        # reaches it, and it used to read as 1 without an error.
+        (b"S2((2,-1),(3,1),(2*__debug__,1))\n", 2,
+         "unbound variable '__debug__'"),
+        (b"S2((2,-1),(3,1),(n,1)) | __debug__=4..4\n", 1,
+         "bad variable name '__debug__'"),
+        (b"S2((2,-1),(3,1),(8,1)) | if=1..2\n", 1, "bad variable name 'if'"),
+        (b"S2((2,-1),(3,1),(8,1)) | n=1..__debug__\n", 2,
+         "unbound variable '__debug__'"),
     ], ids=["floor_div_slot", "parenthesised_slot", "hatcher_parentheses",
             "orlik_parentheses", "zero_range_bound", "zero_slot",
             "zero_slot_late", "unbound_name", "trailing_text",
@@ -330,7 +339,8 @@ class TestScan:
             "bad_second_line", "long_literal_line", "long_literal_slot",
             "non_ascii_name", "builtins_in_slot", "builtins_in_bound",
             "bool_slot", "builtins_ranged", "template_line_3",
-            "unbound_line_3", "zero_slot_line_2", "bad_range_line_3"])
+            "unbound_line_3", "zero_slot_line_2", "bad_range_line_3",
+            "debug_slot", "debug_ranged", "keyword_ranged", "debug_bound"])
     def test_scan_file_defects(self, capsys, tmp_path, monkeypatch, content,
                                code, fragment):
         def refuse(*args):

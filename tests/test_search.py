@@ -19,7 +19,8 @@ from sfsnorm.report import norm_report_from_json
 from sfsnorm.scan import SCAN_CSV_HEADER, class_rows
 from sfsnorm.search import (
     SearchBudget,
-    _round_half_even,
+    _case1_center,
+    _parity_center,
     _SearchState,
     compute_norms,
     enumerate_case1,
@@ -29,6 +30,7 @@ from sfsnorm.search import (
 )
 from sfsnorm.seifert import (
     HomologyCase,
+    complete_matrix,
     homology_structure,
 )
 from sfsnorm.surfaces import (
@@ -50,21 +52,21 @@ M_ODD_PINNED3 = M((9, -4), (3, 1), (7, 1))  # genus 7, at degree 1
 
 class TestCase4:
     def test_example_family_candidate(self):
-        cands = enumerate_case4(M_238)
+        cands = enumerate_case4(_SearchState(M_238))
         assert PHParams(((2, -1), (3, 1), (6, 1))) in cands
 
     def test_twelve_candidate(self):
-        cands = enumerate_case4(M((3, -1), (4, 1), (14, 1)))
+        cands = enumerate_case4(_SearchState(M((3, -1), (4, 1), (14, 1))))
         assert PHParams(((3, -1), (4, 1), (12, 1))) in cands
 
     def test_zero_rest_yields_nothing(self):
         # (2,-1) and (2,1) cancel, so the pair (1,2) makes no candidate,
         # and the other pairs fail the ordering requirement.
-        assert enumerate_case4(M_PRISM6) == []
+        assert enumerate_case4(_SearchState(M_PRISM6)) == []
 
     def test_all_pass_existence_and_are_finite(self):
         for m in random_presentations(40, seed=11):
-            cands = enumerate_case4(m)
+            cands = enumerate_case4(_SearchState(m))
             assert len(cands) <= 6
             for p in cands:
                 assert ph_exists(m, p)
@@ -73,7 +75,7 @@ class TestCase4:
         # The third slope is -(b_i/a_i + b_j/a_j) in lowest terms.
         count = 0
         for m in random_presentations(60, seed=12, max_alpha=30):
-            for p in enumerate_case4(m):
+            for p in enumerate_case4(_SearchState(m)):
                 assert sum(Fraction(mu, lam) for lam, mu in p.pairs) == 0
                 assert all(gcd(lam, mu) == 1 for lam, mu in p.pairs)
                 count += 1
@@ -90,7 +92,7 @@ class TestCase4:
             state.best = dict.fromkeys(structure.nonzero_classes, bound)
         state.offer = lambda report: None
         priced.clear()
-        out = enumerate_case4(m, state)
+        out = enumerate_case4(state)
         assert out == priced
         return out
 
@@ -122,7 +124,7 @@ class TestCase4:
             # Pricing into a state that keeps its offers still reaches the
             # least genus of each class.
             state = _SearchState(m)
-            enumerate_case4(m, state)
+            enumerate_case4(state)
             least = {}
             for p in exist:
                 cls = ph_class(m, p, structure)
@@ -134,7 +136,7 @@ class TestCase4:
 class TestCase3:
     def test_prism_family_shape(self):
         # Sweeps with fiber 1 pinned produce ((2,-1),(2p,s),(2p,p-s)).
-        for p in enumerate_case3(M_PRISM6):
+        for p in enumerate_case3(_SearchState(M_PRISM6)):
             i = min(range(3), key=lambda x: p.pairs[x][0])
             if p.pairs[0] == (2, -1) and p.pairs[1][0] == p.pairs[2][0]:
                 lam, s = p.pairs[1]
@@ -144,21 +146,22 @@ class TestCase3:
 
     def test_every_yield_exists(self):
         for m in random_presentations(12, seed=23, max_alpha=8):
-            for p in enumerate_case3(m):
+            for p in enumerate_case3(_SearchState(m)):
                 assert ph_exists(m, p)
 
     def test_empty_when_parity_blocks(self):
         # One even multiplicity leaves trivial homology and no candidate.
-        assert list(enumerate_case3(M((3, 1), (4, 1), (7, 1)))) == []
+        state = _SearchState(M((3, 1), (4, 1), (7, 1)))
+        assert list(enumerate_case3(state)) == []
 
 
 class TestCase1:
     def test_requires_all_odd(self):
-        assert list(enumerate_case1(M_238)) == []
+        assert list(enumerate_case1(_SearchState(M_238))) == []
 
     def test_degree_one_candidates_have_even_mu(self):
         m = M((3, 2), (5, 2), (7, 4))
-        seen = [p for p in enumerate_case1(m) if p.lam == 1]
+        seen = [p for p in enumerate_case1(_SearchState(m)) if p.lam == 1]
         assert seen
         for p in seen:
             assert all(mu % 2 == 0 for _, mu in p.pairs)
@@ -166,11 +169,12 @@ class TestCase1:
 
     def test_every_yield_exists(self):
         m = M((3, 2), (5, 2), (7, 4))
-        for p in enumerate_case1(m):
+        for p in enumerate_case1(_SearchState(m)):
             assert ph_exists(m, p)
 
     def test_trivial_homology_is_empty(self):
-        assert list(enumerate_case1(M((3, 1), (5, 1), (7, 1)))) == []
+        state = _SearchState(M((3, 1), (5, 1), (7, 1)))
+        assert list(enumerate_case1(state)) == []
 
 
 class TestComputeNorms:
@@ -263,8 +267,8 @@ class TestComputeNorms:
         assert [(e.min_genus, e.exhaustive) for e in report.entries] == \
             [(genus, exhaustive)]
         # The case-1 sweeps mark the class themselves, not only case 3.
-        state = _SearchState(m)
-        assert list(enumerate_case1(m, budget, state))
+        state = _SearchState(m, budget)
+        assert list(enumerate_case1(state))
         assert state.best == {report.entries[0].z2class: genus}
         capped = {report.entries[0].z2class} if case1_capped else set()
         assert state.capped == capped
@@ -336,8 +340,14 @@ class TestComputeNorms:
 
 class TestBudget:
     def test_defaults(self):
-        budget = SearchBudget()
-        assert budget.window(M_238) == 64 * 8
+        # The search state resolves the budget: 64 * max(alpha) and
+        # 8 * sum(alpha) + 64 unless the budget sets a limit.
+        state = _SearchState(M_238)
+        assert (state.window, state.degree_cap) == (64 * 8, 8 * 13 + 64)
+        state = _SearchState(M_238, SearchBudget(lambda_cap=7))
+        assert (state.window, state.degree_cap) == (64 * 8, 7)
+        state = _SearchState(M_238, SearchBudget(mu_window=5))
+        assert (state.window, state.degree_cap) == (5, 8 * 13 + 64)
 
     def test_validation(self):
         # A bool is an int to Python: mu_window=True used to run as a
@@ -355,11 +365,20 @@ class TestBudget:
 
 
 class TestCenters:
-    def test_round_half_even_matches_fraction(self):
-        for den in range(1, 41):
-            for num in range(-300, 301):
-                assert _round_half_even(num, den) == \
-                    round(Fraction(num, den)), (num, den)
+    def test_case1_center_rounds_as_fraction(self):
+        # Case 1 has odd alpha, where lam*beta/alpha is never a half, so
+        # rounding half up agrees with ``round``.
+        checked = 0
+        for a in range(3, 42, 2):
+            for b in range(-a + 1, a):
+                if gcd(a, b) != 1:
+                    continue
+                fiber = complete_matrix(a, b)
+                for lam in range(1, 80, 2):
+                    assert _case1_center(lam, fiber) == _parity_center(
+                        round(Fraction(lam * b, a)), b), (lam, a, b)
+                    checked += 1
+        assert checked >= 10000
 
 
 class TestFamilyScan:
@@ -397,20 +416,21 @@ class TestFamilyScan:
 class TestInvariants:
     def test_case2_shape_never_emitted(self):
         for m in random_presentations(15, seed=31, max_alpha=9):
-            for source in (enumerate_case4(m), enumerate_case3(m),
-                           enumerate_case1(m)):
+            for source in (enumerate_case4(_SearchState(m)),
+                           enumerate_case3(_SearchState(m)),
+                           enumerate_case1(_SearchState(m))):
                 for p in source:
                     ls = sorted(l for l, _ in p.pairs)
                     assert not (ls[0] == ls[1] < ls[2])
 
     def test_reenumeration_is_stable(self):
-        first = list(enumerate_case3(M_PRISM6))
-        second = list(enumerate_case3(M_PRISM6))
+        first = list(enumerate_case3(_SearchState(M_PRISM6)))
+        second = list(enumerate_case3(_SearchState(M_PRISM6)))
         assert first == second
 
     def test_candidate_genus_matches_direct_evaluation(self):
         m = M_PRISM6
-        for p in list(enumerate_case3(m))[:40]:
+        for p in list(enumerate_case3(_SearchState(m)))[:40]:
             assert ph_genus(m, p) >= 2
 
     def test_sweeps_price_their_own_class(self, monkeypatch):

@@ -16,7 +16,8 @@ from sfsnorm.errors import (
     PresentationError,
 )
 from sfsnorm.lens import LensCurve, n_genus, slope_genus
-from sfsnorm.search import enumerate_case1, enumerate_case3, enumerate_case4
+from sfsnorm.search import _SearchState, enumerate_case1, enumerate_case3, \
+    enumerate_case4
 from sfsnorm.seifert import (
     HomologyCase,
     SeifertPresentation,
@@ -478,9 +479,9 @@ class TestPricingKernel:
 
         monkeypatch.setattr(sfsnorm.search, "horizontal_report", spy)
         for m in seeded_presentations(75):
-            enumerate_case4(m)
-            enumerate_case3(m)
-            enumerate_case1(m)
+            enumerate_case4(_SearchState(m))
+            enumerate_case3(_SearchState(m))
+            enumerate_case1(_SearchState(m))
             # Case 4 prices only the complements that bound a surface and
             # rules the others out on integers, so those are checked here.
             structure = homology_structure(m)

@@ -104,4 +104,5 @@ def test_enumerators_return_lists(pairs):
     for enumerate_case in (sfsnorm.search.enumerate_case4,
                            sfsnorm.search.enumerate_case3,
                            sfsnorm.search.enumerate_case1):
-        assert isinstance(enumerate_case(m), list)
+        state = sfsnorm.search._SearchState(m)
+        assert isinstance(enumerate_case(state), list)
