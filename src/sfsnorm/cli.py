@@ -65,7 +65,6 @@ def build_parser():
     p = sub.add_parser("norm", help="per-class minimal genus and norm")
     p.add_argument("presentation")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--notation", choices=NOTATIONS)
     p.add_argument("--mu-window", type=_positive_int)
     p.add_argument("--lambda-cap", type=_positive_int)
     p.add_argument("--out")
@@ -74,7 +73,6 @@ def build_parser():
                                        "another notation")
     p.add_argument("presentation")
     p.add_argument("target", choices=NOTATIONS)
-    p.add_argument("--notation", choices=NOTATIONS)
 
     p = sub.add_parser("scan", help="CSV sweep over presentation families")
     p.add_argument("specfile")
@@ -120,9 +118,9 @@ def _cmd_n_genus(args):
 
 def _witness_text(report):
     if report.kind == "vertical":
-        i, j = report.vertical.connects
+        i, j = report.surface.connects
         return f"V{i}{j}"
-    pairs = ",".join(f"({l},{m})" for l, m in report.horizontal.pairs)
+    pairs = ",".join(f"({l},{m})" for l, m in report.surface.pairs)
     return f"H({pairs})"
 
 
@@ -148,7 +146,7 @@ def _render_norm_text(report):
 
 
 def _cmd_norm(args):
-    presentation = parse_presentation(args.presentation, args.notation)
+    presentation = parse_presentation(args.presentation)
     report = compute_norms(presentation, _budget_from(args))
     if args.format == "json":
         _write_out(args, json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -158,7 +156,7 @@ def _cmd_norm(args):
 
 
 def _cmd_convert(args):
-    presentation = parse_presentation(args.presentation, args.notation)
+    presentation = parse_presentation(args.presentation)
     print(format_presentation(presentation, args.target))
     return 0
 

@@ -6,8 +6,8 @@ Orlik      [-1; (2,1),(3,1),(8,1)]      with 0 < b' < a for each pair
 
 All three describe the same manifold; Orlik's integer e is absorbed into
 the first fiber on parsing (beta_1 = b'_1 + e*a_1), and printing in Orlik
-form recovers it from the normal form.  Input notation is auto-detected
-from the leading token unless forced.
+form recovers it from the normal form.  Input notation is read off the
+leading token, the first literal of each notation's table.
 
 One token table per notation (``GRAMMARS``) lists its literals and
 integers in the order of the text; any whitespace may stand before a
@@ -135,17 +135,14 @@ def detect_notation(text):
         "[e; ...])", len(text) - len(stripped))
 
 
-def parse_presentation(text, notation=None):
-    """Parse any supported notation into a presentation.
+def parse_presentation(text):
+    """Parse any supported notation, the one its leading token names.
 
     Syntax problems raise NotationSyntaxError with the offending offset;
     well-formed input that violates the semantic constraints (alpha >= 2,
     coprimality, Orlik range, smallness) raises PresentationError.
     """
-    if notation is None:
-        notation = detect_notation(text)
-    if notation not in GRAMMARS:
-        raise PresentationError(f"unknown notation {notation!r}")
+    notation = detect_notation(text)
     e, pairs = _read(text, notation)
     return build_presentation(e, pairs, notation)
 

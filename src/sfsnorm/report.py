@@ -1,43 +1,50 @@
 """Result types of ``compute_norms`` and their JSON form.
 
 A ``NormReport`` holds one ``ClassNorm`` per nonzero Z/2 class of a
-presentation.  ``to_json_dict`` gives what ``sfs-norm norm --format
-json`` prints, and ``norm_report_from_json`` reads it back into an equal
-report, so the JSON output is a lossless record of a search.
+presentation; neither stores what its presentation or witness fixes.
+``to_json_dict`` gives what ``sfs-norm norm --format json`` prints, and
+``norm_report_from_json`` reads it back into an equal report, so the
+JSON output is a lossless record of a search.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from ._value import Value, _set
+from .errors import PresentationError
 from .notation import canonical_form, format_presentation, parse_presentation
-from .seifert import HomologyCase, Z2Class
-from .surfaces import surface_report_from_json
+from .seifert import homology_structure
+from .surfaces import HORIZONTAL, surface_report_from_json
 
 
 class ClassNorm(Value):
-    """Search result for one nonzero Z/2 class.
-
-    ``min_vertical_genus`` is the genus of the class's pseudo-vertical
-    surface, None when it has none.  ``min_horizontal_genus`` is
-    ``min_genus`` when a pseudo-horizontal surface reaches it, else None:
-    the search prunes every horizontal candidate that cannot reach the
-    class minimum, so it reports no horizontal genus above it.  Both are
-    exact wherever they are given.
+    """Search result for one nonzero Z/2 class: its class and minimal
+    genus are those of the witness, and ``witness_kinds`` the kinds that
+    reach that genus.  ``min_vertical_genus`` is the genus of the class's
+    pseudo-vertical surface, None when it has none.
+    ``min_horizontal_genus`` is ``min_genus`` when a pseudo-horizontal
+    surface reaches it, else None: the search prunes every horizontal
+    candidate that cannot reach the class minimum, so it reports no
+    horizontal genus above it.  Both are exact wherever they are given.
     """
 
-    __slots__ = _fields = ("z2class", "min_genus", "witness",
-                           "witness_kinds", "min_vertical_genus",
-                           "min_horizontal_genus", "exhaustive")
+    __slots__ = _fields = ("witness", "witness_kinds", "min_vertical_genus",
+                           "exhaustive")
 
-    def __init__(self, z2class, min_genus, witness, witness_kinds,
-                 min_vertical_genus, min_horizontal_genus, exhaustive):
-        _set(self, "z2class", z2class)
-        _set(self, "min_genus", min_genus)
+    def __init__(self, witness, witness_kinds, min_vertical_genus,
+                 exhaustive):
         _set(self, "witness", witness)
         _set(self, "witness_kinds", witness_kinds)
         _set(self, "min_vertical_genus", min_vertical_genus)
-        _set(self, "min_horizontal_genus", min_horizontal_genus)
         _set(self, "exhaustive", exhaustive)
+
+    z2class = property(attrgetter("witness.z2class"))
+    min_genus = property(attrgetter("witness.genus"))
+
+    @property
+    def min_horizontal_genus(self):
+        return self.min_genus if HORIZONTAL in self.witness_kinds else None
 
     @property
     def norm(self):
@@ -61,12 +68,15 @@ class ClassNorm(Value):
 class NormReport(Value):
     """Per-class minima for one presentation."""
 
-    __slots__ = _fields = ("presentation", "case", "entries")
+    __slots__ = _fields = ("presentation", "entries")
 
-    def __init__(self, presentation, case, entries):
+    def __init__(self, presentation, entries):
         _set(self, "presentation", presentation)
-        _set(self, "case", case)
         _set(self, "entries", entries)
+
+    @property
+    def case(self):
+        return homology_structure(self.presentation).case
 
     @property
     def per_class(self):
@@ -87,18 +97,14 @@ class NormReport(Value):
 
 
 def norm_report_from_json(data):
-    """The ``NormReport`` whose ``to_json_dict`` is ``data``."""
-    presentation = parse_presentation(data["presentation"])
-    entries = []
-    for item in data["classes"]:
-        entries.append(ClassNorm(
-            z2class=Z2Class((item["e1"], item["e2"], item["e3"])),
-            min_genus=item["min_genus"],
-            witness=surface_report_from_json(item["witness"]),
-            witness_kinds=tuple(item["witness_kinds"]),
-            min_vertical_genus=item["min_vertical_genus"],
-            min_horizontal_genus=item["min_horizontal_genus"],
-            exhaustive=item["exhaustive"],
-        ))
-    return NormReport(presentation, HomologyCase(data["homology"]),
-                      tuple(entries))
+    """The ``NormReport`` whose ``to_json_dict`` is ``data``; raises
+    ``PresentationError`` when there is none."""
+    report = NormReport(parse_presentation(data["presentation"]), tuple(
+        ClassNorm(witness=surface_report_from_json(item["witness"]),
+                  witness_kinds=tuple(item["witness_kinds"]),
+                  min_vertical_genus=item["min_vertical_genus"],
+                  exhaustive=item["exhaustive"])
+        for item in data["classes"]))
+    if report.to_json_dict() != data:
+        raise PresentationError("norm record contradicts its own witness")
+    return report

@@ -155,6 +155,13 @@ class SearchBudget(Value):
         _set(self, "lambda_cap", lambda_cap)
 
 
+def _checked(budget):
+    """``budget``, which must be None or a ``SearchBudget``."""
+    if budget is not None and not isinstance(budget, SearchBudget):
+        raise PresentationError(f"not a search budget: {budget!r}")
+    return budget
+
+
 class _SearchState:
     """The whole input of one search of ``presentation``, and its results
     per class.  The enumerators and ``_price`` read everything from it.
@@ -172,7 +179,7 @@ class _SearchState:
         self.presentation = presentation
         self.structure = homology_structure(presentation)
         window = degree_cap = None
-        if budget is not None:
+        if _checked(budget) is not None:
             window, degree_cap = budget.mu_window, budget.lambda_cap
         alphas = presentation.alphas
         # A limit the budget sets is positive, so ``or`` keeps it.
@@ -296,14 +303,14 @@ def _price(state, params, out):
     out.append(params)
 
 
-def _sweep(state, cls, lam, base, legs, center, window):
+def _sweep(state, cls, lam, base, legs, center):
     """Certified outward coefficient sweep at degree ``lam``, both ways.
 
     A generator of the coefficients mu worth pricing.  mu runs from
-    ``center`` in steps of 2 and from ``center - 2`` in steps of -2 while
-    it stays within ``window`` of the center.  Each leg ``(fiber, offset,
-    sign)`` is a slope of coefficient ``offset + sign*mu`` on that fiber,
-    and a candidate at mu costs at least ``base`` plus the N of its legs.
+    ``center`` by 2 and from ``center - 2`` by -2 while it stays within
+    ``state.window`` of the center.  Each leg ``(fiber, offset, sign)``
+    is a slope of coefficient ``offset + sign*mu`` on that fiber, and a
+    candidate at mu costs at least ``base`` plus the N of its legs.
     Each direction cuts its steps at every leg's pole, where the leg's
     longitude form changes sign, puts the tail (steps, None) of every
     step past the window under them, and pops spans [t0, t1] left-first.
@@ -325,7 +332,7 @@ def _sweep(state, cls, lam, base, legs, center, window):
         mu0 = center if step > 0 else center - 2
         pencils = [slope_pencil(fiber, lam, offset + sign * mu0, sign * step)
                    for fiber, offset, sign in legs]
-        steps = (window - abs(mu0 - center)) // 2 + 1  # mu within window
+        steps = (state.window - abs(mu0 - center)) // 2 + 1  # in window
         # X = a*t + b changes sign at the pole -b/a, so cut at its ceiling
         # and one past its floor (a single step where it is an integer).
         spans = [(steps, None)] + _cut(
@@ -462,8 +469,7 @@ def enumerate_case3(state):
             total = -p * fi.beta  # mu_j + mu_k
             for mu_j in _sweep(state, cls, lam, base,
                                ((fj, 0, 1), (fk, total, -1)),
-                               _parity_center(total // 2, fj.beta),
-                               state.window):
+                               _parity_center(total // 2, fj.beta)):
                 pairs = [None, None, None]
                 pairs[i] = fi.pair
                 pairs[j] = (lam, mu_j)
@@ -509,11 +515,10 @@ def enumerate_case1(state):
             break
         center1, center2 = _case1_center(lam, f1), _case1_center(lam, f2)
         for mu1 in _sweep(state, cls, lam, lam - 1 + floor2 + floor3,
-                          ((f1, 0, 1),), center1, state.window):
+                          ((f1, 0, 1),), center1):
             n1 = n_genus(LensCurve(*f1.cap_slope(lam, mu1)))
             for mu2 in _sweep(state, cls, lam, lam - 1 + n1,
-                              ((f2, 0, 1), (f3, -mu1, -1)), center2,
-                              state.window):
+                              ((f2, 0, 1), (f3, -mu1, -1)), center2):
                 _price(state, PHParams(
                     ((lam, mu1), (lam, mu2), (lam, -mu1 - mu2))), out)
     return out
@@ -547,17 +552,13 @@ def compute_norms(presentation, budget=None):
         if cls not in state.witness:
             raise InternalInvariantError(
                 f"class {cls.label} ended with no representative")
-        best, kinds = state.best[cls], state.kinds[cls]
         entries.append(ClassNorm(
-            z2class=cls,
-            min_genus=best,
             witness=state.witness[cls],
-            witness_kinds=tuple(sorted(kinds)),
+            witness_kinds=tuple(sorted(state.kinds[cls])),
             min_vertical_genus=vertical.get(cls),
-            min_horizontal_genus=best if HORIZONTAL in kinds else None,
             exhaustive=cls not in state.capped,
         ))
-    return NormReport(presentation, structure.case, tuple(entries))
+    return NormReport(presentation, tuple(entries))
 
 
 def family_scan(template, grid, budget=None):
@@ -572,8 +573,10 @@ def family_scan(template, grid, budget=None):
     scan`` does.  An instance is its template with integer literals in
     the slots, so its syntax is the template's; instances that fail
     validation are skipped and logged.  The rows are those of
-    ``scan.class_rows``.
+    ``scan.class_rows``.  A budget that is not a ``SearchBudget`` raises
+    before any instance runs.
     """
+    _checked(budget)
     rows = []
     for text in instances(template, grid):
         # No syntax error reaches here: ``instances`` raised it first.

@@ -6,7 +6,8 @@ even-multiplicity fibers; its genus is N(a_i, b_i) + N(a_j, b_j).  A
 pseudo-horizontal surface is a horizontal branched cover of the base
 capped off, in each solid torus, by meridian disks or a single one-sided
 surface, and is determined by three boundary slopes (l_i, m_i) with
-l_i > 0 written against the horizontal/vertical curve basis.
+l_i > 0 written against the horizontal/vertical curve basis.  A
+``SurfaceReport`` holds a surface of either shape, whose type is its kind.
 
 Existence of the pseudo-horizontal surface with given slopes is an
 if-and-only-if list of elementary conditions; its genus follows from the
@@ -20,6 +21,7 @@ and its class is the interned ``Z2Class`` of its parities.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import attrgetter
 
 from ._value import Value, _set
 from .errors import InternalInvariantError, NoSurfaceError, PresentationError
@@ -37,6 +39,7 @@ class PHParams(Value):
 
     __slots__ = ("pairs", "lam")
     _fields = ("pairs",)
+    kind = HORIZONTAL
 
     def __init__(self, pairs):
         pairs = tuple([(l, m) for l, m in pairs])
@@ -58,6 +61,7 @@ class VerticalSurface(Value):
     """The pseudo-vertical surface connecting fibers i and j (1-based)."""
 
     __slots__ = _fields = ("connects",)
+    kind = VERTICAL
 
     def __init__(self, connects):
         ij = tuple(connects)
@@ -70,26 +74,21 @@ class VerticalSurface(Value):
 
 
 class SurfaceReport(Value):
-    """One candidate surface: its kind, parameters, genus and class."""
+    """One candidate surface with its genus and class."""
 
-    __slots__ = _fields = ("kind", "vertical", "horizontal", "genus",
-                           "z2class")
+    __slots__ = _fields = ("surface", "genus", "z2class")
 
-    def __init__(self, kind, vertical, horizontal, genus, z2class):
-        if kind not in (VERTICAL, HORIZONTAL):
-            raise PresentationError(f"unknown surface kind {kind!r}")
-        if (kind == VERTICAL) != (vertical is not None):
-            raise PresentationError("vertical report needs fiber pair")
-        if (kind == HORIZONTAL) != (horizontal is not None):
-            raise PresentationError("horizontal report needs slopes")
+    def __init__(self, surface, genus, z2class):
+        if type(surface) not in (VerticalSurface, PHParams):
+            raise PresentationError(f"not a surface: {surface!r}")
         if genus < 1:
             raise InternalInvariantError(
                 f"surface genus must be positive, got {genus}")
-        _set(self, "kind", kind)
-        _set(self, "vertical", vertical)
-        _set(self, "horizontal", horizontal)
+        _set(self, "surface", surface)
         _set(self, "genus", genus)
         _set(self, "z2class", z2class)
+
+    kind = property(attrgetter("surface.kind"))
 
     @property
     def norm_contribution(self):
@@ -99,8 +98,8 @@ class SurfaceReport(Value):
 
     def params(self):
         if self.kind == VERTICAL:
-            return list(self.vertical.connects)
-        return [list(p) for p in self.horizontal.pairs]
+            return list(self.surface.connects)
+        return [list(p) for p in self.surface.pairs]
 
     def to_json_dict(self):
         return {
@@ -113,14 +112,11 @@ class SurfaceReport(Value):
 
 
 def surface_report_from_json(data):
-    kind = data["kind"]
-    z2class = Z2Class(tuple(int(ch) for ch in data["class"]))
-    if kind == VERTICAL:
-        return SurfaceReport(kind, VerticalSurface(tuple(data["params"])),
-                             None, data["genus"], z2class)
-    return SurfaceReport(kind, None, PHParams(tuple(map(tuple,
-                                                        data["params"]))),
-                         data["genus"], z2class)
+    for surface in (VerticalSurface, PHParams):
+        if surface.kind == data["kind"]:
+            return SurfaceReport(surface(data["params"]), data["genus"],
+                                 Z2Class(tuple(map(int, data["class"]))))
+    raise PresentationError(f"unknown surface kind {data['kind']!r}")
 
 
 # Reason codes, in the order the conditions are tested.
@@ -242,8 +238,7 @@ def horizontal_report(presentation, params, structure=None):
     its genus and class.  Raises ``NoSurfaceError`` as ``ph_genus`` does;
     ``structure`` is passed on to ``ph_class``."""
     _require_surface(presentation, params)
-    return SurfaceReport(HORIZONTAL, None, params,
-                         _genus(presentation, params),
+    return SurfaceReport(params, _genus(presentation, params),
                          ph_class(presentation, params, structure))
 
 
@@ -268,6 +263,6 @@ def vertical_surfaces(presentation, structure=None):
                                           presentation.fibers[x].beta))
                         for x in (i, j))
             reports.append(SurfaceReport(
-                VERTICAL, VerticalSurface((i + 1, j + 1)), None, genus,
+                VerticalSurface((i + 1, j + 1)), genus,
                 structure.class_off(3 - i - j)))
     return reports

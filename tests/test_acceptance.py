@@ -76,11 +76,11 @@ def test_criterion_3_distinct_multiplicity_instance():
         assert entry.min_genus == 3
         assert entry.norm == 1
         assert entry.witness.kind == "horizontal"
-        assert entry.witness.horizontal.pairs == ((2, -1), (3, 1), (6, 1))
+        assert entry.witness.surface.pairs == ((2, -1), (3, 1), (6, 1))
         verticals = vertical_surfaces(
             SeifertPresentation.from_pairs([(2, -1), (3, 1), (8, 1)]))
         assert len(verticals) == 1
-        assert verticals[0].vertical.connects == (1, 3)
+        assert verticals[0].surface.connects == (1, 3)
         assert verticals[0].genus == 5
 
 

@@ -25,6 +25,62 @@ from sfsnorm.search import compute_norms
 from sfsnorm.seifert import SeifertPresentation
 
 
+def witness(kind, params, genus, label):
+    return {"kind": kind, "params": params, "genus": genus, "class": label,
+            "norm": max(0, genus - 2)}
+
+
+def class_record(label, genus, surface, kinds, vertical, horizontal):
+    e1, e2, e3 = map(int, label)
+    return {"class": label, "e1": e1, "e2": e2, "e3": e3,
+            "min_genus": genus, "norm": max(0, genus - 2),
+            "witness": surface, "witness_kinds": kinds,
+            "min_vertical_genus": vertical,
+            "min_horizontal_genus": horizontal, "exhaustive": True}
+
+
+def record(text, canonical, homology, *classes):
+    return {"presentation": text, "canonical_form": canonical,
+            "homology": homology, "exhaustive": True,
+            "classes": list(classes)}
+
+
+# ``norm --format json`` of one presentation per homology case, with a
+# horizontal and a vertical witness, a tie of both kinds and a null
+# horizontal minimum.
+JSON_RECORDS = {r["presentation"]: r for r in (
+    record("S2((2,-1),(3,1),(8,1))", "[-1; (2,1),(3,1),(8,1)]",
+           "cyclic_two_even",
+           class_record("101", 3, witness("horizontal",
+                                          [[2, -1], [3, 1], [6, 1]], 3,
+                                          "101"),
+                        ["horizontal"], 5, 3)),
+    record("S2((2,-1),(2,1),(6,1))", "[-1; (2,1),(2,1),(6,1)]",
+           "klein_four",
+           class_record("110", 2, witness("vertical", [1, 2], 2, "110"),
+                        ["vertical"], 2, None),
+           class_record("101", 4, witness("vertical", [1, 3], 4, "101"),
+                        ["horizontal", "vertical"], 4, 4),
+           class_record("011", 4, witness("vertical", [2, 3], 4, "011"),
+                        ["horizontal", "vertical"], 4, 4)),
+    record("S2((3,2),(5,2),(7,4))", "[0; (3,2),(5,2),(7,4)]",
+           "cyclic_vertical",
+           class_record("111", 4, witness("horizontal",
+                                          [[1, 0], [1, 0], [1, 0]], 4,
+                                          "111"),
+                        ["horizontal"], None, 4)),
+    record("S2((10,1),(2,-1),(8,-7))", "[-2; (10,1),(2,1),(8,1)]",
+           "klein_four",
+           class_record("110", 6, witness("vertical", [1, 2], 6, "110"),
+                        ["vertical"], 6, None),
+           class_record("101", 9, witness("vertical", [1, 3], 9, "101"),
+                        ["vertical"], 9, None),
+           class_record("011", 5, witness("vertical", [2, 3], 5, "011"),
+                        ["vertical"], 5, None)),
+    record("S2((2,-1),(3,1),(5,1))", "[-1; (2,1),(3,1),(5,1)]", "trivial"),
+)}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -75,6 +131,33 @@ class TestNorm:
         m = SeifertPresentation.from_pairs([(2, -1), (2, 1), (6, 1)])
         assert norm_report_from_json(data) == compute_norms(m)
 
+    @pytest.mark.parametrize("path, value", [
+        (("homology",), "klein_four"),
+        (("canonical_form",), "[0; (2,1),(3,1),(8,1)]"),
+        (("exhaustive",), False),
+        (("classes", 0, "class"), "011"),
+        (("classes", 0, "e1"), 0),
+        (("classes", 0, "min_genus"), 5),
+        (("classes", 0, "norm"), 3),
+        (("classes", 0, "min_horizontal_genus"), None),
+        (("classes", 0, "witness", "norm"), 2),
+    ], ids=lambda value: "-".join(map(str, value))
+        if isinstance(value, tuple) else None)
+    def test_json_record_that_contradicts_itself(self, path, value):
+        # Each field is derived from the witness or the presentation;
+        # a record whose copy disagrees is not read as if it agreed.
+        data = json.loads(json.dumps(JSON_RECORDS["S2((2,-1),(3,1),(8,1))"]))
+        assert norm_report_from_json(data).to_json_dict() == data
+        *parents, key = path
+        target = data
+        for step in parents:
+            target = target[step]
+        assert target[key] != value
+        target[key] = value
+        with pytest.raises(PresentationError,
+                           match="norm record contradicts its own witness"):
+            norm_report_from_json(data)
+
     def test_no_horizontal_bound_where_vertical_wins(self, capsys):
         # A horizontal surface of genus 25 exists in class 011, but the
         # search prunes it against the vertical 5: no bound is reported.
@@ -112,6 +195,17 @@ class TestNorm:
                                "--format", "json")
             assert code == 0
             assert json.loads(out)["exhaustive"] is exhaustive, text
+
+    @pytest.mark.parametrize("text, record", JSON_RECORDS.items(),
+                             ids=["cyclic_two_even", "klein_four",
+                                  "cyclic_vertical", "no_horizontal",
+                                  "trivial"])
+    def test_json_record_format(self, capsys, text, record):
+        # The exact text: key names, key order, indent and every derived
+        # field, which a round trip alone would not pin.
+        code, out, err = run(capsys, "norm", text, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(record, indent=2) + "\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -376,12 +470,19 @@ class TestUsage:
         ("norm", "S2((2,-1),(3,1),(8,1))", "--lambda-cap", "-3"),
         ("scan", "{spec}", "--mu-window", "-1"),
         ("scan", "{spec}", "--format", "csv"),
-    ], ids=["zero_window", "negative_cap", "scan_window", "scan_format"])
+        ("norm", "S2((2,-1),(3,1),(8,1))", "--notation", "martelli"),
+        ("convert", "S2((2,-1),(3,1),(8,1))", "orlik", "--notation",
+         "martelli"),
+    ], ids=["zero_window", "negative_cap", "scan_window", "scan_format",
+            "norm_notation", "convert_notation"])
     def test_bad_option_exit_1(self, capsys, tmp_path, argv):
         spec = tmp_path / "fam.txt"
         spec.write_text("S2((2,-1),(3,1),(8,1))\n")
         code, _, err = run(capsys, *(a.format(spec=spec) for a in argv))
         assert code == 1 and err.startswith("error: ")
+        assert err.count("\n") == 1
+        if "--notation" in argv:
+            assert err.startswith("error: unrecognized arguments")
 
     @pytest.mark.parametrize("argv", [
         ("scan", "{dir}"),

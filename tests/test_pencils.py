@@ -288,13 +288,13 @@ def search_directions(monkeypatch, corpus):
     directions = []
     sweep = sfsnorm.search._sweep
 
-    def recording(state, cls, lam, base, legs, center, window):
+    def recording(state, cls, lam, base, legs, center):
         for step in (2, -2):
             mu0 = center if step > 0 else center - 2
             directions.append([
                 slope_pencil(fiber, lam, offset + sign * mu0, sign * step)
                 for fiber, offset, sign in legs])
-        return sweep(state, cls, lam, base, legs, center, window)
+        return sweep(state, cls, lam, base, legs, center)
     monkeypatch.setattr(sfsnorm.search, "_sweep", recording)
     for m in corpus:
         compute_norms(m)
@@ -428,10 +428,12 @@ def test_lead_bound_holds_past_each_onset(monkeypatch):
 
 
 class FixedBound:
-    """A search state whose bound is ``bound`` for every class."""
+    """A search state whose bound is ``bound`` for every class, and whose
+    sweeps run ``window`` either way."""
 
-    def __init__(self, bound):
+    def __init__(self, bound, window):
         self.bound = bound
+        self.window = window
         self.capped = set()
 
     def need(self, cls):
@@ -460,9 +462,9 @@ def test_sweep_yields_every_step_within_a_fixed_bound(monkeypatch):
     # a drop that over-claims by one past the onset loses a step there.
     sweep, sweeps = sfsnorm.search._sweep, []
 
-    def recording(state, cls, lam, base, legs, center, window):
+    def recording(state, cls, lam, base, legs, center):
         sweeps.append((lam, base, legs, center))
-        return sweep(state, cls, lam, base, legs, center, window)
+        return sweep(state, cls, lam, base, legs, center)
     monkeypatch.setattr(sfsnorm.search, "_sweep", recording)
     for m in presentations_by_case(15, seed=2) + [ALL_ODD, TALL]:
         compute_norms(m)
@@ -485,8 +487,8 @@ def test_sweep_yields_every_step_within_a_fixed_bound(monkeypatch):
             expected = [mu0 + step * t for mu0, step, pencils, steps
                         in directions
                         for t in steps_within(pencils, base, bound, steps)]
-            assert list(sweep(FixedBound(bound), None, lam, base, legs,
-                              center, window)) == expected, \
+            assert list(sweep(FixedBound(bound, window), None, lam, base,
+                              legs, center)) == expected, \
                 (lam, base, legs, center, bound)
             compared += len(expected)
     assert compared >= 5000, compared
@@ -495,8 +497,8 @@ def test_sweep_yields_every_step_within_a_fixed_bound(monkeypatch):
     for bound in range(1, 12):
         expected = [2 * t for t in range(bound)] + \
             [-2 - 2 * t for t in range(bound)]
-        assert list(sweep(FixedBound(bound), None, 1, 0, [(None, 0, 1)],
-                          0, window)) == expected, bound
+        assert list(sweep(FixedBound(bound, window), None, 1, 0,
+                          [(None, 0, 1)], 0)) == expected, bound
 
 
 def test_sweep_caps_exactly_where_both_tail_bounds_admit(monkeypatch):
@@ -523,8 +525,8 @@ def test_sweep_caps_exactly_where_both_tail_bounds_admit(monkeypatch):
             certified.append(sfsnorm.search._certified_bound(
                 base, sfsnorm.search._certificates(pencils), t))
         for bound in range(base, base + 8):
-            state = FixedBound(bound)
-            list(sweep(state, None, lam, base, legs, center, window))
+            state = FixedBound(bound, window)
+            list(sweep(state, None, lam, base, legs, center))
             capped = any(max(pair) <= bound for pair in zip(floors, certified))
             assert state.capped == ({None} if capped else set()), \
                 (lam, base, legs, center, window, bound)

@@ -184,7 +184,7 @@ class TestComputeNorms:
         entry = report.entries[0]
         assert entry.min_genus == 3 and entry.norm == 1
         assert entry.witness.kind == "horizontal"
-        assert entry.witness.horizontal.pairs == ((2, -1), (3, 1), (6, 1))
+        assert entry.witness.surface.pairs == ((2, -1), (3, 1), (6, 1))
         assert entry.min_vertical_genus == 5
         assert entry.exhaustive
 
@@ -362,6 +362,19 @@ class TestBudget:
                 with pytest.raises(PresentationError, match=message):
                     SearchBudget(**{field: value})
             assert getattr(SearchBudget(**{field: 3}), field) == 3
+
+    @pytest.mark.parametrize("budget", [5, "x", {"mu_window": 3}],
+                             ids=["int", "str", "dict"])
+    def test_rejects_non_budget(self, budget, caplog):
+        # A search and a scan raise the package's error, and a scan
+        # raises it before any instance runs instead of skipping each.
+        with pytest.raises(PresentationError) as search:
+            compute_norms(M_238, budget)
+        with pytest.raises(PresentationError) as scan:
+            family_scan("S2((2,-1),(3,1),(2*n,1))", [("n", 4, 5)], budget)
+        assert str(search.value) == str(scan.value) == \
+            f"not a search budget: {budget!r}"
+        assert caplog.records == []
 
 
 class TestCenters:

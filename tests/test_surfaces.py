@@ -219,7 +219,7 @@ class TestVerticalSurfaces:
 
     def test_klein_four_triple(self):
         reports = vertical_surfaces(M((2, -1), (2, 1), (6, 1)))
-        by_pair = {r.vertical.connects: r for r in reports}
+        by_pair = {r.surface.connects: r for r in reports}
         assert by_pair[(1, 2)].genus == 2
         assert by_pair[(1, 3)].genus == 4
         assert by_pair[(2, 3)].genus == 4
@@ -230,7 +230,7 @@ class TestVerticalSurfaces:
         reports = vertical_surfaces(M_238)
         assert len(reports) == 1
         r = reports[0]
-        assert r.vertical.connects == (1, 3)
+        assert r.surface.connects == (1, 3)
         assert r.genus == 5
         assert r.z2class.parities == (1, 0, 1)
 
@@ -253,6 +253,10 @@ class TestSurfaceReport:
             again = surface_report_from_json(data)
             assert again == r
             assert data["norm"] == max(0, r.genus - 2)
+        data["kind"] = "diagonal"
+        with pytest.raises(PresentationError,
+                           match="unknown surface kind 'diagonal'"):
+            surface_report_from_json(data)
 
     def test_kinds(self):
         m = M((2, -1), (2, 1), (6, 1))
@@ -435,7 +439,7 @@ def assert_priced_as_reference(presentation, params, structure):
     parities = reference_class(presentation, params, structure)
     assert report.z2class.parities == parities
     assert report.z2class is Z2Class(parities)
-    assert report.horizontal is params and report.kind == HORIZONTAL
+    assert report.surface is params and report.kind == HORIZONTAL
     return None
 
 
@@ -556,25 +560,20 @@ class TestPricingKernel:
         m = M((2, -1), (2, 1), (6, 1))
         params = P((2, -1), (4, 1), (4, 1))
         cls = ph_class(m, params)
-        vertical = VerticalSurface((1, 2))
-        report = SurfaceReport(HORIZONTAL, None, params, 4, cls)
+        report = SurfaceReport(params, 4, cls)
         assert report == horizontal_report(m, params)
         assert hash(report) == hash(horizontal_report(m, params))
         assert repr(report) == (
-            f"SurfaceReport(kind='horizontal', vertical=None, "
-            f"horizontal={params!r}, genus=4, z2class={cls!r})")
+            f"SurfaceReport(surface={params!r}, genus=4, z2class={cls!r})")
         with pytest.raises(AttributeError):
             report.genus = 3
         bad = [
-            (("diagonal", None, params, 4, cls), PresentationError,
-             "unknown surface kind 'diagonal'"),
-            ((VERTICAL, None, params, 4, cls), PresentationError,
-             "vertical report needs fiber pair"),
-            ((HORIZONTAL, vertical, params, 4, cls), PresentationError,
-             "vertical report needs fiber pair"),
-            ((HORIZONTAL, None, None, 4, cls), PresentationError,
-             "horizontal report needs slopes"),
-            ((HORIZONTAL, None, params, 0, cls), InternalInvariantError,
+            (("diagonal", 4, cls), PresentationError,
+             "not a surface: 'diagonal'"),
+            ((None, 4, cls), PresentationError, "not a surface: None"),
+            ((params.pairs, 4, cls), PresentationError,
+             f"not a surface: {params.pairs!r}"),
+            ((params, 0, cls), InternalInvariantError,
              "surface genus must be positive, got 0"),
         ]
         for args, error, message in bad:

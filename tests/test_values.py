@@ -40,13 +40,10 @@ CLASS = "Z2Class(parities=(1, 1, 0))"
 PRESENTATION = ("SeifertPresentation(fibers=(" + FIBERS + ", FiberMatrix("
                 "alpha=4, beta=1, gamma=3, delta=1), FiberMatrix(alpha=6, "
                 "beta=1, gamma=5, delta=1)))")
-REPORT = ("SurfaceReport(kind='vertical', vertical=VerticalSurface("
-          "connects=(1, 2)), horizontal=None, genus=3, z2class=" + CLASS
-          + ")")
-CLASS_NORM = ("ClassNorm(z2class=" + CLASS + ", min_genus=3, witness="
-              + REPORT + ", witness_kinds=('vertical',), "
-              "min_vertical_genus=3, min_horizontal_genus=None, "
-              "exhaustive=True)")
+REPORT = ("SurfaceReport(surface=VerticalSurface(connects=(1, 2)), "
+          "genus=3, z2class=" + CLASS + ")")
+CLASS_NORM = ("ClassNorm(witness=" + REPORT + ", witness_kinds="
+              "('vertical',), min_vertical_genus=3, exhaustive=True)")
 
 
 def presentation(last_beta=1):
@@ -60,15 +57,12 @@ def klein_four(last=(0, 1, 1)):
 
 
 def report(genus=3):
-    return SurfaceReport(VERTICAL, VerticalSurface((2, 1)), None, genus,
-                         Z2Class((1, 1, 0)))
+    return SurfaceReport(VerticalSurface((2, 1)), genus, Z2Class((1, 1, 0)))
 
 
 def class_norm(exhaustive=True):
-    return ClassNorm(z2class=Z2Class((1, 1, 0)), min_genus=3,
-                     witness=report(), witness_kinds=(VERTICAL,),
-                     min_vertical_genus=3, min_horizontal_genus=None,
-                     exhaustive=exhaustive)
+    return ClassNorm(witness=report(), witness_kinds=(VERTICAL,),
+                     min_vertical_genus=3, exhaustive=exhaustive)
 
 
 # (build an instance, build one that differs in one field, its repr).
@@ -95,11 +89,10 @@ CASES = {
                   "LensCurve(twok=46, q=7)"),
     "ClassNorm": (class_norm, lambda: class_norm(False), CLASS_NORM),
     "NormReport": (
-        lambda: NormReport(presentation(), HomologyCase.KLEIN_FOUR,
-                           (class_norm(),)),
-        lambda: NormReport(presentation(), HomologyCase.KLEIN_FOUR, ()),
-        "NormReport(presentation=" + PRESENTATION + ", case=<HomologyCase."
-        "KLEIN_FOUR: 'klein_four'>, entries=(" + CLASS_NORM + ",))"),
+        lambda: NormReport(presentation(), (class_norm(),)),
+        lambda: NormReport(presentation(), ()),
+        "NormReport(presentation=" + PRESENTATION + ", entries=("
+        + CLASS_NORM + ",))"),
     "SearchBudget": (lambda: SearchBudget(5), lambda: SearchBudget(5, 7),
                      "SearchBudget(mu_window=5, lambda_cap=None)"),
 }
@@ -158,8 +151,8 @@ def test_ph_params_keep_the_cover_degree():
     assert pickle.loads(pickle.dumps(params)).lam == 6
     with pytest.raises(AttributeError):
         params.lam = 7
-    report = SurfaceReport(HORIZONTAL, None, params, 4, Z2Class((1, 1, 1)))
-    assert report.horizontal is params
+    report = SurfaceReport(params, 4, Z2Class((1, 1, 1)))
+    assert report.surface is params and report.kind == HORIZONTAL
 
 
 def test_import_leaves_dataclasses_out():
