@@ -17,7 +17,7 @@ from .errors import (
 from .lens import LensCurve, n_genus
 from .notation import parse_presentation
 from .report import norm_report_from_json
-from .search import compute_norms
+from .search import SearchBudget, compute_norms
 from .seifert import SeifertPresentation
 from .surfaces import (
     PHParams,
@@ -37,6 +37,7 @@ __all__ = [
     "NotationSyntaxError",
     "PHParams",
     "PresentationError",
+    "SearchBudget",
     "SeifertPresentation",
     "SfsNormError",
     "compute_norms",

@@ -140,8 +140,11 @@ def parse_presentation(text):
 
     Syntax problems raise NotationSyntaxError with the offending offset;
     well-formed input that violates the semantic constraints (alpha >= 2,
-    coprimality, Orlik range, smallness) raises PresentationError.
+    coprimality, Orlik range, smallness) raises PresentationError, as
+    does a ``text`` that is not a string.
     """
+    if not isinstance(text, str):
+        raise PresentationError(f"not a presentation text: {text!r}")
     notation = detect_notation(text)
     e, pairs = _read(text, notation)
     return build_presentation(e, pairs, notation)

@@ -15,7 +15,7 @@ from ._value import Value, _set
 from .errors import PresentationError
 from .notation import canonical_form, format_presentation, parse_presentation
 from .seifert import homology_structure
-from .surfaces import HORIZONTAL, surface_report_from_json
+from .surfaces import HORIZONTAL, json_fields, surface_report_from_json
 
 
 class ClassNorm(Value):
@@ -98,13 +98,25 @@ class NormReport(Value):
 
 def norm_report_from_json(data):
     """The ``NormReport`` whose ``to_json_dict`` is ``data``; raises
-    ``PresentationError`` when there is none."""
-    report = NormReport(parse_presentation(data["presentation"]), tuple(
-        ClassNorm(witness=surface_report_from_json(item["witness"]),
-                  witness_kinds=tuple(item["witness_kinds"]),
-                  min_vertical_genus=item["min_vertical_genus"],
-                  exhaustive=item["exhaustive"])
-        for item in data["classes"]))
+    ``PresentationError`` when there is none.  The keys it is rebuilt
+    from are checked first, with their types."""
+    text, classes = json_fields(data, "norm record", {
+        "presentation": (str,), "classes": (list,)})
+    entries = []
+    for item in classes:
+        witness, kinds, vertical, exhaustive = json_fields(
+            item, "class record", {
+                "witness": (dict,), "witness_kinds": (list,),
+                "min_vertical_genus": (int, type(None)),
+                "exhaustive": (bool,)})
+        if not all([type(kind) is str for kind in kinds]):
+            raise PresentationError(f"witness kinds {kinds!r} are not "
+                                    "strings")
+        entries.append(ClassNorm(
+            witness=surface_report_from_json(witness),
+            witness_kinds=tuple(kinds), min_vertical_genus=vertical,
+            exhaustive=exhaustive))
+    report = NormReport(parse_presentation(text), tuple(entries))
     if report.to_json_dict() != data:
         raise PresentationError("norm record contradicts its own witness")
     return report

@@ -28,8 +28,8 @@ import csv
 import io
 import keyword
 import re
-from contextlib import contextmanager
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import NotationSyntaxError, PresentationError, SfsNormError
 from .notation import GRAMMARS, INTEGER, Cursor, canonical_form, \
@@ -39,6 +39,9 @@ SCAN_CSV_HEADER = ("canonical_form", "class", "e1", "e2", "e3",
                    "min_genus", "norm", "witness_kind", "gap", "exhaustive")
 
 MAX_SCAN_INSTANCES = 10 ** 6
+
+# The cells of a row before its exhaustive flag, the last column.
+_CELLS = itemgetter(*SCAN_CSV_HEADER[:-1])
 
 _ALLOWED_EXPR = re.compile(r"^[0-9a-zA-Z_+\-*/() ]*$")
 # The nodes of a slot's tree besides its integer literals.
@@ -81,15 +84,21 @@ def parse_scan_file(text):
     return families
 
 
-@contextmanager
-def _on_line(lineno):
-    """Prefix the message of an error raised inside with ``line N:``,
-    keeping its type, so the exit code stays the same."""
-    try:
-        yield
-    except SfsNormError as err:
-        err.args = (f"line {lineno}: {err}",)
-        raise
+class _on_line:
+    """A context that prefixes the message of an error raised inside with
+    ``line N:``, keeping its type, so the exit code stays the same."""
+
+    __slots__ = ("lineno",)
+
+    def __init__(self, lineno):
+        self.lineno = lineno
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, err, traceback):
+        if isinstance(err, SfsNormError):
+            err.args = (f"line {self.lineno}: {err}",)
 
 
 def _clip(text):
@@ -202,6 +211,7 @@ def _grid_bindings(grid, bindings=None, index=0, room=MAX_SCAN_INSTANCES):
         yield from _grid_bindings(grid, bindings, index + 1, room // size)
 
 
+@lru_cache(maxsize=1 << 10)  # one read for check_families and family_scan
 def _slots(template):
     """The spans of the slots of ``template`` that are not literals; a
     literal int() cannot convert raises as in ``parse_presentation``."""
@@ -210,10 +220,10 @@ def _slots(template):
         # int() converts 640 digits under any limit of the interpreter.
         if len(template) > 640:
             read_presentation(Cursor(template), notation)
-        return []
+        return ()
     cur = _SlotCursor(template)
     read_presentation(cur, notation)
-    return cur.spans
+    return tuple(cur.spans)
 
 
 def instances(template, grid):
@@ -274,8 +284,9 @@ def csv_text(rows):
     """``rows`` as CSV under ``SCAN_CSV_HEADER``: a blank for a missing
     gap, and ``true`` or ``false`` for the exhaustive flag."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, SCAN_CSV_HEADER)
-    writer.writeheader()
-    writer.writerows({**row, "exhaustive": str(row["exhaustive"]).lower()}
-                     for row in rows)
+    writer = csv.writer(buffer)
+    writer.writerow(SCAN_CSV_HEADER)
+    for row in rows:
+        writer.writerow((*_CELLS(row),
+                         "true" if row["exhaustive"] else "false"))
     return buffer.getvalue()

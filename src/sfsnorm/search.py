@@ -181,11 +181,12 @@ class _SearchState:
         window = degree_cap = None
         if _checked(budget) is not None:
             window, degree_cap = budget.mu_window, budget.lambda_cap
-        alphas = presentation.alphas
+        f1, f2, f3 = presentation.fibers
+        a1, a2, a3 = f1.alpha, f2.alpha, f3.alpha
         # A limit the budget sets is positive, so ``or`` keeps it.
-        self.window = window or 64 * max(alphas)
+        self.window = window or 64 * max(a1, a2, a3)
         # Binds only while no candidate genus bounds the search yet.
-        self.degree_cap = degree_cap or 8 * sum(alphas) + 64
+        self.degree_cap = degree_cap or 8 * (a1 + a2 + a3) + 64
         self.best = {}
         self.witness = {}
         self.kinds = {}
@@ -230,6 +231,14 @@ def _case1_center(lam, fiber):
     return _parity_center((2 * lam * b + a) // (2 * a), b)
 
 
+# The ordered fiber pairs (i, j) of case 4 with their third fiber k, in
+# the order the search prices them: witnesses can follow that order.
+_CASE4_ORDER = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
+                (2, 1, 0))
+# Case 3's pinned fiber i and its two swept fibers j < k.
+_CASE3_ORDER = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
 def enumerate_case4(state):
     """Candidates whose three slope multiplicities are strictly ordered.
 
@@ -253,33 +262,31 @@ def enumerate_case4(state):
     out = []
     if not classes:
         return out  # a surface represents a nonzero class
-    for i in range(3):
-        for j in range(3):
-            fi, fj = fibers[i], fibers[j]
-            if i == j or not fi.alpha < fj.alpha:
-                continue
-            k = 3 - i - j
-            fk = fibers[k]
-            # rest = -(b_i/a_i + b_j/a_j) in lowest terms, den > 0.
-            # num != 0: b_i/a_i = -b_j/a_j in lowest terms needs a_i = a_j.
-            num = -(fi.beta * fj.alpha + fj.beta * fi.alpha)
-            den = fi.alpha * fj.alpha
-            g = math.gcd(num, den)  # not the sweeps' traced ``gcd``
-            num, den = num // g, den // g
-            # a_j divides den exactly when a_i does: both fail exactly
-            # when a prime of gcd(a_i, a_j) cancels from the sum.
-            if not fj.alpha < den or den % fj.alpha or \
-                    (den - fk.alpha) % 2 or (num - fk.beta) % 2:
-                continue
-            genus = 1 + den - den // fi.alpha - den // fj.alpha + \
-                slope_genus(*fk.cap_slope(den, num))
-            if genus > max([state.need(cls) for cls in classes]):
-                continue
-            pairs = [None, None, None]
-            pairs[i] = fi.pair
-            pairs[j] = fj.pair
-            pairs[k] = (den, num)
-            _price(state, PHParams(tuple(pairs)), out)
+    for i, j, k in _CASE4_ORDER:
+        fi, fj = fibers[i], fibers[j]
+        if not fi.alpha < fj.alpha:
+            continue
+        fk = fibers[k]
+        # rest = -(b_i/a_i + b_j/a_j) in lowest terms, den > 0.
+        # num != 0: b_i/a_i = -b_j/a_j in lowest terms needs a_i = a_j.
+        num = -(fi.beta * fj.alpha + fj.beta * fi.alpha)
+        den = fi.alpha * fj.alpha
+        g = math.gcd(num, den)  # not the sweeps' traced ``gcd``
+        num, den = num // g, den // g
+        # a_j divides den exactly when a_i does: both fail exactly
+        # when a prime of gcd(a_i, a_j) cancels from the sum.
+        if not fj.alpha < den or den % fj.alpha or \
+                (den - fk.alpha) % 2 or (num - fk.beta) % 2:
+            continue
+        genus = 1 + den - den // fi.alpha - den // fj.alpha + \
+            slope_genus(*fk.cap_slope(den, num))
+        if genus > max([state.need(cls) for cls in classes]):
+            continue
+        pairs = [None, None, None]
+        pairs[i] = fi.pair
+        pairs[j] = fj.pair
+        pairs[k] = (den, num)
+        _price(state, PHParams(tuple(pairs)), out)
     return out
 
 
@@ -447,8 +454,7 @@ def enumerate_case3(state):
     if not structure.nonzero_classes:
         return out
     fibers = state.presentation.fibers
-    for i in range(3):
-        j, k = (x for x in range(3) if x != i)
+    for i, j, k in _CASE3_ORDER:
         fi, fj, fk = fibers[i], fibers[j], fibers[k]
         if (fj.alpha - fk.alpha) % 2 != 0:
             continue  # no degree parity can satisfy both congruences

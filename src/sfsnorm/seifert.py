@@ -165,7 +165,9 @@ class Z2Class(Value):
     hashing are those of identity.
     """
 
-    __slots__ = _fields = ("parities",)
+    # ``label`` is the parities as a string, set once per class.
+    __slots__ = ("parities", "label")
+    _fields = ("parities",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -181,14 +183,11 @@ class Z2Class(Value):
             raise PresentationError("(0, 0, 0) is the zero class")
         self = object.__new__(cls)
         _set(self, "parities", ps)
+        _set(self, "label", "".join(map(str, ps)))
         return _Z2_CLASSES.setdefault(ps, self)
 
     def __reduce__(self):
         return Z2Class, (self.parities,)
-
-    @property
-    def label(self):
-        return "".join(str(p) for p in self.parities)
 
 
 # The interned classes, keyed by parity triple.
@@ -198,7 +197,9 @@ _Z2_CLASSES = {}
 class HomologyStructure(Value):
     """H_1(M; Z/2) = H_2(M; Z/2) and its nonzero classes."""
 
-    __slots__ = _fields = ("case", "nonzero_classes")
+    # ``_off`` is the table of ``class_off``, built once per structure.
+    __slots__ = ("case", "nonzero_classes", "_off")
+    _fields = ("case", "nonzero_classes")
 
     def __init__(self, case, nonzero_classes):
         expected = {HomologyCase.TRIVIAL: 0,
@@ -211,18 +212,22 @@ class HomologyStructure(Value):
                 f"{len(nonzero_classes)}")
         _set(self, "case", case)
         _set(self, "nonzero_classes", nonzero_classes)
+        if case is HomologyCase.KLEIN_FOUR:
+            off = tuple([Z2Class(tuple([int(x != k) for x in range(3)]))
+                         for k in range(3)])
+        else:
+            off = tuple(nonzero_classes) * 3
+        _set(self, "_off", off)
 
     def class_off(self, k):
         """The nonzero class off fiber k (0-based).
 
         In the Klein four case it is the class with parity 0 at fiber k,
         which pairs nontrivially with the two other h-curves; in a cyclic
-        case it is the only nonzero class, whatever k.
+        case it is the only nonzero class, whatever k.  A structure with
+        no nonzero class has none off any fiber, and raises IndexError.
         """
-        if self.case is HomologyCase.KLEIN_FOUR:
-            return Z2Class(tuple(0 if x == k else 1 for x in range(3)))
-        (cls,) = self.nonzero_classes
-        return cls
+        return self._off[k]
 
 
 # Conventional tag for the unique class when all multiplicities are odd.

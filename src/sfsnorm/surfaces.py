@@ -111,12 +111,43 @@ class SurfaceReport(Value):
         }
 
 
+def json_fields(data, what, fields):
+    """The values of the JSON object ``data`` under the keys of
+    ``fields``, in order, each of one of the types ``fields`` names for
+    it (the exact type, so a bool is no int); raises
+    ``PresentationError``, naming the ``what`` of ``data``, otherwise."""
+    if type(data) is not dict:
+        raise PresentationError(f"{what} is not a JSON object")
+    values = []
+    for key, types in fields.items():
+        if key not in data:
+            raise PresentationError(f"{what} has no {key!r}")
+        if type(data[key]) not in types:
+            raise PresentationError(f"{what} has a {key!r} of type "
+                                    f"{type(data[key]).__name__}")
+        values.append(data[key])
+    return values
+
+
 def surface_report_from_json(data):
-    for surface in (VerticalSurface, PHParams):
-        if surface.kind == data["kind"]:
-            return SurfaceReport(surface(data["params"]), data["genus"],
-                                 Z2Class(tuple(map(int, data["class"]))))
-    raise PresentationError(f"unknown surface kind {data['kind']!r}")
+    """The ``SurfaceReport`` whose ``to_json_dict`` is ``data``, read
+    from its kind, params, genus and class; raises ``PresentationError``
+    on a record that names no surface."""
+    kind, params, genus, label = json_fields(data, "witness", {
+        "kind": (str,), "params": (list,), "genus": (int,),
+        "class": (str,)})
+    surface = {VERTICAL: VerticalSurface, HORIZONTAL: PHParams}.get(kind)
+    if surface is None:
+        raise PresentationError(f"unknown surface kind {kind!r}")
+    if surface is PHParams and not all(
+            [type(pair) is list and len(pair) == 2 for pair in params]):
+        raise PresentationError(f"slopes {params!r} are not pairs")
+    if genus < 1:
+        raise PresentationError(f"witness genus {genus} is not positive")
+    if len(label) != 3 or not set(label) <= {"0", "1"}:
+        raise PresentationError(f"class {label!r} is not three bits")
+    return SurfaceReport(surface(params), genus,
+                         Z2Class(tuple(map(int, label))))
 
 
 # Reason codes, in the order the conditions are tested.
@@ -255,13 +286,13 @@ def vertical_surfaces(presentation, structure=None):
     """
     if structure is None:
         structure = homology_structure(presentation)
-    evens = [i for i, a in enumerate(presentation.alphas) if a % 2 == 0]
+    evens = [(i, fiber) for i, fiber in enumerate(presentation.fibers)
+             if fiber.alpha % 2 == 0]
     reports = []
-    for n, i in enumerate(evens):
-        for j in evens[n + 1:]:
-            genus = sum(n_genus(LensCurve(presentation.fibers[x].alpha,
-                                          presentation.fibers[x].beta))
-                        for x in (i, j))
+    for n, (i, fi) in enumerate(evens):
+        for j, fj in evens[n + 1:]:
+            genus = n_genus(LensCurve(fi.alpha, fi.beta)) + \
+                n_genus(LensCurve(fj.alpha, fj.beta))
             reports.append(SurfaceReport(
                 VerticalSurface((i + 1, j + 1)), genus,
                 structure.class_off(3 - i - j)))

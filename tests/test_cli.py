@@ -4,6 +4,9 @@ import ast
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -23,6 +26,8 @@ from sfsnorm.report import norm_report_from_json
 from sfsnorm.scan import SCAN_CSV_HEADER
 from sfsnorm.search import compute_norms
 from sfsnorm.seifert import SeifertPresentation
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def witness(kind, params, genus, label):
@@ -156,6 +161,35 @@ class TestNorm:
         target[key] = value
         with pytest.raises(PresentationError,
                            match="norm record contradicts its own witness"):
+            norm_report_from_json(data)
+
+    @pytest.mark.parametrize("path, value", [
+        ((), {}),
+        ((), []),
+        (("presentation",), 5),
+        (("classes",), 5),
+        (("classes", 0), "101"),
+        (("classes", 0, "witness_kinds"), [5, "horizontal"]),
+        (("classes", 0, "exhaustive"), "yes"),
+        (("classes", 0, "witness", "class"), "1x1"),
+        (("classes", 0, "witness", "genus"), 0),
+        (("classes", 0, "witness", "params"), [5, 6, 7]),
+    ], ids=["empty", "list", "presentation_int", "classes_int",
+            "class_string", "kind_int", "exhaustive_string",
+            "class_label", "genus_zero", "slopes_ints"])
+    def test_malformed_json_record(self, path, value):
+        # A record that is not the shape ``to_json_dict`` writes raises
+        # the package's error, whatever is wrong with it.
+        data = json.loads(json.dumps(JSON_RECORDS["S2((2,-1),(3,1),(8,1))"]))
+        if path:
+            *parents, key = path
+            target = data
+            for step in parents:
+                target = target[step]
+            target[key] = value
+        else:
+            data = value
+        with pytest.raises(PresentationError):
             norm_report_from_json(data)
 
     def test_no_horizontal_bound_where_vertical_wins(self, capsys):
@@ -326,6 +360,43 @@ class TestScan:
             if int(row[genus_idx]) >= 3:
                 assert row[gap_idx] in ("0", "2")
         assert all(row[-1] == "true" for row in rows[1:])
+
+    def test_scan_output_bytes(self, tmp_path):
+        # Every cell kind of the CSV: a blank and a nonzero gap, each
+        # witness kind, a capped class, a skipped instance and lines in
+        # all three notations.  Run as a process, so that the warning
+        # reaches stderr through the command's own logging set-up.
+        spec = tmp_path / "fam.txt"
+        spec.write_text(
+            "# one family per notation, then literal lines\n"
+            "S2((2,-1),(2*m+1,m),(2*n,1)) | m=1..2 | n=2..4\n"
+            "M(+0,0; -1/2, 1/3, 1/(n-(1))*2) | n=5..5\n"
+            "[-(n+1); (2,1),(3,1),((1+3)*2,1)] | n=0..0\n"
+            "S2((10,1),(2,-1),(8,-7))\n"
+            "S2((3,1),(5,1),(7,2))\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sfsnorm.cli", "scan", str(spec),
+             "--mu-window", "2"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True)
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            b"canonical_form,class,e1,e2,e3,min_genus,norm,witness_kind,"
+            b"gap,exhaustive\r\n"
+            b'"[-1; (2,1),(3,1),(4,1)]",101,1,0,1,3,1,both,0,true\r\n'
+            b'"[-1; (2,1),(3,1),(8,1)]",101,1,0,1,3,1,horizontal,2,true\r\n'
+            b'"[-1; (2,1),(5,2),(4,1)]",101,1,0,1,3,1,vertical,,true\r\n'
+            b'"[-1; (2,1),(5,2),(6,1)]",101,1,0,1,4,2,vertical,,true\r\n'
+            b'"[-1; (2,1),(5,2),(8,1)]",101,1,0,1,5,3,both,0,true\r\n'
+            b'"[-1; (2,1),(3,1),(8,1)]",101,1,0,1,3,1,horizontal,2,true\r\n'
+            b'"[-1; (2,1),(3,1),(8,1)]",101,1,0,1,3,1,horizontal,2,true\r\n'
+            b'"[-2; (10,1),(2,1),(8,1)]",110,1,1,0,6,4,vertical,,true\r\n'
+            b'"[-2; (10,1),(2,1),(8,1)]",101,1,0,1,9,7,vertical,,false\r\n'
+            b'"[-2; (10,1),(2,1),(8,1)]",011,0,1,1,5,3,vertical,,true\r\n'
+            b'"[0; (3,1),(5,1),(7,2)]",111,1,1,1,5,3,horizontal,,true\r\n')
+        assert proc.stderr == (
+            b"skipping S2((2,-1),(3,1),(6,1)): sum(beta_i/alpha_i) = 0: the "
+            b"manifold is not small (a horizontal incompressible surface "
+            b"exists)\n")
 
     def test_gap_blank_where_vertical_wins(self, capsys, tmp_path):
         spec = tmp_path / "fam.txt"

@@ -67,6 +67,14 @@ class TestParse:
             parse_presentation("S2((2,-1),(3,1),(6,1))")
         assert "horizontal incompressible surface" in str(err.value)
 
+    @pytest.mark.parametrize("text", [None, 5,
+                                      b"S2((2,-1),(3,1),(8,1))"],
+                             ids=["none", "int", "bytes"])
+    def test_text_that_is_no_string(self, text):
+        with pytest.raises(PresentationError,
+                           match="not a presentation text"):
+            parse_presentation(text)
+
 
 class TestFormat:
     def test_formats(self):

@@ -133,6 +133,33 @@ class TestCase4:
         assert bounded >= 400
 
 
+    def test_priced_in_pair_order(self, monkeypatch):
+        # Witnesses can follow the pricing order, so case 4 keeps it:
+        # each presentation's candidates come in increasing (i, j), where
+        # fibers i and j, a_i < a_j, carry their own fiber pairs.
+        returned = []
+
+        def recording(state):
+            out = enumerate_case4(state)
+            returned.append((state.presentation, out))
+            return out
+        monkeypatch.setattr(sfsnorm.search, "enumerate_case4", recording)
+        for m in presentations_by_case(200, seed=26):
+            compute_norms(m)
+        several = 0
+        for m, out in returned:
+            order = []
+            for params in out:
+                i, j = sorted(
+                    [x for x in range(3)
+                     if params.pairs[x] == m.fibers[x].pair],
+                    key=lambda x: m.fibers[x].alpha)
+                assert m.fibers[i].alpha < m.fibers[j].alpha
+                order.append((i, j))
+            assert order == sorted(set(order)), m
+            several += len(order) > 1
+        assert several >= 50
+
 class TestCase3:
     def test_prism_family_shape(self):
         # Sweeps with fiber 1 pinned produce ((2,-1),(2p,s),(2p,p-s)).
