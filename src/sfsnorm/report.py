@@ -4,7 +4,9 @@ A ``NormReport`` holds one ``ClassNorm`` per nonzero Z/2 class of a
 presentation; neither stores what its presentation or witness fixes.
 ``to_json_dict`` gives what ``sfs-norm norm --format json`` prints, and
 ``norm_report_from_json`` reads it back into an equal report, so the
-JSON output is a lossless record of a search.
+JSON output is a lossless record of a search.  The reader reads only the
+presentation and, per class, the witness's kind and params, the witness
+kinds and ``exhaustive``; it prices the witness and derives the rest.
 """
 
 from __future__ import annotations
@@ -15,8 +17,13 @@ from ._value import Value, _set
 from .errors import PresentationError
 from .notation import canonical_form, format_presentation, parse_presentation
 from .seifert import homology_structure
-from .surfaces import HORIZONTAL, json_fields, surface_report_from_json
-
+from .surfaces import (
+    HORIZONTAL,
+    VERTICAL,
+    json_fields,
+    surface_report_from_json,
+    vertical_surfaces,
+)
 
 class ClassNorm(Value):
     """Search result for one nonzero Z/2 class: its class and minimal
@@ -98,25 +105,31 @@ class NormReport(Value):
 
 def norm_report_from_json(data):
     """The ``NormReport`` whose ``to_json_dict`` is ``data``; raises
-    ``PresentationError`` when there is none.  The keys it is rebuilt
-    from are checked first, with their types."""
+    ``PresentationError`` when there is none.  The classes must be the
+    presentation's nonzero classes, in order, and each class's kinds its
+    witness's kind, or both kinds sorted as ``compute_norms`` sorts them."""
     text, classes = json_fields(data, "norm record", {
         "presentation": (str,), "classes": (list,)})
+    presentation = parse_presentation(text)
+    vertical = {report.z2class: report.genus
+                for report in vertical_surfaces(presentation)}
     entries = []
     for item in classes:
-        witness, kinds, vertical, exhaustive = json_fields(
-            item, "class record", {
-                "witness": (dict,), "witness_kinds": (list,),
-                "min_vertical_genus": (int, type(None)),
-                "exhaustive": (bool,)})
-        if not all([type(kind) is str for kind in kinds]):
-            raise PresentationError(f"witness kinds {kinds!r} are not "
-                                    "strings")
+        witness, kinds, exhaustive = json_fields(item, "class record", {
+            "witness": (dict,), "witness_kinds": (list,),
+            "exhaustive": (bool,)})
+        surface = surface_report_from_json(witness, presentation)
+        if kinds not in ([surface.kind], [HORIZONTAL, VERTICAL]):
+            raise PresentationError(f"witness kinds {kinds!r} do not fit "
+                                    f"a {surface.kind} witness")
         entries.append(ClassNorm(
-            witness=surface_report_from_json(witness),
-            witness_kinds=tuple(kinds), min_vertical_genus=vertical,
+            witness=surface, witness_kinds=tuple(kinds),
+            min_vertical_genus=vertical.get(surface.z2class),
             exhaustive=exhaustive))
-    report = NormReport(parse_presentation(text), tuple(entries))
+    if tuple([entry.z2class for entry in entries]) != \
+            homology_structure(presentation).nonzero_classes:
+        raise PresentationError("norm record has the wrong classes")
+    report = NormReport(presentation, tuple(entries))
     if report.to_json_dict() != data:
         raise PresentationError("norm record contradicts its own witness")
     return report

@@ -102,7 +102,10 @@ class SeifertPresentation(Value):
     __slots__ = _fields = ("fibers",)
 
     def __init__(self, fibers):
-        fibers = tuple(fibers)
+        try:
+            fibers = tuple(fibers)
+        except TypeError:  # not an iterable
+            fibers = ()
         if len(fibers) != 3 or not all([isinstance(f, FiberMatrix)
                                         for f in fibers]):
             raise PresentationError("a presentation needs three fiber "
@@ -127,10 +130,6 @@ class SeifertPresentation(Value):
     @property
     def alphas(self):
         return tuple(f.alpha for f in self.fibers)
-
-    @property
-    def betas(self):
-        return tuple(f.beta for f in self.fibers)
 
     def pairs(self):
         return tuple(f.pair for f in self.fibers)

@@ -26,7 +26,13 @@ from operator import attrgetter
 from ._value import Value, _set
 from .errors import InternalInvariantError, NoSurfaceError, PresentationError
 from .lens import LensCurve, n_genus, slope_genus
-from .seifert import HomologyCase, Z2Class, homology_structure
+from .seifert import (
+    HomologyCase,
+    HomologyStructure,
+    SeifertPresentation,
+    Z2Class,
+    homology_structure,
+)
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -42,7 +48,11 @@ class PHParams(Value):
     kind = HORIZONTAL
 
     def __init__(self, pairs):
-        pairs = tuple([(l, m) for l, m in pairs])
+        try:
+            pairs = tuple([(l, m) for l, m in pairs])
+        except (TypeError, ValueError):  # not an iterable of pairs
+            raise PresentationError(f"slopes {pairs!r} are not pairs") \
+                from None
         if len(pairs) != 3:
             raise PresentationError("need three slope pairs")
         for l, m in pairs:
@@ -111,6 +121,13 @@ class SurfaceReport(Value):
         }
 
 
+def _require(value, types, what):
+    """Raise ``PresentationError`` unless ``value`` is of ``types``, a
+    type or a tuple of types: a public argument of the wrong type."""
+    if not isinstance(value, types):
+        raise PresentationError(f"not {what}: {value!r}")
+
+
 def json_fields(data, what, fields):
     """The values of the JSON object ``data`` under the keys of
     ``fields``, in order, each of one of the types ``fields`` names for
@@ -129,25 +146,23 @@ def json_fields(data, what, fields):
     return values
 
 
-def surface_report_from_json(data):
-    """The ``SurfaceReport`` whose ``to_json_dict`` is ``data``, read
-    from its kind, params, genus and class; raises ``PresentationError``
-    on a record that names no surface."""
-    kind, params, genus, label = json_fields(data, "witness", {
-        "kind": (str,), "params": (list,), "genus": (int,),
-        "class": (str,)})
-    surface = {VERTICAL: VerticalSurface, HORIZONTAL: PHParams}.get(kind)
-    if surface is None:
+def surface_report_from_json(data, presentation):
+    """The ``SurfaceReport`` of the witness record ``data`` in
+    ``presentation``, read from its kind and params alone: a horizontal
+    witness is priced and a vertical one looked up.  Raises
+    ``PresentationError`` on a record that names no surface there."""
+    kind, params = json_fields(data, "witness", {
+        "kind": (str,), "params": (list,)})
+    if kind == HORIZONTAL:
+        return horizontal_report(presentation, PHParams(params))
+    if kind != VERTICAL:
         raise PresentationError(f"unknown surface kind {kind!r}")
-    if surface is PHParams and not all(
-            [type(pair) is list and len(pair) == 2 for pair in params]):
-        raise PresentationError(f"slopes {params!r} are not pairs")
-    if genus < 1:
-        raise PresentationError(f"witness genus {genus} is not positive")
-    if len(label) != 3 or not set(label) <= {"0", "1"}:
-        raise PresentationError(f"class {label!r} is not three bits")
-    return SurfaceReport(surface(params), genus,
-                         Z2Class(tuple(map(int, label))))
+    surface = VerticalSurface(params)
+    for report in vertical_surfaces(presentation):
+        if report.surface == surface:
+            return report
+    raise PresentationError(
+        f"no pseudo-vertical surface connects fibers {surface.connects}")
 
 
 # Reason codes, in the order the conditions are tested.
@@ -176,6 +191,8 @@ def ph_obstruction(presentation, params):
     With every l_i odd, each lam // l_i is odd, so the sum has the parity
     of the m-sum.
     """
+    _require(presentation, SeifertPresentation, "a presentation")
+    _require(params, PHParams, "pseudo-horizontal slopes")
     (l1, m1), (l2, m2), (l3, m3) = params.pairs
     lam = params.lam
     if m1 * (lam // l1) + m2 * (lam // l2) + m3 * (lam // l3) != 0:
@@ -201,28 +218,6 @@ def ph_exists(presentation, params):
     return ph_obstruction(presentation, params) is None
 
 
-def _require_surface(presentation, params):
-    reason = ph_obstruction(presentation, params)
-    if reason is not None:
-        raise NoSurfaceError(
-            f"no pseudo-horizontal surface with these slopes: {reason}")
-
-
-def _genus(presentation, params):
-    # The genus of ``ph_genus`` for slopes already known to exist.  Each
-    # cap slope is two ints priced by ``slope_genus``: its longitude
-    # coefficient is even for every existing candidate, and fibers with
-    # (l_i, m_i) = (a_i, b_i) give the meridian (0, 1).
-    lam = params.lam
-    genus = 2 + lam
-    for (l, m), f in zip(params.pairs, presentation.fibers):
-        genus += slope_genus(*f.cap_slope(l, m)) - lam // l
-    if genus < 1:
-        raise InternalInvariantError(
-            f"nonpositive genus {genus} for {params.pairs}")
-    return genus
-
-
 def ph_genus(presentation, params):
     """Genus of the pseudo-horizontal surface with the given slopes.
 
@@ -233,8 +228,18 @@ def ph_genus(presentation, params):
     ``NoSurfaceError`` (a ``PresentationError``) when the slopes bound
     no surface.
     """
-    _require_surface(presentation, params)
-    return _genus(presentation, params)
+    return horizontal_report(presentation, params).genus
+
+
+def _structure(presentation, structure):
+    """``structure``, or ``homology_structure(presentation)`` when it is
+    None; raises ``PresentationError`` on an argument of the wrong
+    type."""
+    _require(presentation, SeifertPresentation, "a presentation")
+    _require(structure, (HomologyStructure, type(None)),
+             "a homology structure")
+    return homology_structure(presentation) if structure is None \
+        else structure
 
 
 def ph_class(presentation, params, structure=None):
@@ -246,8 +251,8 @@ def ph_class(presentation, params, structure=None):
     ``structure`` is ``homology_structure(presentation)``, computed here
     when not given.
     """
-    if structure is None:
-        structure = homology_structure(presentation)
+    _require(params, PHParams, "pseudo-horizontal slopes")
+    structure = _structure(presentation, structure)
     if structure.case is HomologyCase.TRIVIAL:
         raise PresentationError(
             "H_2(M; Z/2) = 0: no nonzero class to represent")
@@ -266,10 +271,20 @@ def ph_class(presentation, params, structure=None):
 
 def horizontal_report(presentation, params, structure=None):
     """The priced surface with these slopes: one existence check, then
-    its genus and class.  Raises ``NoSurfaceError`` as ``ph_genus`` does;
-    ``structure`` is passed on to ``ph_class``."""
-    _require_surface(presentation, params)
-    return SurfaceReport(params, _genus(presentation, params),
+    its genus (see ``ph_genus``) and class.  Raises ``NoSurfaceError``
+    as ``ph_genus`` does; ``structure`` is passed on to ``ph_class``."""
+    reason = ph_obstruction(presentation, params)
+    if reason is not None:
+        raise NoSurfaceError(
+            f"no pseudo-horizontal surface with these slopes: {reason}")
+    # Each cap slope is two ints priced by ``slope_genus``: its longitude
+    # coefficient is even for every existing candidate, and fibers with
+    # (l_i, m_i) = (a_i, b_i) give the meridian (0, 1).
+    lam = params.lam
+    genus = 2 + lam
+    for (l, m), f in zip(params.pairs, presentation.fibers):
+        genus += slope_genus(*f.cap_slope(l, m)) - lam // l
+    return SurfaceReport(params, genus,
                          ph_class(presentation, params, structure))
 
 
@@ -284,8 +299,7 @@ def vertical_surfaces(presentation, structure=None):
     ``structure`` is ``homology_structure(presentation)``, computed here
     when not given.
     """
-    if structure is None:
-        structure = homology_structure(presentation)
+    structure = _structure(presentation, structure)
     evens = [(i, fiber) for i, fiber in enumerate(presentation.fibers)
              if fiber.alpha % 2 == 0]
     reports = []

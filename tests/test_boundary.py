@@ -1,0 +1,73 @@
+"""Every public callable answers or raises the package's error.
+
+Each callable of ``sfsnorm.__all__`` is called with valid arguments,
+then with each wrong value below in place of one argument at a time;
+every call must return or raise an ``SfsNormError``, never a
+``TypeError``, ``AttributeError`` or other stray exception.
+"""
+
+import pytest
+
+import sfsnorm
+from sfsnorm import LensCurve, PHParams, SfsNormError, compute_norms
+from sfsnorm.seifert import homology_structure
+
+WRONG = (None, 5, 1.5, True, b"x", "x", {}, [], [1, 2, 3], {"a": 1})
+
+# One presentation with a cyclic H_2 and one with a Klein four group,
+# whose class ``ph_class`` reads off the slopes, each with the slopes of
+# a surface in it.
+PRESENTATIONS = (
+    ("S2((2,-1),(3,1),(8,1))", ((2, -1), (3, 1), (6, 1))),
+    ("S2((2,-1),(2,1),(6,1))", ((2, -1), (4, 1), (4, 1))),
+)
+
+
+def valid_arguments(text, slopes):
+    """Valid positional arguments for every callable of ``__all__``."""
+    m = sfsnorm.parse_presentation(text)
+    params = PHParams(slopes)
+    structure = homology_structure(m)
+    arguments = {
+        "LensCurve": (8, 1),
+        "PHParams": (slopes,),
+        "SearchBudget": (2, 3),
+        "SeifertPresentation": (m.fibers,),
+        "compute_norms": (m, sfsnorm.SearchBudget()),
+        "horizontal_report": (m, params, structure),
+        "n_genus": (LensCurve(8, 1),),
+        "norm_report_from_json": (compute_norms(m).to_json_dict(),),
+        "parse_presentation": (text,),
+        "ph_class": (m, params, structure),
+        "ph_exists": (m, params),
+        "ph_genus": (m, params),
+        "vertical_surfaces": (m, structure),
+    }
+    for name in sfsnorm.__all__:
+        if name.endswith("Error"):
+            arguments[name] = ("message",)
+    return arguments
+
+
+@pytest.mark.parametrize("text, slopes", PRESENTATIONS,
+                         ids=["cyclic", "klein_four"])
+def test_every_public_call_answers_or_raises_sfsnorm_error(text, slopes):
+    arguments = valid_arguments(text, slopes)
+    assert sorted(arguments) == sorted(sfsnorm.__all__)
+    stray = []
+    for name, args in arguments.items():
+        function = getattr(sfsnorm, name)
+        function(*args)
+        for position in range(len(args)):
+            for wrong in WRONG:
+                call = list(args)
+                call[position] = wrong
+                try:
+                    function(*call)
+                except SfsNormError:
+                    pass
+                except Exception as err:
+                    stray.append(f"{name} argument {position} = {wrong!r}: "
+                                 f"{type(err).__name__}: {err}")
+    assert not stray, "\n".join(stray)
+

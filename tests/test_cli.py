@@ -192,6 +192,34 @@ class TestNorm:
         with pytest.raises(PresentationError):
             norm_report_from_json(data)
 
+    @pytest.mark.parametrize("edits", [
+        ((("classes", 0, "witness", "genus"), 5),
+         (("classes", 0, "witness", "norm"), 3),
+         (("classes", 0, "min_genus"), 5), (("classes", 0, "norm"), 3),
+         (("classes", 0, "min_horizontal_genus"), 5)),
+        ((("classes",), [JSON_RECORDS["S2((2,-1),(3,1),(8,1))"]["classes"][0]]
+          * 2),),
+        ((("classes",), []),),
+        ((("classes", 0, "min_vertical_genus"), 7),),
+        ((("classes", 0, "class"), "111"), (("classes", 0, "e2"), 1),
+         (("classes", 0, "witness", "class"), "111")),
+        ((("classes", 0, "witness_kinds"), ["horizontal", "zzz"]),),
+        ((("classes", 0, "witness", "params"), [[2, -1], [3, 1], [6, 7]]),),
+    ], ids=["genus_plus_2", "class_twice", "no_class", "vertical_7",
+            "class_111", "kind_zzz", "no_surface"])
+    def test_forged_json_record(self, edits):
+        # Each record agrees with itself, but not with its presentation:
+        # the reader prices the witness and derives the rest, so it reads
+        # none of these edited values on trust.
+        data = json.loads(json.dumps(JSON_RECORDS["S2((2,-1),(3,1),(8,1))"]))
+        for (*parents, key), value in edits:
+            target = data
+            for step in parents:
+                target = target[step]
+            target[key] = value
+        with pytest.raises(PresentationError):
+            norm_report_from_json(data)
+
     def test_no_horizontal_bound_where_vertical_wins(self, capsys):
         # A horizontal surface of genus 25 exists in class 011, but the
         # search prunes it against the vertical 5: no bound is reported.

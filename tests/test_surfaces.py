@@ -250,13 +250,13 @@ class TestSurfaceReport:
         reports.append(horizontal_report(m, P((2, -1), (4, 1), (4, 1))))
         for r in reports:
             data = r.to_json_dict()
-            again = surface_report_from_json(data)
+            again = surface_report_from_json(data, m)
             assert again == r
             assert data["norm"] == max(0, r.genus - 2)
         data["kind"] = "diagonal"
         with pytest.raises(PresentationError,
                            match="unknown surface kind 'diagonal'"):
-            surface_report_from_json(data)
+            surface_report_from_json(data, m)
 
     def test_kinds(self):
         m = M((2, -1), (2, 1), (6, 1))
