@@ -16,7 +16,9 @@ floor, a sign, a comparison) also yields the onset step from which it is
 valid, so the returned certificate carries a hard threshold t_min, not
 an asymptotic promise.  ``lead_floor`` needs no Euclid: wherever the
 first form keeps one sign, the leading digit alone bounds N over a whole
-span of steps, or over every step from one on.
+span of steps, or over every step from one on.  ``region_floors`` takes
+it once over each region of the whole line of steps, cut where a
+pencil's first form changes sign.
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ def certified_tail(first, second):
 
 
 def lead_floor(first, second, t0, t1=None):
-    """Lower bound on N(first(t), second(t)) over the steps t0..t1, or
-    over every step from t0 on when ``t1`` is None (a tail).
+    """Lower bound on N(first(t), second(t)) over the steps t0..t1, over
+    every step from t0 on when ``t1`` is None (a tail), or over every step
+    up to t1 when ``t0`` is None (a tail of the pencil reflected, t -> -t).
 
     The leading digit a0 of the normalized slope (2k, q) is always kept
     by the skip rule, so N >= ceil(a0/2) at every step that is a slope,
@@ -165,24 +168,63 @@ def lead_floor(first, second, t0, t1=None):
     """
     a, b = first
     c, d = second
-    x0, y0 = a * t0 + b, c * t0 + d
+    if t0 is None:
+        a, c, t0, t1 = -a, -c, -t1, None
+    x0 = a * t0 + b
+    y0 = c * t0 + d
     if t1 is None:
-        if a == 0 and c != 0:
+        if a:
+            x1, y1 = a, c
+        elif c:
             return 0
-        x1, y1 = (a, c) if a else (x0, y0)
+        else:
+            x1, y1 = x0, y0
     else:
-        x1, y1 = a * t1 + b, c * t1 + d
-    if x0 == 0 or x1 == 0 or (x0 < 0) != (x1 < 0):
-        return 0
+        x1 = a * t1 + b
+        y1 = c * t1 + d
     if x0 < 0:
+        if x1 >= 0:
+            return 0
         x0, y0, x1, y1 = -x0, -y0, -x1, -y1
+    elif x0 == 0 or x1 <= 0:
+        return 0
     m = (y0 * x1 + y1 * x0 + x0 * x1) // (2 * x0 * x1)
-    # d = e/x, the larger of |u - m| at the two ends.
-    e0, e1 = abs(y0 - m * x0), abs(y1 - m * x1)
-    e, x = (e0, x0) if e0 * x1 >= e1 * x0 else (e1, x1)
-    if e == 0:
-        return 0  # u = m throughout: no step is a slope
-    return (x // e + 1) // 2
+    # d = e/x, the larger of |u - m| at the two ends; e = 0 means u = m
+    # throughout, and no step is a slope.
+    e0 = abs(y0 - m * x0)
+    e1 = abs(y1 - m * x1)
+    if e0 * x1 >= e1 * x0:
+        return (x0 // e0 + 1) // 2 if e0 else 0
+    return (x1 // e1 + 1) // 2
+
+
+def region_floors(pencils):
+    """Cut the whole line of steps t in Z at each pencil's pole and bound
+    the sum of the pencils' N over each region.
+
+    A pencil whose first form a*t + b has a != 0 is cut as a sweep
+    direction cuts it: at ceil(-b/a) and at floor(-b/a) + 1, so a step
+    where the form is zero is a region of its own.  Returns (cuts,
+    floors): region r holds the steps cuts[r-1] <= t < cuts[r], the first
+    and last unbounded, and floors[r] is the sum over the pencils of
+    ``lead_floor`` on it, the first and last regions as tails.  No first
+    form changes sign inside a region, so each floor holds at every step
+    of its region.  ``lead_floor`` picks the integer nearest the middle
+    of its range, so its floor over a span inside a region is never
+    below the region's.
+    """
+    cuts = sorted({cut for (a, b), _ in pencils if a
+                   for cut in (-(b // a), -b // a + 1)}) or [0]
+    floors = []
+    lo = None
+    for hi in cuts + [None]:
+        floor = 0
+        for first, second in pencils:
+            floor += lead_floor(first, second, lo,
+                                None if hi is None else hi - 1)
+        floors.append(floor)
+        lo = hi
+    return cuts, floors
 
 
 def slope_pencil(fiber, lam, mu0, step):

@@ -11,6 +11,7 @@ kinds and ``exhaustive``; it prices the witness and derives the rest.
 
 from __future__ import annotations
 
+import json
 from operator import attrgetter
 
 from ._value import Value, _set
@@ -130,6 +131,12 @@ def norm_report_from_json(data):
             homology_structure(presentation).nonzero_classes:
         raise PresentationError("norm record has the wrong classes")
     report = NormReport(presentation, tuple(entries))
-    if report.to_json_dict() != data:
+    # The JSON texts, not the values: 3.0 == 3 and True == 1 in Python.
+    try:
+        forged = json.dumps(data, sort_keys=True) != \
+            json.dumps(report.to_json_dict(), sort_keys=True)
+    except (TypeError, ValueError):  # no JSON text, or unsortable keys
+        forged = True
+    if forged:
         raise PresentationError("norm record contradicts its own witness")
     return report

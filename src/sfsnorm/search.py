@@ -43,17 +43,24 @@ runs through ``_sweep``.  Each of its legs is a cap slope (2k, q) moving
 with the swept coefficient, and its leading continued-fraction digit a0
 gives N >= ceil(a0/2).  Wherever 2k keeps one strict sign, that floor
 holds over a whole span of steps, or over every step from one on
-(``pencils.lead_floor``).  So a sweep direction cuts its steps at each
-leg's pole, where 2k changes sign, and first drops every span whose base
-plus the legs' floors exceeds the bound.  At the first span that
-survives it builds each leg's slope-pencil certificate (exact Euclid on
-linear forms, see ``pencils``), whose N bound holds at every step from
-the leg's own threshold t_min on, bisects its spans left-first and stops
-at the first where its base plus the bounds of the legs past their
-t_min, which hold at every later step, exceed the bound.  The last
-span of a direction is its tail, every step past the window: unless
-the legs' floors or their certificates exclude it, it marks the class
-non-exhaustive, so nothing is silently dropped.  A single step that
+(``pencils.lead_floor``).  So a sweep first cuts the whole line of its
+coefficient at each leg's pole, where 2k changes sign, and bounds each
+region once (``pencils.region_floors``).  A region is dead when its base
+plus floors exceeds the bound, and when every region is, the sweep ends
+before it builds a direction: on S2((2,-1),(3,1),(800,1)) each of the
+99 case-3 degrees ends there.  Otherwise each direction stacks the spans
+of its window in live regions, and drops a span whose base plus the
+legs' floors over it exceeds the bound; a span that is a whole region
+reuses that region's floors, and no span is ever below them.  At the
+first span that survives it builds each leg's slope-pencil certificate
+(exact Euclid on linear forms, see ``pencils``), whose N bound holds at
+every step from the leg's own threshold t_min on, bisects its spans
+left-first and stops at the first where its base plus the bounds of the
+legs past their t_min, which hold at every later step, exceed the
+bound.  The last span of a direction is its tail, every step past the
+window: unless every region it meets is dead, or the legs' floors or
+their certificates exclude it, it marks the class non-exhaustive, so
+nothing is silently dropped.  A single step that
 survives is checked once more before it is priced: each leg's cap slope
 at that step is two ints, whose exact N ``slope_genus`` reads from a
 cache, and the step is priced only when its base plus those N is at
@@ -102,6 +109,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from itertools import count
 from math import gcd, inf
 
@@ -114,7 +122,7 @@ from .errors import (
 )
 from .lens import LensCurve, slope_genus
 from .notation import parse_presentation
-from .pencils import certified_tail, lead_floor, slope_pencil
+from .pencils import certified_tail, lead_floor, region_floors, slope_pencil
 from .report import ClassNorm, NormReport
 from .scan import class_rows, instances
 from .seifert import HomologyCase, SeifertPresentation, homology_structure
@@ -318,74 +326,101 @@ def _sweep(state, cls, lam, base, legs, center):
     ``state.window`` of the center.  Each leg ``(fiber, offset, sign)``
     is a slope of coefficient ``offset + sign*mu`` on that fiber, and a
     candidate at mu costs at least ``base`` plus the N of its legs.
-    Each direction cuts its steps at every leg's pole, where the leg's
-    longitude form changes sign, puts the tail (steps, None) of every
-    step past the window under them, and pops spans [t0, t1] left-first.
-    It drops a span whose ``_lead_bound`` exceeds the bound of ``cls``.
-    At the first span that survives it builds the legs' certificates and
-    cuts the spans at their least ``t_min``; from then on it stops once
-    ``_certified_bound`` at t0, a bound at every later step, exceeds the
-    bound.  It halves a longer span and yields a single step when
-    ``_worth_pricing`` holds.  The tail survives only when neither bound
-    excludes it, and then marks ``cls`` capped, the one place a
-    direction does: what lies past the window may still be cheaper.
+    First the legs' forms along the whole line mu = center + 2s, s in Z,
+    are cut at every leg's pole, where its longitude form changes sign,
+    and ``pencils.region_floors`` bounds each region; a region is dead
+    when its base plus floors exceeds the bound of ``cls``, and when
+    every region is, the sweep ends there.  Otherwise each direction
+    stacks its steps in the window, one span per live region they meet,
+    over its tail (steps, None) of every step past the window unless
+    every region that meets is dead, and pops spans [t0, t1] left-first.
+    It drops a span whose ``_lead_bound`` exceeds the bound, a span that
+    is a whole region on that region's floors.  At the first span that
+    survives it builds the legs' certificates and cuts the spans at their
+    least ``t_min``; from then on it stops once ``_certified_bound`` at
+    t0, a bound at every later step, exceeds the bound.  It halves a
+    longer span and yields a single step when ``_worth_pricing`` holds.
+    The tail survives only when neither bound excludes it, and then marks
+    ``cls`` capped, the one place a sweep does: what lies past the window
+    may still be cheaper.
 
     The bound of ``cls`` is read afresh at every span, so what the
     caller prices between two yields prunes the rest of the sweep.
     Callers drain the generator: the capped mark is set only when a
     direction ends, so a sweep abandoned early would flag nothing.
     """
+    # The first direction's steps are s >= 0 of the line.
+    line = [slope_pencil(fiber, lam, offset + sign * center, 2 * sign)
+            for fiber, offset, sign in legs]
+    cuts, floors = region_floors(line)
+    if base + min(floors) > state.need(cls):
+        return
+    bounds = [base + floor for floor in floors]
     for step in (2, -2):
-        mu0 = center if step > 0 else center - 2
-        pencils = [slope_pencil(fiber, lam, offset + sign * mu0, sign * step)
-                   for fiber, offset, sign in legs]
+        if step > 0:
+            mu0, pencils = center, line
+        else:
+            mu0 = center - 2
+            pencils = [slope_pencil(fiber, lam, offset + sign * mu0,
+                                    sign * step)
+                       for fiber, offset, sign in legs]
+            # Its step t is s = -1 - t of the line.
+            cuts, bounds = [-cut for cut in reversed(cuts)], bounds[::-1]
         steps = (state.window - abs(mu0 - center)) // 2 + 1  # in window
-        # X = a*t + b changes sign at the pole -b/a, so cut at its ceiling
-        # and one past its floor (a single step where it is an integer).
-        spans = [(steps, None)] + _cut(
-            [(0, steps - 1)] if steps > 0 else [],
-            {cut for (a, b), _ in pencils if a
-             for cut in (-(b // a), -b // a + 1)})
+        need = state.need(cls)
+        # Region r holds the steps cuts[r-1] <= t < cuts[r]; the window's
+        # spans are those of regions lo..hi, cut at cuts[lo:hi].
+        lo, hi = bisect_right(cuts, 0), bisect_left(cuts, steps)
+        edges = [0] + cuts[lo:hi] + [steps]
+        spans = [(steps, None, None)] \
+            if min(bounds[bisect_right(cuts, steps):]) <= need else []
+        for r in range(hi, lo - 1, -1):
+            t0, t1 = edges[r - lo], edges[r - lo + 1] - 1
+            if t0 <= t1 and bounds[r] <= need:
+                whole = 0 < r < len(cuts) and cuts[r - 1] == t0 and \
+                    cuts[r] == t1 + 1
+                spans.append((t0, t1, bounds[r] if whole else None))
         certs = None
         while spans:
-            t0, t1 = spans.pop()
+            t0, t1, bound = spans.pop()
             need = state.need(cls)
             if certs is not None and \
                     _certified_bound(base, certs, t0) > need:
                 break
-            if _lead_bound(base, pencils, t0, t1) > need:
+            if bound is None:
+                bound = _lead_bound(base, pencils, t0, t1)
+            if bound > need:
                 continue
             if certs is None:
                 # The first span that survives its lead floor: build the
                 # certificates, cut at their onset, go on with its first part.
                 certs = _certificates(pencils)
                 onset = min([steps] + [cert.t_min for cert in certs])
-                spans = _cut(spans + [(t0, t1)], {onset})
-                t0, t1 = spans.pop()
+                spans = _cut(spans + [(t0, t1, bound)], onset)
+                t0, t1, _ = spans.pop()
                 if _certified_bound(base, certs, t0) > need:
                     break
             if t1 is None:
                 state.capped.add(cls)
             elif t0 < t1:
                 mid = (t0 + t1) // 2
-                spans += [(mid + 1, t1), (t0, mid)]
+                spans += [(mid + 1, t1, None), (t0, mid, None)]
             elif _worth_pricing(state, cls, base, pencils, t0):
                 yield mu0 + step * t0
 
 
-def _cut(spans, cuts):
-    """The stack ``spans`` (its leftmost span last) with each span cut
-    before every step of ``cuts`` that lies inside it.  A tail (t0, None)
-    may sit at the bottom if no cut lies past its t0."""
-    cuts = sorted(cuts)
+def _cut(spans, cut):
+    """The stack ``spans`` (its leftmost span last) with the span that
+    holds ``cut`` past its first step cut before it.  Its two parts are
+    not whole regions.  A tail (t0, None) is never cut: ``cut`` is at
+    most its t0."""
     out = []
-    for t0, t1 in reversed(spans):
-        for cut in cuts:
-            if t0 < cut <= t1:
-                out.append((t0, cut - 1))
-                t0 = cut
-        out.append((t0, t1))
-    return out[::-1]
+    for t0, t1, bound in spans:
+        if t0 < cut <= t1:
+            out += [(cut, t1, None), (t0, cut - 1, None)]
+        else:
+            out.append((t0, t1, bound))
+    return out
 
 
 def _certificates(pencils):

@@ -121,7 +121,11 @@ class SeifertPresentation(Value):
 
     @classmethod
     def from_pairs(cls, pairs):
-        pairs = tuple(pairs)
+        try:
+            pairs = tuple([(a, b) for a, b in pairs])
+        except (TypeError, ValueError):  # not an iterable of pairs
+            raise PresentationError(f"fiber pairs {pairs!r} are not "
+                                    "pairs") from None
         if len(pairs) != 3:
             raise PresentationError("a presentation needs three (alpha, "
                                     "beta) pairs")

@@ -74,7 +74,11 @@ class VerticalSurface(Value):
     kind = VERTICAL
 
     def __init__(self, connects):
-        ij = tuple(connects)
+        try:
+            ij = tuple(connects)
+        except TypeError:  # not an iterable
+            raise PresentationError(f"fiber pair {connects!r} is not a "
+                                    "pair") from None
         if any(type(i) is not int for i in ij):
             raise PresentationError(f"fiber pair {ij!r} needs integer entries")
         ij = tuple(sorted(ij))
@@ -91,6 +95,8 @@ class SurfaceReport(Value):
     def __init__(self, surface, genus, z2class):
         if type(surface) not in (VerticalSurface, PHParams):
             raise PresentationError(f"not a surface: {surface!r}")
+        if type(genus) is not int:
+            raise PresentationError(f"genus {genus!r} is not an integer")
         if genus < 1:
             raise InternalInvariantError(
                 f"surface genus must be positive, got {genus}")

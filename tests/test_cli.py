@@ -205,8 +205,9 @@ class TestNorm:
          (("classes", 0, "witness", "class"), "111")),
         ((("classes", 0, "witness_kinds"), ["horizontal", "zzz"]),),
         ((("classes", 0, "witness", "params"), [[2, -1], [3, 1], [6, 7]]),),
+        ((("classes", 0, "min_genus"), 3.0), (("classes", 0, "e1"), True)),
     ], ids=["genus_plus_2", "class_twice", "no_class", "vertical_7",
-            "class_111", "kind_zzz", "no_surface"])
+            "class_111", "kind_zzz", "no_surface", "float_and_bool"])
     def test_forged_json_record(self, edits):
         # Each record agrees with itself, but not with its presentation:
         # the reader prices the witness and derives the rest, so it reads

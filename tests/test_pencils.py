@@ -11,12 +11,14 @@ from sfsnorm.lens import (
     cf_expand,
     n_genus,
     normalize_lens,
+    slope_genus,
 )
 from sfsnorm.pencils import (
     Lin,
     TailCertificate,
     certified_tail,
     lead_floor,
+    region_floors,
     slope_pencil,
 )
 from sfsnorm.search import compute_norms
@@ -269,16 +271,20 @@ class TestCertifiedTail:
 
 
 def search_pencils(monkeypatch, corpus):
-    """Every pencil ``compute_norms`` builds on ``corpus``."""
-    pencils = []
+    """The leg pencils of every sweep direction ``compute_norms`` runs on
+    ``corpus``, in order: both directions of each sweep, also of one that
+    ends on its region floors before it builds a direction.  Every pencil
+    the search builds is checked to be among them."""
+    built = []
 
     def recording(*args):
         pencil = slope_pencil(*args)
-        pencils.append(pencil)
+        built.append(pencil)
         return pencil
     monkeypatch.setattr(sfsnorm.search, "slope_pencil", recording)
-    for m in corpus:
-        compute_norms(m)
+    pencils = [pencil for pencils in search_directions(monkeypatch, corpus)
+               for pencil in pencils]
+    assert built and set(built) <= set(pencils)
     return pencils
 
 
@@ -504,36 +510,52 @@ def test_sweep_yields_every_step_within_a_fixed_bound(monkeypatch):
 def test_sweep_caps_exactly_where_both_tail_bounds_admit(monkeypatch):
     # A direction's last span is its tail, every step from the window's
     # end on: with the bound held fixed, the class is capped exactly when
-    # in some direction neither the legs' floors nor their certified
-    # bounds there exceed it.  Every sweep ``compute_norms`` runs is
-    # replayed; the cases that the floors alone, or the certificates
-    # alone, leave uncapped are counted, so dropping either test fails.
+    # in some direction the tail meets a live region of the sweep's line
+    # (``region_floors``: base plus floors at most the bound) and neither
+    # the legs' floors nor their certified bounds there exceed it.  Every
+    # sweep ``compute_norms`` runs is replayed; the cases that the floors
+    # alone, the certificates alone or the regions alone leave uncapped
+    # are counted, so dropping any of the three tests fails.
     sweep, sweeps = sfsnorm.search._sweep, []
     monkeypatch.setattr(sfsnorm.search, "_sweep",
                         lambda *args: sweeps.append(args[2:6]) or sweep(*args))
     for m in presentations_by_case(15, seed=2) + [ALL_ODD, TALL]:
         compute_norms(m)
-    by_floor = by_certificates = 0
+    by_floor = by_certificates = by_region = 0
     for (lam, base, legs, center), window in product(sweeps, (1, 2, 6, 20)):
-        floors, certified = [], []
+        cuts, floors = region_floors(
+            [slope_pencil(fiber, lam, offset + sign * center, 2 * sign)
+             for fiber, offset, sign in legs])
+        tails = []
         for mu0, step in ((center, 2), (center - 2, -2)):
             t = (window - abs(mu0 - center)) // 2 + 1
             pencils = [slope_pencil(fiber, lam, offset + sign * mu0,
                                     sign * step)
                        for fiber, offset, sign in legs]
-            floors.append(sfsnorm.search._lead_bound(base, pencils, t, None))
-            certified.append(sfsnorm.search._certified_bound(
-                base, sfsnorm.search._certificates(pencils), t))
+            # Region r holds the line's steps cuts[r-1] <= s < cuts[r];
+            # the tail holds s >= t going up and s <= -1 - t going down.
+            met = [floor for r, floor in enumerate(floors)
+                   if ((r == len(cuts) or cuts[r] > t) if step > 0
+                       else (r == 0 or cuts[r - 1] < -t))]
+            tails.append((
+                sfsnorm.search._lead_bound(base, pencils, t, None),
+                sfsnorm.search._certified_bound(
+                    base, sfsnorm.search._certificates(pencils), t),
+                base + min(met)))
         for bound in range(base, base + 8):
             state = FixedBound(bound, window)
             list(sweep(state, None, lam, base, legs, center))
-            capped = any(max(pair) <= bound for pair in zip(floors, certified))
+            capped = any(max(tail) <= bound for tail in tails)
             assert state.capped == ({None} if capped else set()), \
                 (lam, base, legs, center, window, bound)
-            by_floor += not capped and min(certified) <= bound
-            by_certificates += not capped and min(floors) <= bound
-    assert len(sweeps) >= 200 and by_floor >= 800 and \
-        by_certificates >= 700, (len(sweeps), by_floor, by_certificates)
+            if not capped:
+                by_floor += any(max(c, r) <= bound for _, c, r in tails)
+                by_certificates += any(max(f, r) <= bound
+                                       for f, _, r in tails)
+                by_region += any(max(f, c) <= bound for f, c, _ in tails)
+    assert len(sweeps) >= 200 and by_floor >= 25 and \
+        by_certificates >= 700 and by_region >= 2500, \
+        (len(sweeps), by_floor, by_certificates, by_region)
 
 
 def test_certified_bound_holds_from_each_onset(monkeypatch):
@@ -630,3 +652,64 @@ def test_floors_hold_past_each_pole_and_onset(monkeypatch):
                     check(lead_floor(first, second, t0, t1),
                           list(range(t0, t1 + 1)))
     assert compared >= 300000 and tight >= 500, (compared, tight)
+
+
+def test_region_floors_hold_on_their_regions(monkeypatch):
+    # A sweep cuts the line of its legs' forms at each leg's pole and ends
+    # before it builds a direction when every region's base plus floors
+    # exceeds the class bound; a direction stacks no span of such a dead
+    # region, and no tail whose every region is dead.  So on every line
+    # the search cuts, each region's floor must stay at or below the exact
+    # N sum at every slope step of the region: every step of a finite
+    # region, the next 3,000 of a tail.  And each sweep, replayed over a
+    # small window with the bound at the least exact sum over one
+    # direction's next 3,000 tail steps, must cap its class: the regions
+    # that tail meets, its own floors and its certificates all admit that
+    # step.  On the line (2s + 2, 1), added, every region's floor is exact.
+    sweep, sweeps = sfsnorm.search._sweep, []
+    monkeypatch.setattr(sfsnorm.search, "_sweep",
+                        lambda *args: sweeps.append(args[2:6]) or sweep(*args))
+    for m in presentations_by_case(15, seed=2) + [ALL_ODD, TALL]:
+        compute_norms(m)
+    assert len(sweeps) >= 200, len(sweeps)
+    lines = {}
+    for lam, base, legs, center in sweeps:
+        line = tuple(slope_pencil(fiber, lam, offset + sign * center, 2 * sign)
+                     for fiber, offset, sign in legs)
+        lines.setdefault(line, []).append((lam, base, legs, center))
+    lines[((Lin(2, 2), Lin(0, 1)),)] = []
+    compared = tight = replays = 0
+    for line, replayed in lines.items():
+        cuts, floors = region_floors(line)
+        # Exact N sums at the steps lo <= s < lo + len(sums), None off
+        # the slopes.
+        lo = min(cuts[0], -12) - 3000
+        steps = range(lo, max(cuts[-1], 12) + 3000)
+        legs_n = [[slope_genus(x, y) if gcd(x, y) == 1 else None
+                   for x, y in zip([a * s + b for s in steps],
+                                   [c * s + d for s in steps])]
+                  for (a, b), (c, d) in line]
+        sums = [None if None in ns else sum(ns) for ns in zip(*legs_n)]
+        edges = [cuts[0] - 3000] + cuts + [cuts[-1] + 3000]
+        for floor, start, end in zip(floors, edges, edges[1:]):
+            for n in sums[start - lo:end - lo]:
+                if n is not None:
+                    assert floor <= n, (line, start, end)
+                    compared += 1
+                    tight += floor == n
+        for (lam, base, legs, center), window in product(replayed, (1, 2, 6)):
+            for mu0 in (center, center - 2):
+                steps = (window - abs(mu0 - center)) // 2 + 1
+                # The tail's steps on the line: s >= steps going up,
+                # s <= -1 - steps going down.
+                start = steps if mu0 == center else -steps - 3000
+                tail = [n for n in sums[start - lo:start - lo + 3000]
+                        if n is not None]
+                if tail:
+                    state = FixedBound(base + min(tail), window)
+                    list(sweep(state, None, lam, base, legs, center))
+                    assert state.capped == {None}, \
+                        (lam, base, legs, center, window, mu0)
+                    replays += 1
+    assert compared >= 500_000 and tight >= 40 and replays >= 1000, \
+        (compared, tight, replays)

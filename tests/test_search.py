@@ -8,6 +8,7 @@ from math import gcd, inf
 
 import pytest
 
+import sfsnorm.pencils
 import sfsnorm.search
 import sfsnorm.surfaces
 import test_case1_oracle as oracle
@@ -549,7 +550,8 @@ def test_every_sweep_leg_has_even_longitude(monkeypatch):
     # leg's 2k = m*a - l*b is even at every step of its direction: its
     # pencil's constant and slope are even.  Neither ``_worth_pricing``
     # nor ``lead_floor`` tests for an odd 2k.  The lead floors see every
-    # direction, also those whose steps are all skipped.
+    # sweep: ``region_floors`` calls them on the line of each, also of one
+    # that ends there.
     worth_pricing, floor = sfsnorm.search._worth_pricing, \
         sfsnorm.search.lead_floor
     seen = Counter()
@@ -569,6 +571,7 @@ def test_every_sweep_leg_has_even_longitude(monkeypatch):
 
     monkeypatch.setattr(sfsnorm.search, "_worth_pricing", worth_pricing_spy)
     monkeypatch.setattr(sfsnorm.search, "lead_floor", floor_spy)
+    monkeypatch.setattr(sfsnorm.pencils, "lead_floor", floor_spy)
     for m in fixture_corpus() + [ladder(31), M((2, -1), (3, 1), (800, 1))]:
         compute_norms(m)
     assert seen["1-leg step"] >= 5000 and seen["2-leg step"] >= 800 and \
@@ -696,31 +699,34 @@ class TestWorkCounts:
         assert len(checked) == len(set(checked))
         assert len(homology) == 1
 
-    @pytest.mark.parametrize(
-        "pairs, genus, gcd_limit, report_limit, cert_limit", [
-            (((2, -1), (3, 1), (800, 1)), 399, 1000, 400, 10),
-            (((2, -1), (3, 1), (3200, 1)), 1599, 4000, 1500, 40),
-        ], ids=["tall_800", "tall_3200"])
+    @pytest.mark.parametrize("pairs, genus, sweeps, floors", [
+        (((2, -1), (3, 1), (800, 1)), 399, 99, 692),
+        (((2, -1), (3, 1), (3200, 1)), 1599, 399, 2792),
+    ], ids=["tall_800", "tall_3200"])
     def test_lead_floors_skip_before_t_min(self, monkeypatch, pairs, genus,
-                                           gcd_limit, report_limit,
-                                           cert_limit):
-        # Cut at each leg's pole, every span of these sweeps has lead
-        # floors that price it above the class best, and past the window
-        # so do the legs' tail floors.  They make no gcd call, 2 pricings
-        # and no certificate each; stepping through took 79,974 and
-        # 1,284,740 gcd calls and 20,346 and 324,378 pricings, and
-        # building four certificates at every degree took 396 and 1,596.
-        calls, reports, certs = [], [], []
-        self.record(monkeypatch, sfsnorm.search, "gcd", calls)
-        self.record(monkeypatch, sfsnorm.search, "horizontal_report",
-                    reports)
-        self.record(monkeypatch, sfsnorm.search, "certified_tail", certs)
+                                           sweeps, floors):
+        # Every case-3 degree of these presentations ends on the floors of
+        # its line's regions, before any direction starts: its only
+        # pencils are the line forms of its two legs, every lead floor is
+        # a region's (``search.lead_floor``, which tests a direction's
+        # spans, is never called), and no certificate or gcd call is made.
+        # Stepping through took 79,974 and 1,284,740 gcd calls; testing
+        # each direction's spans took 1,284 and 5,184 lead floors.
+        calls = {name: [] for name in (
+            "_sweep", "slope_pencil", "lead_floor", "certified_tail", "gcd",
+            "horizontal_report")}
+        for name, seen in calls.items():
+            self.record(monkeypatch, sfsnorm.search, name, seen)
+        region = []
+        self.record(monkeypatch, sfsnorm.pencils, "lead_floor", region)
         report = compute_norms(M(*pairs))
         assert [(e.min_genus, e.exhaustive) for e in report.entries] == \
             [(genus, True)]
-        assert len(calls) <= gcd_limit
-        assert len(reports) <= report_limit
-        assert len(certs) <= cert_limit
+        assert len(calls["_sweep"]) == sweeps
+        assert len(calls["slope_pencil"]) == 2 * sweeps
+        assert calls["lead_floor"] == [] and len(region) == floors
+        assert calls["certified_tail"] == calls["gcd"] == []
+        assert len(calls["horizontal_report"]) == 1
 
     @pytest.mark.parametrize("pairs, genus, limit", [
         (((31, 2), (33, 5), (29, -3)), 10, 3000),
