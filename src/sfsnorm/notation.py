@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import NotationSyntaxError, PresentationError
 from .seifert import SeifertPresentation, to_orlik_normal_form
@@ -58,8 +59,9 @@ class Grammar:
         where = {name: i for i, name in enumerate(
             token for token, is_integer in self.tokens if is_integer)}
         self._e = where.get("e")
-        self._pairs = tuple((where[f"a{i}"], where[f"b{i}"])
-                            for i in (1, 2, 3))
+        # a1, b1, a2, b2, a3, b3 out of the integers in text order.
+        self._fibers = itemgetter(*[where[f"{x}{i}"] for i in (1, 2, 3)
+                                    for x in "ab"])
 
     @cached_property
     def pattern(self):
@@ -75,7 +77,8 @@ class Grammar:
     def shape(self, values):
         """(e, pairs) of the integers ``values``, given in text order."""
         e = 0 if self._e is None else values[self._e]
-        return e, [(values[a], values[b]) for a, b in self._pairs]
+        a1, b1, a2, b2, a3, b3 = self._fibers(values)
+        return e, [(a1, b1), (a2, b2), (a3, b3)]
 
 
 GRAMMARS = {notation: Grammar(table) for notation, table in _TABLES.items()}
@@ -157,7 +160,7 @@ def _read(text, notation):
     match = grammar.pattern.fullmatch(text)
     if match is not None:
         try:
-            return grammar.shape([int(value) for value in match.groups()])
+            return grammar.shape(list(map(int, match.groups())))
         except ValueError:  # more digits than int() converts
             pass
     return read_presentation(Cursor(text), notation)
@@ -202,12 +205,12 @@ def format_presentation(presentation, notation="martelli"):
         body = ", ".join(f"{b}/{a}" for a, b in presentation.pairs())
         return f"M(+0,0; {body})"
     if notation == "orlik":
-        e, triples = to_orlik_normal_form(presentation)
-        body = ",".join(f"({a},{b})" for a, b in triples)
-        return f"[{e}; {body}]"
+        return canonical_form(presentation)
     raise PresentationError(f"unknown notation {notation!r}")
 
 
 def canonical_form(presentation):
-    """Stable Orlik-form key, constant on fiber move orbits."""
-    return format_presentation(presentation, "orlik")
+    """Stable Orlik-form key, constant on fiber move orbits: the
+    presentation in Orlik notation."""
+    e, ((a1, b1), (a2, b2), (a3, b3)) = to_orlik_normal_form(presentation)
+    return f"[{e}; ({a1},{b1}),({a2},{b2}),({a3},{b3})]"

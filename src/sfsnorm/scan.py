@@ -63,6 +63,9 @@ def parse_scan_file(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if "|" not in line:  # a single presentation: no grid to read
+            families.append((lineno, line, []))
+            continue
         fields = [field.strip() for field in line.split("|")]
         template, grid = fields[0], []
         with _on_line(lineno):
@@ -237,7 +240,9 @@ def instances(template, grid):
     makes an instance's syntax right or wrong.
     """
     slots = _slots(template)
-    for bindings in _grid_bindings(list(grid)):
+    grid = list(grid)
+    # A family with no ranges has one instance, under no bindings.
+    for bindings in _grid_bindings(grid) if grid else ({},):
         yield _instantiate(template, slots, bindings) if slots else template
 
 

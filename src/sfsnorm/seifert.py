@@ -35,7 +35,14 @@ def complete_matrix(alpha, beta):
     m = abs(beta)
     delta = 1 if m == 1 else pow(alpha, -1, m)
     gamma = (alpha * delta - 1) // beta
-    return FiberMatrix(alpha, beta, gamma, delta)
+    # The pair is checked and the determinant is 1 by construction, so
+    # the matrix is stored past the checks of ``FiberMatrix.__init__``.
+    matrix = object.__new__(FiberMatrix)
+    _set(matrix, "alpha", alpha)
+    _set(matrix, "beta", beta)
+    _set(matrix, "gamma", gamma)
+    _set(matrix, "delta", delta)
+    return matrix
 
 
 def _check_fiber_pair(alpha, beta):
@@ -61,7 +68,8 @@ class FiberMatrix(Value):
     __slots__ = _fields = ("alpha", "beta", "gamma", "delta")
 
     def __init__(self, alpha, beta, gamma, delta):
-        if {type(alpha), type(beta), type(gamma), type(delta)} != {int}:
+        if type(alpha) is not int or type(beta) is not int or \
+                type(gamma) is not int or type(delta) is not int:
             raise PresentationError(
                 f"gluing matrix ({alpha!r} {beta!r}; {gamma!r} {delta!r}) "
                 "needs integer entries")
@@ -106,34 +114,33 @@ class SeifertPresentation(Value):
             fibers = tuple(fibers)
         except TypeError:  # not an iterable
             fibers = ()
-        if len(fibers) != 3 or not all([isinstance(f, FiberMatrix)
-                                        for f in fibers]):
+        if len(fibers) != 3 or not (isinstance(fibers[0], FiberMatrix)
+                                    and isinstance(fibers[1], FiberMatrix)
+                                    and isinstance(fibers[2], FiberMatrix)):
             raise PresentationError("a presentation needs three fiber "
                                     "matrices")
-        # sum(b_i/a_i) = 0 with the denominators cleared (every a_i >= 2).
-        f1, f2, f3 = fibers
-        a1, a2, a3 = f1.alpha, f2.alpha, f3.alpha
-        if f1.beta * a2 * a3 + a1 * f2.beta * a3 + a1 * a2 * f3.beta == 0:
-            raise PresentationError(
-                "sum(beta_i/alpha_i) = 0: the manifold is not small "
-                "(a horizontal incompressible surface exists)")
+        _check_small(*fibers)
         _set(self, "fibers", fibers)
 
     @classmethod
     def from_pairs(cls, pairs):
         try:
-            pairs = tuple([(a, b) for a, b in pairs])
+            pairs = [(a, b) for a, b in pairs]
         except (TypeError, ValueError):  # not an iterable of pairs
             raise PresentationError(f"fiber pairs {pairs!r} are not "
                                     "pairs") from None
         if len(pairs) != 3:
             raise PresentationError("a presentation needs three (alpha, "
                                     "beta) pairs")
-        return cls(tuple([complete_matrix(a, b) for a, b in pairs]))
-
-    @property
-    def alphas(self):
-        return tuple(f.alpha for f in self.fibers)
+        (a1, b1), (a2, b2), (a3, b3) = pairs
+        fibers = (complete_matrix(a1, b1), complete_matrix(a2, b2),
+                  complete_matrix(a3, b3))
+        _check_small(*fibers)
+        # Three completed matrices: what ``__init__`` checks besides the
+        # Euler sum holds by construction.
+        self = object.__new__(cls)
+        _set(self, "fibers", fibers)
+        return self
 
     def pairs(self):
         return tuple(f.pair for f in self.fibers)
@@ -143,6 +150,15 @@ class SeifertPresentation(Value):
         if sorted(order) != [0, 1, 2]:
             raise PresentationError(f"not a permutation of 0,1,2: {order}")
         return SeifertPresentation(tuple(self.fibers[i] for i in order))
+
+
+def _check_small(f1, f2, f3):
+    # sum(b_i/a_i) = 0 with the denominators cleared (every a_i >= 2).
+    a1, a2, a3 = f1.alpha, f2.alpha, f3.alpha
+    if f1.beta * a2 * a3 + a1 * f2.beta * a3 + a1 * a2 * f3.beta == 0:
+        raise PresentationError(
+            "sum(beta_i/alpha_i) = 0: the manifold is not small "
+            "(a horizontal incompressible surface exists)")
 
 
 class HomologyCase(Enum):
@@ -290,9 +306,8 @@ def to_orlik_normal_form(presentation):
     e + sum(b'_i/a_i) = sum(b_i/a_i); the triple plus e is constant on
     fiber move orbits, so its string form serves as a canonical key.
     """
-    e = 0
-    triples = []
-    for alpha, beta in presentation.pairs():
-        e += beta // alpha
-        triples.append((alpha, beta % alpha))
-    return e, tuple(triples)
+    f1, f2, f3 = presentation.fibers
+    a1, b1, a2, b2, a3, b3 = (f1.alpha, f1.beta, f2.alpha, f2.beta,
+                              f3.alpha, f3.beta)
+    return (b1 // a1 + b2 // a2 + b3 // a3,
+            ((a1, b1 % a1), (a2, b2 % a2), (a3, b3 % a3)))

@@ -100,6 +100,8 @@ class SurfaceReport(Value):
         if genus < 1:
             raise InternalInvariantError(
                 f"surface genus must be positive, got {genus}")
+        if type(z2class) is not Z2Class:
+            raise PresentationError(f"not a Z/2 class: {z2class!r}")
         _set(self, "surface", surface)
         _set(self, "genus", genus)
         _set(self, "z2class", z2class)
@@ -294,6 +296,11 @@ def horizontal_report(presentation, params, structure=None):
                          ph_class(presentation, params, structure))
 
 
+# V_{i+1,j+1} for each pair i < j of 0-based fiber indices, built once.
+_VERTICAL_SURFACES = {(i, j): VerticalSurface((i + 1, j + 1))
+                      for i, j in ((0, 1), (0, 2), (1, 2))}
+
+
 def vertical_surfaces(presentation, structure=None):
     """All pseudo-vertical surfaces, one per pair of even-alpha fibers.
 
@@ -308,12 +315,15 @@ def vertical_surfaces(presentation, structure=None):
     structure = _structure(presentation, structure)
     evens = [(i, fiber) for i, fiber in enumerate(presentation.fibers)
              if fiber.alpha % 2 == 0]
+    if len(evens) < 2:
+        return []
+    # N(a_i, b_i) once per even fiber: V_ij has genus N_i + N_j.
+    genera = [(i, n_genus(LensCurve(fiber.alpha, fiber.beta)))
+              for i, fiber in evens]
     reports = []
-    for n, (i, fi) in enumerate(evens):
-        for j, fj in evens[n + 1:]:
-            genus = n_genus(LensCurve(fi.alpha, fi.beta)) + \
-                n_genus(LensCurve(fj.alpha, fj.beta))
+    for n, (i, ni) in enumerate(genera):
+        for j, nj in genera[n + 1:]:
             reports.append(SurfaceReport(
-                VerticalSurface((i + 1, j + 1)), genus,
+                _VERTICAL_SURFACES[i, j], ni + nj,
                 structure.class_off(3 - i - j)))
     return reports

@@ -203,7 +203,7 @@ def test_criterion_9_property_suites():
                 candidates.append((m, params))
             if len(candidates) < 100:
                 for params in enumerate_case3(_SearchState(m)):
-                    if params.lam <= 4 * max(m.alphas):
+                    if params.lam <= 4 * max(f.alpha for f in m.fibers):
                         candidates.append((m, params))
                     if len(candidates) >= 140:
                         break

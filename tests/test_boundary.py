@@ -96,5 +96,13 @@ def test_value_constructors_outside_all_raise_sfsnorm_error():
     stray = []
     for name, (function, args) in calls.items():
         stray += stray_calls(name, function, args)
+    # A report's class is read by its JSON form, so no wrong value there
+    # may even return.
+    for wrong in WRONG:
+        try:
+            SurfaceReport(surface, 3, wrong)
+        except SfsNormError:
+            continue
+        stray.append(f"SurfaceReport argument 2 = {wrong!r}: returned")
     assert not stray, "\n".join(stray)
 

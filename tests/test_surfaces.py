@@ -9,6 +9,7 @@ from math import gcd, lcm
 import pytest
 
 import sfsnorm.search
+import sfsnorm.surfaces
 from sfsnorm.errors import (
     InternalInvariantError,
     LensCurveError,
@@ -43,7 +44,7 @@ from sfsnorm.surfaces import (
     vertical_surfaces,
 )
 
-from corpora import M
+from corpora import M, presentations_by_case
 
 
 def P(*pairs):
@@ -241,6 +242,41 @@ class TestVerticalSurfaces:
         m = M((2, -1), (2, 1), (6, 1))
         classes = set(homology_structure(m).nonzero_classes)
         assert {r.z2class for r in vertical_surfaces(m)} == classes
+
+    def test_shared_values_match_definition(self):
+        # Each V_ij built from scratch: a new surface, N at both of its
+        # ends, and the class off the third fiber.
+        for m in presentations_by_case(25, seed=29):
+            structure = homology_structure(m)
+            evens = [(i, f) for i, f in enumerate(m.fibers)
+                     if f.alpha % 2 == 0]
+            expected = [SurfaceReport(
+                VerticalSurface((i + 1, j + 1)),
+                n_genus(LensCurve(fi.alpha, fi.beta))
+                + n_genus(LensCurve(fj.alpha, fj.beta)),
+                structure.class_off(3 - i - j))
+                for (i, fi), (j, fj) in itertools.combinations(evens, 2)]
+            assert vertical_surfaces(m) == expected
+            assert vertical_surfaces(m, structure) == expected
+
+    def test_one_n_per_even_fiber(self, monkeypatch):
+        calls = []
+
+        def spy(curve):
+            calls.append((curve.twok, curve.q))
+            return n_genus(curve)
+
+        monkeypatch.setattr(sfsnorm.surfaces, "n_genus", spy)
+        expected_calls = {HomologyCase.KLEIN_FOUR: 3,
+                          HomologyCase.CYCLIC_TWO_EVEN: 2}
+        for m in presentations_by_case(10, seed=31):
+            calls.clear()
+            vertical_surfaces(m)
+            case = homology_structure(m).case
+            assert len(calls) == expected_calls.get(case, 0)
+            if calls:
+                assert calls == [f.pair for f in m.fibers
+                                 if f.alpha % 2 == 0]
 
 
 class TestSurfaceReport:
