@@ -2,9 +2,14 @@
 
 A subclass names its fields in ``_fields``, in order, declares its
 storage in ``__slots__`` and sets each slot once in ``__init__`` with
-``_set``.  The repr, equality and hash read the fields as those of a
-frozen dataclass do; assignment and deletion raise ``AttributeError``,
-and ``copy`` and ``pickle`` build a value again from its fields.
+``_set``.  A subclass whose values a trusted caller also builds from
+fields it has already checked writes every slot in one ``_store``
+method instead: ``__init__`` calls it after its checks, and the trusted
+caller calls it on ``object.__new__(cls)`` without them, so the slot
+layout is written in one place.  The repr, equality and hash read the
+fields as those of a frozen dataclass do; assignment and deletion raise
+``AttributeError``, and ``copy`` and ``pickle`` build a value again from
+its fields.
 """
 
 from operator import attrgetter

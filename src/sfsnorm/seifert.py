@@ -38,10 +38,7 @@ def complete_matrix(alpha, beta):
     # The pair is checked and the determinant is 1 by construction, so
     # the matrix is stored past the checks of ``FiberMatrix.__init__``.
     matrix = object.__new__(FiberMatrix)
-    _set(matrix, "alpha", alpha)
-    _set(matrix, "beta", beta)
-    _set(matrix, "gamma", gamma)
-    _set(matrix, "delta", delta)
+    matrix._store(alpha, beta, gamma, delta)
     return matrix
 
 
@@ -80,6 +77,9 @@ class FiberMatrix(Value):
             raise PresentationError(
                 f"gluing matrix ({alpha} {beta}; {gamma} {delta}) has "
                 f"determinant {det}, not 1")
+        self._store(alpha, beta, gamma, delta)
+
+    def _store(self, alpha, beta, gamma, delta):
         _set(self, "alpha", alpha)
         _set(self, "beta", beta)
         _set(self, "gamma", gamma)
@@ -120,6 +120,9 @@ class SeifertPresentation(Value):
             raise PresentationError("a presentation needs three fiber "
                                     "matrices")
         _check_small(*fibers)
+        self._store(fibers)
+
+    def _store(self, fibers):
         _set(self, "fibers", fibers)
 
     @classmethod
@@ -139,7 +142,7 @@ class SeifertPresentation(Value):
         # Three completed matrices: what ``__init__`` checks besides the
         # Euler sum holds by construction.
         self = object.__new__(cls)
-        _set(self, "fibers", fibers)
+        self._store(fibers)
         return self
 
     def pairs(self):

@@ -20,7 +20,7 @@ from sfsnorm.seifert import (
     to_orlik_normal_form,
 )
 
-from corpora import M, euler_sum
+from corpora import M, euler_sum, presentations_by_case
 
 
 class TestCompleteMatrix:
@@ -120,6 +120,18 @@ class TestPresentation:
     def test_rejects_wrong_arity(self):
         with pytest.raises(PresentationError):
             SeifertPresentation.from_pairs([(2, 1), (3, 1)])
+
+    def test_from_pairs_matches_checked_constructors(self):
+        # from_pairs stores its matrices past the constructors' checks;
+        # each value must equal the one the checking constructors build,
+        # with every slot set.
+        for m in presentations_by_case(10, seed=37):
+            again = SeifertPresentation(
+                tuple(FiberMatrix(*f._values(f)) for f in m.fibers))
+            assert m == again
+            for value, rebuilt in [(m, again), *zip(m.fibers, again.fibers)]:
+                for slot in type(value).__slots__:
+                    assert getattr(value, slot) == getattr(rebuilt, slot)
 
     def test_permuted(self):
         m = M((2, -1), (3, 1), (8, 1))

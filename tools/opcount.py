@@ -1,7 +1,7 @@
 """Executed bytecodes of one ``sfs-norm scan``, per module and function.
 
-    python3 tools/opcount.py WORKLOAD [--seed S] [--top N] [--json]
-    python3 tools/opcount.py --scan-file FILE [--top N] [--json]
+    python3 tools/opcount.py WORKLOAD [--seed S] [--json]
+    python3 tools/opcount.py --scan-file FILE [--json]
 
 Run from anywhere in a checkout.  WORKLOAD names a corpus of
 ``perfbench/workloads.py`` (``random-mix`` or ``family-scan``), drawn
@@ -20,8 +20,8 @@ A bytecode counts as inside ``compute_norms`` while a frame of
 ``sfsnorm.search.compute_norms`` is on the stack.
 
 The report gives the total, the count and share inside
-``compute_norms``, and the largest counts per module and per function
-(``module:qualified name``).  ``--json`` prints the full counts as one
+``compute_norms``, and the 25 largest counts per module and per
+function (``module:qualified name``).  ``--json`` prints the full counts as one
 JSON object instead.  The counts are exact and repeat from run to run
 on one Python version; they do not depend on the host's speed.
 """
@@ -39,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INSIDE = ("sfsnorm.search", "compute_norms")
+TOP = 25  # rows of each table in the text report
 
 
 def key(frame):
@@ -120,7 +121,7 @@ def corpus_text(workload, seed):
     return Corpus(workload, seed).scan_text
 
 
-def report_text(counts, top):
+def report_text(counts):
     total, inside = counts["total"], counts["inside_compute_norms"]
     lines = [f"bytecodes: {total:,}",
              f"inside compute_norms: {inside:,} "
@@ -129,7 +130,7 @@ def report_text(counts, top):
     for table in ("per_module", "per_function"):
         lines += ["", table.replace("_", " ") + ":"]
         lines += [f"  {n:>10,}  {name}"
-                  for name, n in list(counts[table].items())[:top]]
+                  for name, n in list(counts[table].items())[:TOP]]
     return "\n".join(lines) + "\n"
 
 
@@ -139,7 +140,6 @@ def main(argv=None):
     parser.add_argument("workload", nargs="?")
     parser.add_argument("--scan-file")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--count-here", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -157,7 +157,7 @@ def main(argv=None):
                                  encoding="utf-8")
             counts = count_in_fresh_interpreter(scan_file)
     sys.stdout.write(json.dumps(counts, indent=1) + "\n" if args.json
-                     else report_text(counts, args.top))
+                     else report_text(counts))
     return 0
 
 
