@@ -209,9 +209,7 @@ def region_floors(pencils):
     and last unbounded, and floors[r] is the sum over the pencils of
     ``lead_floor`` on it, the first and last regions as tails.  No first
     form changes sign inside a region, so each floor holds at every step
-    of its region.  ``lead_floor`` picks the integer nearest the middle
-    of its range, so its floor over a span inside a region is never
-    below the region's.
+    of its region.
     """
     cuts = sorted({cut for (a, b), _ in pencils if a
                    for cut in (-(b // a), -b // a + 1)}) or [0]

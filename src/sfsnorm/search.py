@@ -49,22 +49,23 @@ region once (``pencils.region_floors``).  A region is dead when its base
 plus floors exceeds the bound, and when every region is, the sweep ends
 before it builds a direction: on S2((2,-1),(3,1),(800,1)) each of the
 99 case-3 degrees ends there.  Otherwise each direction stacks the spans
-of its window in live regions, and drops a span whose base plus the
-legs' floors over it exceeds the bound; a span that is a whole region
-reuses that region's floors, and no span is ever below them.  At the
-first span that survives it builds each leg's slope-pencil certificate
-(exact Euclid on linear forms, see ``pencils``), whose N bound holds at
-every step from the leg's own threshold t_min on, bisects its spans
-left-first and stops at the first where its base plus the bounds of the
-legs past their t_min, which hold at every later step, exceed the
-bound.  The last span of a direction is its tail, every step past the
-window: unless every region it meets is dead, or the legs' floors or
-their certificates exclude it, it marks the class non-exhaustive, so
-nothing is silently dropped.  A single step that
-survives is checked once more before it is priced: each leg's cap slope
-at that step is two ints, whose exact N ``slope_genus`` reads from a
-cache, and the step is priced only when its base plus those N is at
-most the bound.
+of its window in live regions, each carrying its region's base plus
+floors, which hold on every part that cutting or halving leaves; a span
+is dropped when that exceeds the bound as read when it is popped.  A
+direction with a live span first builds each leg's slope-pencil
+certificate (exact Euclid on linear forms, see ``pencils``), whose N
+bound holds at every step from the leg's own threshold t_min on, and
+cuts its spans at the least t_min.  It bisects its spans left-first and
+stops at the first where its base plus the bounds of the legs past
+their t_min, which hold at every later step, exceed the bound.  The
+last span of a direction is its tail, every step past the window,
+carrying the least bound of the regions it meets: unless that, the
+legs' lead floors from the window's end on or their certificates
+exclude it, it marks the class non-exhaustive, so nothing is silently
+dropped.  A single step that survives is checked once more before it is
+priced: each leg's cap slope at that step is two ints, whose exact N
+``slope_genus`` reads from a cache, and the step is priced only when its
+base plus those N is at most the bound.
 In case 3 and the case-1 inner sweep that sum is the candidate's exact
 genus (case 3's pinned fiber caps with the meridian, N = 0); in the
 case-1 outer sweep it is the lower bound its inner sweep is pruned by.
@@ -89,8 +90,9 @@ the low degrees of case 1 usually hold the minimum, and case 3's degree
 loop then mostly stops at p = 2: on S2((19,-16),(19,-1),(25,-23)) the
 best genus is 15 after case 1 but 61 after case 3.  On the all-odd
 ladder S2((a,2),(a+2,5),(a-2,-3)) the search prices 4 candidates and
-makes 3,399 search ``gcd`` calls at a = 61 and 77,801 in about 0.5 s at
-a = 121.
+makes 3,399 search ``gcd`` calls at a = 61 and 77,801 at a = 121, where
+a scan executes 2.2 and 30.8 million bytecodes (``tools/opcount.py``);
+a = 121 takes about 0.3 s on a 2-CPU Linux host under Python 3.11.
 ``_sweep`` is a generator of the coefficients that survive its floors
 and the exact check.  Each enumerator, a plain call, prices every one
 into the search state before the sweep's next step, so the bounds stay
@@ -331,18 +333,18 @@ def _sweep(state, cls, lam, base, legs, center):
     and ``pencils.region_floors`` bounds each region; a region is dead
     when its base plus floors exceeds the bound of ``cls``, and when
     every region is, the sweep ends there.  Otherwise each direction
-    stacks its steps in the window, one span per live region they meet,
-    over its tail (steps, None) of every step past the window unless
-    every region that meets is dead, and pops spans [t0, t1] left-first.
-    It drops a span whose ``_lead_bound`` exceeds the bound, a span that
-    is a whole region on that region's floors.  At the first span that
-    survives it builds the legs' certificates and cuts the spans at their
-    least ``t_min``; from then on it stops once ``_certified_bound`` at
-    t0, a bound at every later step, exceeds the bound.  It halves a
-    longer span and yields a single step when ``_worth_pricing`` holds.
-    The tail survives only when neither bound excludes it, and then marks
-    ``cls`` capped, the one place a sweep does: what lies past the window
-    may still be cheaper.
+    stacks one span [t0, t1] per live region its window meets, with
+    that region's base plus floors, over its tail (steps, None) of every
+    step past the window with the least of those it meets, if live.
+    With a live span it builds the legs' certificates, cuts the spans at
+    their least ``t_min`` and pops them left-first.  It drops a span
+    whose carried bound exceeds the bound, stops once
+    ``_certified_bound`` at t0, a bound at every later step, exceeds it,
+    halves a longer span, both halves keeping the carried bound, and
+    yields a single step when ``_worth_pricing`` holds.  The tail
+    survives only when ``_lead_bound`` from its first step does not
+    exceed the bound either, and then marks ``cls`` capped, the one
+    place a sweep does: what lies past the window may still be cheaper.
 
     The bound of ``cls`` is read afresh at every span, so what the
     caller prices between two yields prunes the rest of the sweep.
@@ -369,55 +371,47 @@ def _sweep(state, cls, lam, base, legs, center):
         steps = (state.window - abs(mu0 - center)) // 2 + 1  # in window
         need = state.need(cls)
         # Region r holds the steps cuts[r-1] <= t < cuts[r]; the window's
-        # spans are those of regions lo..hi, cut at cuts[lo:hi].
+        # spans are those of regions lo..hi, cut at cuts[lo:hi].  Each
+        # span carries its region's bound, the tail the least of those
+        # of the regions it meets.
         lo, hi = bisect_right(cuts, 0), bisect_left(cuts, steps)
         edges = [0] + cuts[lo:hi] + [steps]
-        spans = [(steps, None, None)] \
-            if min(bounds[bisect_right(cuts, steps):]) <= need else []
+        tail = min(bounds[bisect_right(cuts, steps):])
+        spans = [(steps, None, tail)] if tail <= need else []
         for r in range(hi, lo - 1, -1):
             t0, t1 = edges[r - lo], edges[r - lo + 1] - 1
             if t0 <= t1 and bounds[r] <= need:
-                whole = 0 < r < len(cuts) and cuts[r - 1] == t0 and \
-                    cuts[r] == t1 + 1
-                spans.append((t0, t1, bounds[r] if whole else None))
-        certs = None
+                spans.append((t0, t1, bounds[r]))
+        if not spans:
+            continue
+        certs = _certificates(pencils)
+        spans = _cut(spans, min([steps] + [cert.t_min for cert in certs]))
         while spans:
             t0, t1, bound = spans.pop()
             need = state.need(cls)
-            if certs is not None and \
-                    _certified_bound(base, certs, t0) > need:
-                break
-            if bound is None:
-                bound = _lead_bound(base, pencils, t0, t1)
             if bound > need:
                 continue
-            if certs is None:
-                # The first span that survives its lead floor: build the
-                # certificates, cut at their onset, go on with its first part.
-                certs = _certificates(pencils)
-                onset = min([steps] + [cert.t_min for cert in certs])
-                spans = _cut(spans + [(t0, t1, bound)], onset)
-                t0, t1, _ = spans.pop()
-                if _certified_bound(base, certs, t0) > need:
-                    break
+            if _certified_bound(base, certs, t0) > need:
+                break
             if t1 is None:
-                state.capped.add(cls)
+                if _lead_bound(base, pencils, t0) <= need:
+                    state.capped.add(cls)
             elif t0 < t1:
                 mid = (t0 + t1) // 2
-                spans += [(mid + 1, t1, None), (t0, mid, None)]
+                spans += [(mid + 1, t1, bound), (t0, mid, bound)]
             elif _worth_pricing(state, cls, base, pencils, t0):
                 yield mu0 + step * t0
 
 
 def _cut(spans, cut):
     """The stack ``spans`` (its leftmost span last) with the span that
-    holds ``cut`` past its first step cut before it.  Its two parts are
-    not whole regions.  A tail (t0, None) is never cut: ``cut`` is at
-    most its t0."""
+    holds ``cut`` past its first step cut before it, both parts keeping
+    its bound.  A tail (t0, None) is never cut: ``cut`` is at most its
+    t0."""
     out = []
     for t0, t1, bound in spans:
         if t0 < cut <= t1:
-            out += [(cut, t1, None), (t0, cut - 1, None)]
+            out += [(cut, t1, bound), (t0, cut - 1, bound)]
         else:
             out.append((t0, t1, bound))
     return out
@@ -438,10 +432,11 @@ def _certified_bound(base, certs, t):
     return total
 
 
-def _lead_bound(base, pencils, t0, t1):
+def _lead_bound(base, pencils, t0):
+    """``base`` plus the legs' lead floors over every step from t0 on."""
     total = base
     for first, second in pencils:
-        total += lead_floor(first, second, t0, t1)
+        total += lead_floor(first, second, t0)
     return total
 
 

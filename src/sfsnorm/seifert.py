@@ -270,13 +270,29 @@ def homology_structure(presentation):
     key (a1 % 2, a2 % 2, a3 % 2, (b1 + b2 + b3) % 2) gets the one
     instance built the first time that key is met.
     """
-    f1, f2, f3 = presentation.fibers
-    key = (f1.alpha % 2, f2.alpha % 2, f3.alpha % 2,
-           (f1.beta + f2.beta + f3.beta) % 2)
+    key = _parity_key(presentation)
     try:
         return _STRUCTURES[key]
     except KeyError:
         return _STRUCTURES.setdefault(key, _build_structure(key))
+
+
+def is_structure_of(structure, presentation):
+    """Whether ``structure`` equals ``homology_structure(presentation)``.
+
+    The interned structure of the presentation's parity key answers at
+    once; any other is compared with one built for that key, so a
+    structure built by hand for it passes too.
+    """
+    key = _parity_key(presentation)
+    return structure is _STRUCTURES.get(key) or \
+        structure == _build_structure(key)
+
+
+def _parity_key(presentation):
+    f1, f2, f3 = presentation.fibers
+    return (f1.alpha % 2, f2.alpha % 2, f3.alpha % 2,
+            (f1.beta + f2.beta + f3.beta) % 2)
 
 
 def _build_structure(key):

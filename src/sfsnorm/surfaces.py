@@ -32,6 +32,7 @@ from .seifert import (
     SeifertPresentation,
     Z2Class,
     homology_structure,
+    is_structure_of,
 )
 
 VERTICAL = "vertical"
@@ -241,13 +242,16 @@ def ph_genus(presentation, params):
 
 def _structure(presentation, structure):
     """``structure``, or ``homology_structure(presentation)`` when it is
-    None; raises ``PresentationError`` on an argument of the wrong
-    type."""
+    None; raises ``PresentationError`` on an argument of the wrong type
+    and on a structure that is not the presentation's."""
     _require(presentation, SeifertPresentation, "a presentation")
-    _require(structure, (HomologyStructure, type(None)),
-             "a homology structure")
-    return homology_structure(presentation) if structure is None \
-        else structure
+    if structure is None:
+        return homology_structure(presentation)
+    _require(structure, HomologyStructure, "a homology structure")
+    if not is_structure_of(structure, presentation):
+        raise PresentationError(
+            f"not the presentation's homology structure: {structure!r}")
+    return structure
 
 
 def ph_class(presentation, params, structure=None):

@@ -10,7 +10,13 @@ must return or raise an ``SfsNormError``, never a ``TypeError``,
 import pytest
 
 import sfsnorm
-from sfsnorm import LensCurve, PHParams, SfsNormError, compute_norms
+from sfsnorm import (
+    LensCurve,
+    PHParams,
+    PresentationError,
+    SfsNormError,
+    compute_norms,
+)
 from sfsnorm.seifert import SeifertPresentation, homology_structure
 from sfsnorm.surfaces import SurfaceReport, VerticalSurface
 
@@ -106,3 +112,19 @@ def test_value_constructors_outside_all_raise_sfsnorm_error():
         stray.append(f"SurfaceReport argument 2 = {wrong!r}: returned")
     assert not stray, "\n".join(stray)
 
+
+
+@pytest.mark.parametrize("name, other", [
+    ("vertical_surfaces", "S2((3,-1),(5,1),(8,1))"),
+    ("ph_class", "S2((3,2),(5,2),(7,4))"),
+    ("horizontal_report", "S2((3,2),(5,2),(7,4))"),
+])
+def test_foreign_homology_structure_raises_presentation_error(name, other):
+    # A structure is read for its classes, so another presentation's must
+    # not be taken: it gave a bare IndexError from ``class_off``, or the
+    # class 111 where the presentation's only class is 101.
+    text, slopes = PRESENTATIONS[0]
+    args = valid_arguments(text, slopes)[name][:-1]
+    foreign = homology_structure(sfsnorm.parse_presentation(other))
+    with pytest.raises(PresentationError, match="homology structure"):
+        getattr(sfsnorm, name)(*args, foreign)

@@ -527,7 +527,8 @@ class TestLeadSkip:
         # Skipping steps before t_min must not change any output, the
         # witness and the kinds that reach the minimum included: compare
         # against sweeps that step through every one (a floor of -inf
-        # never allows a skip).
+        # never allows a skip).  The floors that skip are those of the
+        # regions, taken in ``pencils``; the search's own is the tail's.
         corpus = random_presentations(120, seed=51)
         corpus += random_presentations(30, seed=52, max_alpha=40)
         corpus += [m for m in random_presentations(300, seed=53,
@@ -535,7 +536,8 @@ class TestLeadSkip:
                    if all(f.alpha % 2 for f in m.fibers)]
         corpus += [M((2, -1), (3, 1), (2 * n, 1)) for n in (5, 40, 100)]
         skipped = [compute_norms(m).to_json_dict() for m in corpus]
-        monkeypatch.setattr(sfsnorm.search, "lead_floor", lambda *args: -inf)
+        for module in (sfsnorm.search, sfsnorm.pencils):
+            monkeypatch.setattr(module, "lead_floor", lambda *args: -inf)
         assert [compute_norms(m).to_json_dict() for m in corpus] == skipped
 
 
@@ -551,7 +553,8 @@ def test_every_sweep_leg_has_even_longitude(monkeypatch):
     # pencil's constant and slope are even.  Neither ``_worth_pricing``
     # nor ``lead_floor`` tests for an odd 2k.  The lead floors see every
     # sweep: ``region_floors`` calls them on the line of each, also of one
-    # that ends there.
+    # that ends there.  Presentations up to alpha = 100 feed them more
+    # legs than the norm fixture's alpha <= 12.
     worth_pricing, floor = sfsnorm.search._worth_pricing, \
         sfsnorm.search.lead_floor
     seen = Counter()
@@ -572,7 +575,8 @@ def test_every_sweep_leg_has_even_longitude(monkeypatch):
     monkeypatch.setattr(sfsnorm.search, "_worth_pricing", worth_pricing_spy)
     monkeypatch.setattr(sfsnorm.search, "lead_floor", floor_spy)
     monkeypatch.setattr(sfsnorm.pencils, "lead_floor", floor_spy)
-    for m in fixture_corpus() + [ladder(31), M((2, -1), (3, 1), (800, 1))]:
+    for m in fixture_corpus() + [ladder(31), M((2, -1), (3, 1), (800, 1))] + \
+            random_presentations(500, seed=85, max_alpha=100):
         compute_norms(m)
     assert seen["1-leg step"] >= 5000 and seen["2-leg step"] >= 800 and \
         seen["lead floor"] >= 40_000, seen
@@ -727,6 +731,23 @@ class TestWorkCounts:
         assert calls["lead_floor"] == [] and len(region) == floors
         assert calls["certified_tail"] == calls["gcd"] == []
         assert len(calls["horizontal_report"]) == 1
+
+    def test_sweeps_take_lead_floors_only_on_tails(self, monkeypatch):
+        # A window span carries the floor of its region, which holds on
+        # each part that cutting or halving leaves, so the only lead
+        # floor a sweep takes itself is its tail's, which decides the
+        # capped mark at the window's end.  At the default window no
+        # tail gets that far, so a window of 2 is searched too.
+        floor, ends = sfsnorm.search.lead_floor, []
+
+        def spy(first, second, t0, t1=None):
+            ends.append(t1)
+            return floor(first, second, t0, t1)
+        monkeypatch.setattr(sfsnorm.search, "lead_floor", spy)
+        for m in fixture_corpus() + [ladder(31)]:
+            for budget in (None, SearchBudget(mu_window=2)):
+                compute_norms(m, budget)
+        assert len(ends) >= 500 and set(ends) == {None}, Counter(ends)
 
     @pytest.mark.parametrize("pairs, genus, limit", [
         (((31, 2), (33, 5), (29, -3)), 10, 3000),
