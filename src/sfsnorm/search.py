@@ -50,22 +50,22 @@ plus floors exceeds the bound, and when every region is, the sweep ends
 before it builds a direction: on S2((2,-1),(3,1),(800,1)) each of the
 99 case-3 degrees ends there.  Otherwise each direction stacks the spans
 of its window in live regions, each carrying its region's base plus
-floors, which hold on every part that cutting or halving leaves; a span
-is dropped when that exceeds the bound as read when it is popped.  A
+floors, which hold on every part that halving leaves; a span is
+dropped when that exceeds the bound as read when it is popped.  A
 direction with a live span first builds each leg's slope-pencil
 certificate (exact Euclid on linear forms, see ``pencils``), whose N
-bound holds at every step from the leg's own threshold t_min on, and
-cuts its spans at the least t_min.  It bisects its spans left-first and
-stops at the first where its base plus the bounds of the legs past
-their t_min, which hold at every later step, exceed the bound.  The
-last span of a direction is its tail, every step past the window,
-carrying the least bound of the regions it meets: unless that, the
-legs' lead floors from the window's end on or their certificates
-exclude it, it marks the class non-exhaustive, so nothing is silently
-dropped.  A single step that survives is checked once more before it is
-priced: each leg's cap slope at that step is two ints, whose exact N
-``slope_genus`` reads from a cache, and the step is priced only when its
-base plus those N is at most the bound.
+bound holds at every step from the leg's own threshold t_min on.  It
+bisects its spans left-first and stops at the first where its base
+plus the bounds of the legs past their t_min, which hold at every
+later step, exceed the bound.  The last span of a direction is its
+tail, every step past the window, carrying the least bound of the
+regions it meets: unless that, the legs' lead floors from the
+window's end on or their certificates exclude it, it marks the class
+non-exhaustive, so nothing is silently dropped.  A single step that
+survives is checked once more before it is priced: each leg's cap
+slope at that step is two ints, whose exact N ``slope_genus`` reads
+from a cache, and the step is priced only when its base plus those N
+is at most the bound.
 In case 3 and the case-1 inner sweep that sum is the candidate's exact
 genus (case 3's pinned fiber caps with the meridian, N = 0); in the
 case-1 outer sweep it is the lower bound its inner sweep is pruned by.
@@ -91,20 +91,21 @@ loop then mostly stops at p = 2: on S2((19,-16),(19,-1),(25,-23)) the
 best genus is 15 after case 1 but 61 after case 3.  On the all-odd
 ladder S2((a,2),(a+2,5),(a-2,-3)) the search prices 4 candidates and
 makes 3,399 search ``gcd`` calls at a = 61 and 77,801 at a = 121, where
-a scan executes 2.2 and 30.8 million bytecodes (``tools/opcount.py``);
+a scan executes 2.3 and 31.4 million bytecodes (``tools/opcount.py``);
 a = 121 takes about 0.3 s on a 2-CPU Linux host under Python 3.11.
 ``_sweep`` is a generator of the coefficients that survive its floors
 and the exact check.  Each enumerator, a plain call, prices every one
 into the search state before the sweep's next step, so the bounds stay
 current, and returns the list of candidates it priced.  Pricing is one
-integer genus count against the state's homology structure and one
-existence check, which no candidate fails: each condition is met where
-a loop is set up, not re-tested on its steps.  l_i = a_i, m_i = b_i
-(mod 2) hold by case 3's degree parities, case 1's odd degrees and a
-sweep center of matching parity stepped by 2, so every cap slope's 2k
-is even; the zero sum by solving for the last coefficient; the lcm rule
-by each case's shape.  So ``_price`` raises ``InternalInvariantError``
-on a rejected candidate rather than drop it behind an exhaustive flag.
+existence check, one integer genus count and the class read off the
+interned homology structure, and no candidate fails the check: each
+condition is met where a loop is set up, not re-tested on its steps.
+l_i = a_i, m_i = b_i (mod 2) hold by case 3's degree parities, case
+1's odd degrees and a sweep center of matching parity stepped by 2, so
+every cap slope's 2k is even; the zero sum by solving for the last
+coefficient; the lcm rule by each case's shape.  So ``_price`` raises
+``InternalInvariantError`` on a rejected candidate rather than drop it
+behind an exhaustive flag.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ class _SearchState:
     """The whole input of one search of ``presentation``, and its results
     per class.  The enumerators and ``_price`` read everything from it.
 
-    It looks up the homology ``structure`` and resolves ``budget`` once:
+    It holds the homology ``structure`` the enumerators loop over, and
+    it resolves ``budget`` once:
     ``window`` is its ``mu_window`` (default 64 * max(alpha)) and
     ``degree_cap`` its ``lambda_cap`` (default 8 * sum(alpha) + 64).
     ``best[cls]`` is the least genus offered, ``witness[cls]`` the first
@@ -309,8 +311,7 @@ def _price(state, params, out):
     ``InternalInvariantError`` rather than narrow the search unseen.
     """
     try:
-        report = horizontal_report(state.presentation, params,
-                                   state.structure)
+        report = horizontal_report(state.presentation, params)
     except NoSurfaceError as err:
         raise InternalInvariantError(
             f"enumerated candidate {params.pairs} bounds no surface: "
@@ -336,13 +337,12 @@ def _sweep(state, cls, lam, base, legs, center):
     stacks one span [t0, t1] per live region its window meets, with
     that region's base plus floors, over its tail (steps, None) of every
     step past the window with the least of those it meets, if live.
-    With a live span it builds the legs' certificates, cuts the spans at
-    their least ``t_min`` and pops them left-first.  It drops a span
-    whose carried bound exceeds the bound, stops once
-    ``_certified_bound`` at t0, a bound at every later step, exceeds it,
-    halves a longer span, both halves keeping the carried bound, and
-    yields a single step when ``_worth_pricing`` holds.  The tail
-    survives only when ``_lead_bound`` from its first step does not
+    With a live span it builds the legs' certificates and pops the spans
+    left-first.  It drops a span whose carried bound exceeds the bound,
+    stops once ``_certified_bound`` at t0, a bound at every later step,
+    exceeds it, halves a longer span, both halves keeping the carried
+    bound, and yields a single step when ``_worth_pricing`` holds.  The
+    tail survives only when ``_lead_bound`` from its first step does not
     exceed the bound either, and then marks ``cls`` capped, the one
     place a sweep does: what lies past the window may still be cheaper.
 
@@ -385,7 +385,6 @@ def _sweep(state, cls, lam, base, legs, center):
         if not spans:
             continue
         certs = _certificates(pencils)
-        spans = _cut(spans, min([steps] + [cert.t_min for cert in certs]))
         while spans:
             t0, t1, bound = spans.pop()
             need = state.need(cls)
@@ -401,20 +400,6 @@ def _sweep(state, cls, lam, base, legs, center):
                 spans += [(mid + 1, t1, bound), (t0, mid, bound)]
             elif _worth_pricing(state, cls, base, pencils, t0):
                 yield mu0 + step * t0
-
-
-def _cut(spans, cut):
-    """The stack ``spans`` (its leftmost span last) with the span that
-    holds ``cut`` past its first step cut before it, both parts keeping
-    its bound.  A tail (t0, None) is never cut: ``cut`` is at most its
-    t0."""
-    out = []
-    for t0, t1, bound in spans:
-        if t0 < cut <= t1:
-            out += [(cut, t1, bound), (t0, cut - 1, bound)]
-        else:
-            out.append((t0, t1, bound))
-    return out
 
 
 def _certificates(pencils):
@@ -576,7 +561,7 @@ def compute_norms(presentation, budget=None):
     structure = state.structure
     vertical = {}  # each class has at most one pseudo-vertical surface
     if structure.nonzero_classes:
-        for report in vertical_surfaces(presentation, structure):
+        for report in vertical_surfaces(presentation):
             vertical[report.z2class] = report.genus
             state.offer(report)
         # The enumerators price into ``state`` themselves.

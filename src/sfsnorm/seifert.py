@@ -148,12 +148,6 @@ class SeifertPresentation(Value):
     def pairs(self):
         return tuple(f.pair for f in self.fibers)
 
-    def permuted(self, order):
-        """Fibers reordered by the index triple ``order``."""
-        if sorted(order) != [0, 1, 2]:
-            raise PresentationError(f"not a permutation of 0,1,2: {order}")
-        return SeifertPresentation(tuple(self.fibers[i] for i in order))
-
 
 def _check_small(f1, f2, f3):
     # sum(b_i/a_i) = 0 with the denominators cleared (every a_i >= 2).
@@ -275,18 +269,6 @@ def homology_structure(presentation):
         return _STRUCTURES[key]
     except KeyError:
         return _STRUCTURES.setdefault(key, _build_structure(key))
-
-
-def is_structure_of(structure, presentation):
-    """Whether ``structure`` equals ``homology_structure(presentation)``.
-
-    The interned structure of the presentation's parity key answers at
-    once; any other is compared with one built for that key, so a
-    structure built by hand for it passes too.
-    """
-    key = _parity_key(presentation)
-    return structure is _STRUCTURES.get(key) or \
-        structure == _build_structure(key)
 
 
 def _parity_key(presentation):

@@ -28,11 +28,9 @@ from .errors import InternalInvariantError, NoSurfaceError, PresentationError
 from .lens import LensCurve, n_genus, slope_genus
 from .seifert import (
     HomologyCase,
-    HomologyStructure,
     SeifertPresentation,
     Z2Class,
     homology_structure,
-    is_structure_of,
 )
 
 VERTICAL = "vertical"
@@ -240,31 +238,18 @@ def ph_genus(presentation, params):
     return horizontal_report(presentation, params).genus
 
 
-def _structure(presentation, structure):
-    """``structure``, or ``homology_structure(presentation)`` when it is
-    None; raises ``PresentationError`` on an argument of the wrong type
-    and on a structure that is not the presentation's."""
-    _require(presentation, SeifertPresentation, "a presentation")
-    if structure is None:
-        return homology_structure(presentation)
-    _require(structure, HomologyStructure, "a homology structure")
-    if not is_structure_of(structure, presentation):
-        raise PresentationError(
-            f"not the presentation's homology structure: {structure!r}")
-    return structure
-
-
-def ph_class(presentation, params, structure=None):
+def ph_class(presentation, params):
     """The Z/2 class represented by the pseudo-horizontal surface.
 
     When H_2 is cyclic the surface represents its only nonzero class.
     In the Klein four case the class is read off from the parities of the
-    intersection numbers with the h-curves, m_i * lam / l_i.
-    ``structure`` is ``homology_structure(presentation)``, computed here
-    when not given.
+    intersection numbers with the h-curves, m_i * lam / l_i.  The case
+    and the classes are those of the interned
+    ``homology_structure(presentation)``.
     """
+    _require(presentation, SeifertPresentation, "a presentation")
     _require(params, PHParams, "pseudo-horizontal slopes")
-    structure = _structure(presentation, structure)
+    structure = homology_structure(presentation)
     if structure.case is HomologyCase.TRIVIAL:
         raise PresentationError(
             "H_2(M; Z/2) = 0: no nonzero class to represent")
@@ -281,10 +266,10 @@ def ph_class(presentation, params, structure=None):
     return cls
 
 
-def horizontal_report(presentation, params, structure=None):
+def horizontal_report(presentation, params):
     """The priced surface with these slopes: one existence check, then
-    its genus (see ``ph_genus``) and class.  Raises ``NoSurfaceError``
-    as ``ph_genus`` does; ``structure`` is passed on to ``ph_class``."""
+    its genus (see ``ph_genus``) and class (see ``ph_class``).  Raises
+    ``NoSurfaceError`` as ``ph_genus`` does."""
     reason = ph_obstruction(presentation, params)
     if reason is not None:
         raise NoSurfaceError(
@@ -296,8 +281,7 @@ def horizontal_report(presentation, params, structure=None):
     genus = 2 + lam
     for (l, m), f in zip(params.pairs, presentation.fibers):
         genus += slope_genus(*f.cap_slope(l, m)) - lam // l
-    return SurfaceReport(params, genus,
-                         ph_class(presentation, params, structure))
+    return SurfaceReport(params, genus, ph_class(presentation, params))
 
 
 # V_{i+1,j+1} for each pair i < j of 0-based fiber indices, built once.
@@ -305,22 +289,23 @@ _VERTICAL_SURFACES = {(i, j): VerticalSurface((i + 1, j + 1))
                       for i, j in ((0, 1), (0, 2), (1, 2))}
 
 
-def vertical_surfaces(presentation, structure=None):
+def vertical_surfaces(presentation):
     """All pseudo-vertical surfaces, one per pair of even-alpha fibers.
 
     With zero or one even multiplicity there are none (the annulus part
     needs an even-slope cap on both ends).  Two even multiplicities give
     the single surface representing the only nonzero class; three give
     V_12, V_13, V_23 representing the three classes of the Klein four
-    group, with V_{i,j} pairing nontrivially with h_i and h_j only.
-    ``structure`` is ``homology_structure(presentation)``, computed here
-    when not given.
+    group, with V_{i,j} pairing nontrivially with h_i and h_j only: the
+    class off the third fiber in the interned
+    ``homology_structure(presentation)``.
     """
-    structure = _structure(presentation, structure)
+    _require(presentation, SeifertPresentation, "a presentation")
     evens = [(i, fiber) for i, fiber in enumerate(presentation.fibers)
              if fiber.alpha % 2 == 0]
     if len(evens) < 2:
         return []
+    structure = homology_structure(presentation)
     # N(a_i, b_i) once per even fiber: V_ij has genus N_i + N_j.
     genera = [(i, n_genus(LensCurve(fiber.alpha, fiber.beta)))
               for i, fiber in evens]

@@ -50,6 +50,12 @@ def test_claim_text():
     empty = {"mix": {"pairs": 0, "medians": tool.medians([])}}
     with pytest.raises(ValueError, match="no pair of mix completed"):
         tool.claim_text(empty, "mix:wall_s")
+    # No change in percent can be stated against a parent median of 0.
+    zero = [pair(0.0, 0.0), pair(0.0, 0.1), pair(0.2, 0.0)]
+    workloads = {"mix": {"pairs": len(zero), "medians": tool.medians(zero)}}
+    with pytest.raises(ValueError, match="parent median of wall_s on mix "
+                                         "is 0"):
+        tool.claim_text(workloads, "mix:wall_s")
 
 
 def test_claim_without_pairs_is_one_line_error(tmp_path, monkeypatch,

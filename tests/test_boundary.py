@@ -13,7 +13,6 @@ import sfsnorm
 from sfsnorm import (
     LensCurve,
     PHParams,
-    PresentationError,
     SfsNormError,
     compute_norms,
 )
@@ -35,21 +34,20 @@ def valid_arguments(text, slopes):
     """Valid positional arguments for every callable of ``__all__``."""
     m = sfsnorm.parse_presentation(text)
     params = PHParams(slopes)
-    structure = homology_structure(m)
     arguments = {
         "LensCurve": (8, 1),
         "PHParams": (slopes,),
         "SearchBudget": (2, 3),
         "SeifertPresentation": (m.fibers,),
         "compute_norms": (m, sfsnorm.SearchBudget()),
-        "horizontal_report": (m, params, structure),
+        "horizontal_report": (m, params),
         "n_genus": (LensCurve(8, 1),),
         "norm_report_from_json": (compute_norms(m).to_json_dict(),),
         "parse_presentation": (text,),
-        "ph_class": (m, params, structure),
+        "ph_class": (m, params),
         "ph_exists": (m, params),
         "ph_genus": (m, params),
-        "vertical_surfaces": (m, structure),
+        "vertical_surfaces": (m,),
     }
     for name in sfsnorm.__all__:
         if name.endswith("Error"):
@@ -111,20 +109,3 @@ def test_value_constructors_outside_all_raise_sfsnorm_error():
             continue
         stray.append(f"SurfaceReport argument 2 = {wrong!r}: returned")
     assert not stray, "\n".join(stray)
-
-
-
-@pytest.mark.parametrize("name, other", [
-    ("vertical_surfaces", "S2((3,-1),(5,1),(8,1))"),
-    ("ph_class", "S2((3,2),(5,2),(7,4))"),
-    ("horizontal_report", "S2((3,2),(5,2),(7,4))"),
-])
-def test_foreign_homology_structure_raises_presentation_error(name, other):
-    # A structure is read for its classes, so another presentation's must
-    # not be taken: it gave a bare IndexError from ``class_off``, or the
-    # class 111 where the presentation's only class is 101.
-    text, slopes = PRESENTATIONS[0]
-    args = valid_arguments(text, slopes)[name][:-1]
-    foreign = homology_structure(sfsnorm.parse_presentation(other))
-    with pytest.raises(PresentationError, match="homology structure"):
-        getattr(sfsnorm, name)(*args, foreign)

@@ -85,8 +85,7 @@ def box_surfaces(presentation, lam_max, mu_max):
     a_i divides lam, or (lam, m) with |m| <= mu_max, except that the last
     leg of the second kind is solved from the zero sum.
     """
-    structure = homology_structure(presentation)
-    for report in vertical_surfaces(presentation, structure):
+    for report in vertical_surfaces(presentation):
         yield report.z2class, report.genus
     fibers = presentation.fibers
     for lam in range(1, lam_max + 1):
@@ -107,7 +106,7 @@ def box_surfaces(presentation, lam_max, mu_max):
                     continue
                 params = PHParams(pairs)
                 if ph_exists(presentation, params):
-                    yield (ph_class(presentation, params, structure),
+                    yield (ph_class(presentation, params),
                            ph_genus(presentation, params))
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import sfsnorm.pencils
 import sfsnorm.search
+import sfsnorm.seifert
 import sfsnorm.surfaces
 import test_case1_oracle as oracle
 from corpora import M, presentations_by_case, random_presentations
@@ -31,6 +32,7 @@ from sfsnorm.search import (
 )
 from sfsnorm.seifert import (
     HomologyCase,
+    SeifertPresentation,
     complete_matrix,
     homology_structure,
 )
@@ -104,20 +106,18 @@ class TestCase4:
         # genus is within it, ties included.
         priced = []
 
-        def recording(m, params, structure):
+        def recording(m, params):
             priced.append(params)
-            return horizontal_report(m, params, structure)
+            return horizontal_report(m, params)
         monkeypatch.setattr(sfsnorm.search, "horizontal_report", recording)
         bounded = 0
         corpus = presentations_by_case(40, seed=23, max_alpha=30) + \
             random_presentations(150, seed=24, max_alpha=40)
         for m in corpus:
-            structure = homology_structure(m)
             exist = [p for p in case4_complements(m)
                      if ph_obstruction(m, p) is None]
             assert self.priced_within(m, inf, priced) == exist, m
-            genus = {p: horizontal_report(m, p, structure).genus
-                     for p in exist}
+            genus = {p: horizontal_report(m, p).genus for p in exist}
             for bound in {g + d for g in genus.values() for d in (-1, 0)}:
                 assert self.priced_within(m, bound, priced) == \
                     [p for p in exist if genus[p] <= bound], (m, bound)
@@ -128,7 +128,7 @@ class TestCase4:
             enumerate_case4(state)
             least = {}
             for p in exist:
-                cls = ph_class(m, p, structure)
+                cls = ph_class(m, p)
                 least[cls] = min(least.get(cls, inf), genus[p])
             assert state.best == least, m
         assert bounded >= 400
@@ -329,7 +329,8 @@ class TestComputeNorms:
         for m in corpus:
             base = minima(m)
             for order in itertools.permutations(range(3)):
-                got = minima(m.permuted(order))
+                got = minima(SeifertPresentation(
+                    tuple(m.fibers[i] for i in order)))
                 # The all-odd tag (1, 1, 1) is its own permutation.
                 expect = {tuple(par[i] for i in order): value
                           for par, value in base.items()}
@@ -686,13 +687,21 @@ class TestWorkCounts:
         ((31, 2), (33, 5), (29, -3)),
     ], ids=["tall_two_even", "all_odd"])
     def test_one_check_per_candidate(self, monkeypatch, pairs):
-        obstructions, reports, exists, homology = [], [], [], []
-        search, surfaces = sfsnorm.search, sfsnorm.surfaces
+        obstructions, reports, exists, built = [], [], [], []
+        search, surfaces, seifert = \
+            sfsnorm.search, sfsnorm.surfaces, sfsnorm.seifert
         self.record(monkeypatch, surfaces, "ph_obstruction", obstructions)
         self.record(monkeypatch, search, "horizontal_report", reports)
         self.record(monkeypatch, search, "ph_exists", exists)
+        # A fresh intern table, so the structure is built in this search.
+        monkeypatch.setattr(seifert, "_STRUCTURES", {})
+        self.record(monkeypatch, seifert, "_build_structure", built)
+        structures = []
         for module in (search, surfaces):
-            self.record(monkeypatch, module, "homology_structure", homology)
+            def lookup(presentation, real=module.homology_structure):
+                structures.append(real(presentation))
+                return structures[-1]
+            monkeypatch.setattr(module, "homology_structure", lookup)
         compute_norms(M(*pairs))
         # Every existence check, whether through ph_exists or the check
         # inside horizontal_report, runs the obstruction test once, and
@@ -701,7 +710,11 @@ class TestWorkCounts:
         assert len(obstructions) == len(reports) + len(exists)
         checked = [args[1] for args in obstructions]
         assert len(checked) == len(set(checked))
-        assert len(homology) == 1
+        # Each pricing looks the structure up again, and every lookup is
+        # one dict hit on the structure built once for the parity key.
+        assert len(structures) > len(reports)
+        assert all(s is structures[0] for s in structures)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("pairs, genus, sweeps, floors", [
         (((2, -1), (3, 1), (800, 1)), 399, 99, 692),
@@ -734,10 +747,10 @@ class TestWorkCounts:
 
     def test_sweeps_take_lead_floors_only_on_tails(self, monkeypatch):
         # A window span carries the floor of its region, which holds on
-        # each part that cutting or halving leaves, so the only lead
-        # floor a sweep takes itself is its tail's, which decides the
-        # capped mark at the window's end.  At the default window no
-        # tail gets that far, so a window of 2 is searched too.
+        # each part that halving leaves, so the only lead floor a sweep
+        # takes itself is its tail's, which decides the capped mark at
+        # the window's end.  At the default window no tail gets that
+        # far, so a window of 2 is searched too.
         floor, ends = sfsnorm.search.lead_floor, []
 
         def spy(first, second, t0, t1=None):

@@ -133,11 +133,6 @@ class TestPresentation:
                 for slot in type(value).__slots__:
                     assert getattr(value, slot) == getattr(rebuilt, slot)
 
-    def test_permuted(self):
-        m = M((2, -1), (3, 1), (8, 1))
-        p = m.permuted((2, 0, 1))
-        assert p.pairs() == ((8, 1), (2, -1), (3, 1))
-
 
 class TestOrlikNormalForm:
     def test_negative_beta_carries(self):

@@ -257,7 +257,6 @@ class TestVerticalSurfaces:
                 structure.class_off(3 - i - j))
                 for (i, fi), (j, fj) in itertools.combinations(evens, 2)]
             assert vertical_surfaces(m) == expected
-            assert vertical_surfaces(m, structure) == expected
 
     def test_one_n_per_even_fiber(self, monkeypatch):
         calls = []
@@ -398,7 +397,8 @@ class TestIntegerPricing:
                 assert cover.denominator == 1
                 assert ph_genus(m, p) == cover + sum(
                     n_genus(c) for c in cap_slopes(m, p))
-                assert ph_class(m, p, structure) == ph_class(m, p)
+                assert ph_class(m, p).parities == \
+                    reference_class(m, p, structure)
         # Every reachable outcome occurs; all-fixed slopes sum to the
         # nonzero Euler number, so that reason never does.
         assert set(reasons) == {None, REASON_SLOPE_SUM,
@@ -457,7 +457,7 @@ def seeded_presentations(per_case, seed=23, max_alpha=16):
     return [m for ms in found.values() for m in ms]
 
 
-def assert_priced_as_reference(presentation, params, structure):
+def assert_priced_as_reference(presentation, params):
     """``horizontal_report`` against the object-based references: the
     reason code of a rejected candidate, the genus and class of the
     others.  Returns the reason, None for a priced surface."""
@@ -466,13 +466,14 @@ def assert_priced_as_reference(presentation, params, structure):
         (presentation, params)
     if reason is not None:
         with pytest.raises(NoSurfaceError, match=reason):
-            horizontal_report(presentation, params, structure)
+            horizontal_report(presentation, params)
         return reason
-    report = horizontal_report(presentation, params, structure)
+    report = horizontal_report(presentation, params)
     assert report.genus == reference_genus(presentation, params), \
         (presentation, params)
     assert report.genus == ph_genus(presentation, params)
-    parities = reference_class(presentation, params, structure)
+    parities = reference_class(presentation, params,
+                               homology_structure(presentation))
     assert report.z2class.parities == parities
     assert report.z2class is Z2Class(parities)
     assert report.surface is params and report.kind == HORIZONTAL
@@ -510,12 +511,11 @@ class TestPricingKernel:
         outcomes = Counter()
         real = sfsnorm.search.horizontal_report
 
-        def spy(presentation, params, structure=None):
-            assert structure is homology_structure(presentation)
-            reason = assert_priced_as_reference(presentation, params,
-                                                structure)
-            outcomes[structure.case, reason is None] += 1
-            return real(presentation, params, structure)
+        def spy(presentation, params):
+            reason = assert_priced_as_reference(presentation, params)
+            outcomes[homology_structure(presentation).case,
+                     reason is None] += 1
+            return real(presentation, params)
 
         monkeypatch.setattr(sfsnorm.search, "horizontal_report", spy)
         for m in seeded_presentations(75):
@@ -524,11 +524,10 @@ class TestPricingKernel:
             enumerate_case1(_SearchState(m))
             # Case 4 prices only the complements that bound a surface and
             # rules the others out on integers, so those are checked here.
-            structure = homology_structure(m)
+            case = homology_structure(m).case
             for params in case4_complements(m):
-                if assert_priced_as_reference(m, params,
-                                              structure) is not None:
-                    outcomes[structure.case, False] += 1
+                if assert_priced_as_reference(m, params) is not None:
+                    outcomes[case, False] += 1
         # The enumerators price only slopes that bound a surface, so the
         # rejected ones are case-4 complements, none of them here on a
         # cyclic-vertical presentation.
@@ -547,7 +546,6 @@ class TestPricingKernel:
                   if gcd(l, m) == 1]
         outcomes = Counter()
         for m in presentations:
-            structure = homology_structure(m)
             f1, f2, f3 = m.fibers
             for _ in range(400):
                 pairs = [rng.choice(slopes) for _ in range(3)]
@@ -562,8 +560,7 @@ class TestPricingKernel:
                     if rest != 0:
                         pairs[2] = (rest.denominator, rest.numerator)
                 params = P(*pairs)
-                outcomes[assert_priced_as_reference(m, params,
-                                                    structure)] += 1
+                outcomes[assert_priced_as_reference(m, params)] += 1
         assert set(outcomes) == {None, REASON_SLOPE_SUM, REASON_LCM,
                                  REASON_CONGRUENCE}, outcomes
         assert min(outcomes.values()) >= 20, outcomes
@@ -616,11 +613,6 @@ class TestPricingKernel:
             with pytest.raises(error) as err:
                 SurfaceReport(*args)
             assert str(err.value) == message
-
-    def test_vertical_surfaces_take_the_structure(self):
-        for m in seeded_presentations(5, seed=41):
-            structure = homology_structure(m)
-            assert vertical_surfaces(m, structure) == vertical_surfaces(m)
 
     def test_integer_n_matches_curves(self):
         def outcome(fn, *args):

@@ -183,7 +183,8 @@ def claim_text(workloads, claim, end_to_end=()):
     """The claim sentence for ``WORKLOAD:METRIC``, counting the pairs
     that moved in the metric's ``better`` direction of ``end_to_end``
     (lower when it is not listed); ValueError when that workload
-    completed no pair or reports no such metric."""
+    completed no pair, reports no such metric or has a parent median of
+    0, against which no change in percent can be stated."""
     workload, metric = claim.split(":", 1)
     pairs = workloads[workload]["pairs"]
     if not pairs:
@@ -191,6 +192,9 @@ def claim_text(workloads, claim, end_to_end=()):
     if metric not in workloads[workload]["medians"]:
         raise ValueError(f"--claim {claim}: {workload} reports no {metric}")
     m = workloads[workload]["medians"][metric]
+    if not m["parent_median"]:
+        raise ValueError(f"--claim {claim}: the parent median of {metric} "
+                         f"on {workload} is 0")
     iqr_pct = 100.0 * m["parent_iqr"] / m["parent_median"]
     better = {e["name"]: e["better"] for e in end_to_end}.get(metric,
                                                                "lower")
