@@ -49,14 +49,11 @@ class ClassNorm(Value):
 
     z2class = property(attrgetter("witness.z2class"))
     min_genus = property(attrgetter("witness.genus"))
+    norm = property(attrgetter("witness.norm_contribution"))
 
     @property
     def min_horizontal_genus(self):
         return self.min_genus if HORIZONTAL in self.witness_kinds else None
-
-    @property
-    def norm(self):
-        return max(0, self.min_genus - 2)
 
     def to_json_dict(self):
         e1, e2, e3 = self.z2class.parities

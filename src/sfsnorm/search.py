@@ -21,10 +21,12 @@ l_3 relative to the covering degree:
 
 The sweeps are infinite a priori.  Termination is by branch and bound,
 and every skip and stop in this module compares a lower bound on what
-it would leave out against one bound per class (``_SearchState.need``):
-the least genus already offered to the class, of either kind, or two
-less once a pseudo-horizontal surface reaches it.  Every surface of one
-class of one presentation has the same genus parity, because
+it would leave out against one bound per class, read from the table
+``_SearchState.need``: the least genus already offered to the class, of
+either kind, or two less once a pseudo-horizontal surface reaches it.
+``_SearchState.offer``, the one place that records a surface, writes
+the table whenever a class's witness or kinds change.  Every surface
+of one class of one presentation has the same genus parity, because
 chi(F) = <w^3, [M]> (mod 2) depends on the class of F alone, so below
 the best genus the next that can occur is two less.  A further tie
 with a horizontal best changes no output: not the minimum, not the
@@ -181,10 +183,11 @@ class _SearchState:
     it resolves ``budget`` once:
     ``window`` is its ``mu_window`` (default 64 * max(alpha)) and
     ``degree_cap`` its ``lambda_cap`` (default 8 * sum(alpha) + 64).
-    ``best[cls]`` is the least genus offered, ``witness[cls]`` the first
-    report offered at that genus and ``kinds[cls]`` the set of kinds that
-    reach it; ``capped`` holds the classes whose sweeps hit a cap.
-    ``need(cls)`` is the bound every skip and stop compares against.
+    ``witness[cls]`` is the first report offered at the least genus
+    offered to ``cls`` and ``kinds[cls]`` the set of kinds that reach
+    it; ``capped`` holds the classes whose sweeps hit a cap.  ``offer``
+    records every surface and keeps ``need[cls]``, the bound every skip
+    and stop reads, current: inf until ``cls`` has a witness.
     """
 
     def __init__(self, presentation, budget=None):
@@ -199,28 +202,24 @@ class _SearchState:
         self.window = window or 64 * max(a1, a2, a3)
         # Binds only while no candidate genus bounds the search yet.
         self.degree_cap = degree_cap or 8 * (a1 + a2 + a3) + 64
-        self.best = {}
+        self.need = dict.fromkeys(self.structure.nonzero_classes, inf)
         self.witness = {}
         self.kinds = {}
         self.capped = set()
 
-    def need(self, cls):
-        best = self.best.get(cls, inf)
-        if HORIZONTAL in self.kinds.get(cls, ()):
-            # A further tie changes nothing, and by genus parity the
-            # next genus that can matter is two below.
-            return best - 2
-        return best
-
     def offer(self, report):
         cls, genus = report.z2class, report.genus
-        best = self.best.get(cls, inf)
-        if genus < best:
-            self.best[cls] = genus
+        witness = self.witness.get(cls)
+        if witness is None or genus < witness.genus:
             self.witness[cls] = report
             self.kinds[cls] = {report.kind}
-        elif genus == best:
+        elif genus == witness.genus:
             self.kinds[cls].add(report.kind)
+        else:
+            return
+        # A further tie with a horizontal surface changes nothing, and by
+        # genus parity the next genus that can matter is two below.
+        self.need[cls] = genus - 2 if HORIZONTAL in self.kinds[cls] else genus
 
 
 def _check_shape(params):
@@ -269,10 +268,9 @@ def enumerate_case4(state):
     raises if it fails.  Each priced candidate goes into ``state``, and
     their list is returned.
     """
-    classes = state.structure.nonzero_classes
     fibers = state.presentation.fibers
     out = []
-    if not classes:
+    if not state.structure.nonzero_classes:
         return out  # a surface represents a nonzero class
     for i, j, k in _CASE4_ORDER:
         fi, fj = fibers[i], fibers[j]
@@ -292,7 +290,7 @@ def enumerate_case4(state):
             continue
         genus = 1 + den - den // fi.alpha - den // fj.alpha + \
             slope_genus(*fk.cap_slope(den, num))
-        if genus > max([state.need(cls) for cls in classes]):
+        if genus > max(state.need.values()):
             continue
         pairs = [None, None, None]
         pairs[i] = fi.pair
@@ -355,7 +353,7 @@ def _sweep(state, cls, lam, base, legs, center):
     line = [slope_pencil(fiber, lam, offset + sign * center, 2 * sign)
             for fiber, offset, sign in legs]
     cuts, floors = region_floors(line)
-    if base + min(floors) > state.need(cls):
+    if base + min(floors) > state.need[cls]:
         return
     bounds = [base + floor for floor in floors]
     for step in (2, -2):
@@ -369,7 +367,7 @@ def _sweep(state, cls, lam, base, legs, center):
             # Its step t is s = -1 - t of the line.
             cuts, bounds = [-cut for cut in reversed(cuts)], bounds[::-1]
         steps = (state.window - abs(mu0 - center)) // 2 + 1  # in window
-        need = state.need(cls)
+        need = state.need[cls]
         # Region r holds the steps cuts[r-1] <= t < cuts[r]; the window's
         # spans are those of regions lo..hi, cut at cuts[lo:hi].  Each
         # span carries its region's bound, the tail the least of those
@@ -387,7 +385,7 @@ def _sweep(state, cls, lam, base, legs, center):
         certs = _certificates(pencils)
         while spans:
             t0, t1, bound = spans.pop()
-            need = state.need(cls)
+            need = state.need[cls]
             if bound > need:
                 continue
             if _certified_bound(base, certs, t0) > need:
@@ -440,12 +438,12 @@ def _worth_pricing(state, cls, base, pencils, t):
     for twok, q in caps:
         if gcd(twok, q) != 1:
             return False
-    best = state.need(cls)
+    need = state.need[cls]
     total = base
     # 2k = m*a - l*b is even: every sweep keeps l = a, m = b (mod 2).
     for twok, q in caps:
         total += slope_genus(twok, q)
-        if total > best:
+        if total > need:
             return False
     return True
 
@@ -479,7 +477,7 @@ def enumerate_case3(state):
             base = lam - p
             # The swept caps add N_j + N_k >= 1: two meridian caps would
             # make the Euler sum zero.
-            if base >= state.need(cls):
+            if base >= state.need[cls]:
                 break
             if lam > state.degree_cap:
                 state.capped.add(cls)
@@ -529,7 +527,7 @@ def enumerate_case1(state):
         # N_j >= 1 unless lam == a_j, and the three caps are never all
         # meridians.  The bound at lam + 2 is at least its largest value
         # here, so the break covers every higher degree too.
-        if lam - 1 + max(1, floor1 + floor2 + floor3) > state.need(cls):
+        if lam - 1 + max(1, floor1 + floor2 + floor3) > state.need[cls]:
             break
         if lam > state.degree_cap:
             state.capped.add(cls)

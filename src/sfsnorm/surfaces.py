@@ -240,36 +240,36 @@ def ph_genus(presentation, params):
 
 def ph_class(presentation, params):
     """The Z/2 class represented by the pseudo-horizontal surface.
+    Raises ``NoSurfaceError`` as ``ph_genus`` does."""
+    return horizontal_report(presentation, params).z2class
 
+
+def _ph_class(presentation, params):
+    """The class of the surface of slopes that pass ``ph_obstruction``.
+
+    Such slopes force a nonzero class: by the parity argument there,
+    every a_i is odd with an even b-sum, or two or three a_i are even.
     When H_2 is cyclic the surface represents its only nonzero class.
-    In the Klein four case the class is read off from the parities of the
-    intersection numbers with the h-curves, m_i * lam / l_i.  The case
-    and the classes are those of the interned
-    ``homology_structure(presentation)``.
+    In the Klein four case the class is read off from the parities of
+    the intersection numbers with the h-curves, m_i * lam / l_i, two of
+    them odd: every m_i is odd, the zero sum makes their sum even, and
+    lam / l_i is odd for the l_i of largest 2-power.  The case and the
+    classes are those of the interned ``homology_structure``.
     """
-    _require(presentation, SeifertPresentation, "a presentation")
-    _require(params, PHParams, "pseudo-horizontal slopes")
     structure = homology_structure(presentation)
-    if structure.case is HomologyCase.TRIVIAL:
-        raise PresentationError(
-            "H_2(M; Z/2) = 0: no nonzero class to represent")
     if structure.case is not HomologyCase.KLEIN_FOUR:
         return structure.nonzero_classes[0]
     lam = params.lam
     (l1, m1), (l2, m2), (l3, m3) = params.pairs
-    parities = (m1 * (lam // l1) % 2, m2 * (lam // l2) % 2,
-                m3 * (lam // l3) % 2)
-    cls = Z2Class(parities)
-    if cls not in structure.nonzero_classes:
-        raise InternalInvariantError(
-            f"parities {parities} name no class of the Klein four group")
-    return cls
+    return Z2Class((m1 * (lam // l1) % 2, m2 * (lam // l2) % 2,
+                    m3 * (lam // l3) % 2))
 
 
 def horizontal_report(presentation, params):
     """The priced surface with these slopes: one existence check, then
-    its genus (see ``ph_genus``) and class (see ``ph_class``).  Raises
-    ``NoSurfaceError`` as ``ph_genus`` does."""
+    its genus (see ``ph_genus``) and class (see ``_ph_class``).  This is
+    the one checked entry that prices a pseudo-horizontal surface.
+    Raises ``NoSurfaceError`` as ``ph_genus`` does."""
     reason = ph_obstruction(presentation, params)
     if reason is not None:
         raise NoSurfaceError(
@@ -281,7 +281,7 @@ def horizontal_report(presentation, params):
     genus = 2 + lam
     for (l, m), f in zip(params.pairs, presentation.fibers):
         genus += slope_genus(*f.cap_slope(l, m)) - lam // l
-    return SurfaceReport(params, genus, ph_class(presentation, params))
+    return SurfaceReport(params, genus, _ph_class(presentation, params))
 
 
 # V_{i+1,j+1} for each pair i < j of 0-based fiber indices, built once.

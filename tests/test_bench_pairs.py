@@ -37,6 +37,10 @@ def test_medians():
     assert m["change_lower_pairs"] == 3 and m["change_higher_pairs"] == 1
     assert m["parent_iqr"] == pytest.approx(0.25)  # exclusive quartiles
     assert tool.medians([]) == {}
+    # Against a parent median of 0 the change has no percentage.
+    zero = tool.medians([pair(0.0, 0.5)])["wall_s"]
+    assert zero["change_median"] == 0.5 and zero["change_pct"] is None
+    assert zero["change_higher_pairs"] == 1
 
 
 def test_claim_text():

@@ -13,6 +13,7 @@ import sfsnorm
 from sfsnorm import (
     LensCurve,
     PHParams,
+    PresentationError,
     SfsNormError,
     compute_norms,
 )
@@ -27,6 +28,16 @@ WRONG = (None, 5, 1.5, True, b"x", "x", {}, [], [1, 2, 3], {"a": 1})
 PRESENTATIONS = (
     ("S2((2,-1),(3,1),(8,1))", ((2, -1), (3, 1), (6, 1))),
     ("S2((2,-1),(2,1),(6,1))", ((2, -1), (4, 1), (4, 1))),
+)
+
+
+# Well-typed slopes that bound no surface, with a presentation of each
+# case: they fail the congruence in the cyclic one and the slope sum in
+# the Klein four ones, where their parities (1, 1, 1) name no class.
+NO_SURFACE = (
+    ("S2((2,-1),(3,1),(8,1))", ((1, 0), (1, 1), (1, -1))),
+    ("S2((2,-1),(2,1),(6,1))", ((2, 1), (2, 1), (2, 1))),
+    ("S2((2,1),(2,1),(4,-1))", ((2, 1), (2, 1), (2, 1))),
 )
 
 
@@ -83,6 +94,20 @@ def test_every_public_call_answers_or_raises_sfsnorm_error(text, slopes):
     for name, args in arguments.items():
         stray += stray_calls(name, getattr(sfsnorm, name), args)
     assert not stray, "\n".join(stray)
+
+
+@pytest.mark.parametrize("text, slopes", NO_SURFACE,
+                         ids=["cyclic", "klein_four", "klein_four_2214"])
+def test_slopes_that_bound_no_surface_raise_presentation_error(text,
+                                                                slopes):
+    # Every pricing function reads the one checked entry, so none of
+    # them answers for a surface that does not exist.
+    m = sfsnorm.parse_presentation(text)
+    params = PHParams(slopes)
+    assert sfsnorm.ph_exists(m, params) is False
+    for name in ("ph_class", "ph_genus", "horizontal_report"):
+        with pytest.raises(PresentationError, match="no pseudo-horizontal"):
+            getattr(sfsnorm, name)(m, params)
 
 
 def test_value_constructors_outside_all_raise_sfsnorm_error():

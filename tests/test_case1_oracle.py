@@ -149,7 +149,7 @@ def test_pruned_search_never_exceeds_box():
         # candidates, so its minimum is the case-1 minimum.
         state = _SearchState(m)
         enumerate_case1(state)
-        assert state.best[entry.z2class] <= box, m
+        assert state.witness[entry.z2class].genus <= box, m
 
 
 def test_pruned_search_never_exceeds_box_of_every_shape():

@@ -433,16 +433,13 @@ def test_lead_bound_holds_past_each_onset(monkeypatch):
 
 
 class FixedBound:
-    """A search state whose bound is ``bound`` for every class, and whose
-    sweeps run ``window`` either way."""
+    """A search state whose one class, None, has the bound ``bound``,
+    and whose sweeps run ``window`` either way."""
 
     def __init__(self, bound, window):
-        self.bound = bound
+        self.need = {None: bound}
         self.window = window
         self.capped = set()
-
-    def need(self, cls):
-        return self.bound
 
 
 def steps_within(pencils, base, bound, steps):

@@ -37,6 +37,7 @@ from sfsnorm.seifert import (
     homology_structure,
 )
 from sfsnorm.surfaces import (
+    HORIZONTAL,
     PHParams,
     horizontal_report,
     ph_class,
@@ -90,9 +91,7 @@ class TestCase4:
         when every class bound stays at ``bound``: the state keeps the
         bound and drops the offers.  ``priced`` is the recorded list."""
         state = _SearchState(m)
-        structure = state.structure
-        if bound < inf:
-            state.best = dict.fromkeys(structure.nonzero_classes, bound)
+        state.need = dict.fromkeys(state.structure.nonzero_classes, bound)
         state.offer = lambda report: None
         priced.clear()
         out = enumerate_case4(state)
@@ -130,7 +129,8 @@ class TestCase4:
             for p in exist:
                 cls = ph_class(m, p)
                 least[cls] = min(least.get(cls, inf), genus[p])
-            assert state.best == least, m
+            assert {cls: witness.genus
+                    for cls, witness in state.witness.items()} == least, m
         assert bounded >= 400
 
 
@@ -297,7 +297,8 @@ class TestComputeNorms:
         # The case-1 sweeps mark the class themselves, not only case 3.
         state = _SearchState(m, budget)
         assert list(enumerate_case1(state))
-        assert state.best == {report.entries[0].z2class: genus}
+        assert [(cls, witness.genus) for cls, witness in
+                state.witness.items()] == [(report.entries[0].z2class, genus)]
         capped = {report.entries[0].z2class} if case1_capped else set()
         assert state.capped == capped
 
@@ -456,6 +457,50 @@ class TestFamilyScan:
 
 
 class TestInvariants:
+    def test_bound_table_follows_every_offer(self, monkeypatch):
+        # ``offer`` is the one place that records a surface, and it keeps
+        # the table every prune reads current.  After each offer, and on
+        # a new state, ``need`` has exactly the nonzero classes as keys,
+        # and a class's bound is its witness genus, two less once a
+        # horizontal surface reaches it, inf while it has no witness.  A
+        # bound left stale when a tie adds the horizontal kind moves no
+        # output, so nothing else would see it.
+        init, offer = _SearchState.__init__, _SearchState.offer
+        cases, ties = set(), 0
+
+        def check(state):
+            classes = state.structure.nonzero_classes
+            assert state.need.keys() == set(classes)
+            for cls in classes:
+                witness = state.witness.get(cls)
+                if witness is None:
+                    bound = inf
+                elif HORIZONTAL in state.kinds[cls]:
+                    bound = witness.genus - 2
+                else:
+                    bound = witness.genus
+                assert state.need[cls] == bound, (state.presentation, cls)
+
+        def checked_init(state, *args):
+            init(state, *args)
+            cases.add(state.structure.case)
+            check(state)
+
+        def checked_offer(state, report):
+            nonlocal ties
+            witness = state.witness.get(report.z2class)
+            ties += witness is not None and \
+                witness.genus == report.genus and \
+                report.kind not in state.kinds[report.z2class]
+            offer(state, report)
+            check(state)
+        monkeypatch.setattr(_SearchState, "__init__", checked_init)
+        monkeypatch.setattr(_SearchState, "offer", checked_offer)
+        for m in presentations_by_case(150, seed=93, max_alpha=8):
+            compute_norms(m)
+        assert len(cases) == 4
+        assert ties >= 40, ties
+
     def test_case2_shape_never_emitted(self):
         for m in random_presentations(15, seed=31, max_alpha=9):
             for source in (enumerate_case4(_SearchState(m)),

@@ -384,8 +384,10 @@ class TestIntegerPricing:
     def test_matches_fraction_reference(self):
         box = [(p, reference_slope_sum(p)) for p in self.box()]
         reasons = Counter()
+        trivial = 0
         for m in self.presentations(50):
             structure = homology_structure(m)
+            trivial += structure.case is HomologyCase.TRIVIAL
             for p, slope_sum in box:
                 reason = ph_obstruction(m, p)
                 assert reason == reference_obstruction(m, p, slope_sum), \
@@ -393,16 +395,21 @@ class TestIntegerPricing:
                 reasons[reason] += 1
                 if reason is not None:
                     continue
+                # Slopes that pass force a nonzero class, so a trivial
+                # H_2 has no surface to price.
+                assert structure.case is not HomologyCase.TRIVIAL, (m, p)
                 cover = reference_cover(p)
                 assert cover.denominator == 1
                 assert ph_genus(m, p) == cover + sum(
                     n_genus(c) for c in cap_slopes(m, p))
-                assert ph_class(m, p).parities == \
-                    reference_class(m, p, structure)
+                cls = ph_class(m, p)
+                assert cls in structure.nonzero_classes, (m, p)
+                assert cls.parities == reference_class(m, p, structure)
         # Every reachable outcome occurs; all-fixed slopes sum to the
         # nonzero Euler number, so that reason never does.
         assert set(reasons) == {None, REASON_SLOPE_SUM,
                                 REASON_LCM, REASON_CONGRUENCE}
+        assert trivial >= 10
 
 
 def reference_genus(presentation, params):

@@ -17,9 +17,9 @@ standard library's compiled files as usual.  Nothing but
 ``perfbench/run.py`` and its last line of output is used.
 
 The output holds, for each workload and end-to-end metric, the medians
-of the two sides over the pairs, the change in percent, the parent's
-interquartile range, and in how many pairs the change was lower and
-higher; then every completed pair, and every pair with a failed run and
+of the two sides over the pairs, the change in percent (null against
+a parent median of 0), the parent's interquartile range, and in how
+many pairs the change was lower and higher; then every completed pair, and every pair with a failed run and
 the reason: a non-zero exit, a run past RUN_TIMEOUT_S, a last line
 that is not a JSON object, or a run that does not report ``"correct":
 true``.  ``--claim`` states the named metric's result as the file's
@@ -138,12 +138,13 @@ def medians(runs):
         change = [run["change"][name] for run in runs]
         parent_median = statistics.median(parent)
         change_median = statistics.median(change)
-        pct = (100.0 * (change_median - parent_median) / parent_median
-               if parent_median else 0.0)
+        # No change in percent is defined against a parent median of 0.
+        pct = (round(100.0 * (change_median - parent_median)
+                     / parent_median, 1) if parent_median else None)
         out[name] = {
             "parent_median": round(parent_median, 5),
             "change_median": round(change_median, 5),
-            "change_pct": round(pct, 1),
+            "change_pct": pct,
             "parent_iqr": round(interquartile_range(parent), 5),
             "change_lower_pairs": sum(c < p for p, c in zip(parent, change)),
             "change_higher_pairs": sum(c > p
