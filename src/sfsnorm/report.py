@@ -132,7 +132,8 @@ def norm_report_from_json(data):
     try:
         forged = json.dumps(data, sort_keys=True) != \
             json.dumps(report.to_json_dict(), sort_keys=True)
-    except (TypeError, ValueError):  # no JSON text, or unsortable keys
+    # No JSON text, unsortable keys, or nested too deep to write out.
+    except (TypeError, ValueError, RecursionError):
         forged = True
     if forged:
         raise PresentationError("norm record contradicts its own witness")

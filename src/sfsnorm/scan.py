@@ -197,21 +197,38 @@ def _instantiate(template, slots, bindings):
     return "".join(out)
 
 
-def _grid_bindings(grid, bindings=None, index=0, room=MAX_SCAN_INSTANCES):
-    # room: the cap divided by the sizes of the enclosing ranges.
-    bindings = dict(bindings or {})
-    if index == len(grid):
-        yield bindings
-        return
-    name, *bounds = grid[index]
-    lo, hi = (_eval_int(str(bound), bindings) for bound in bounds)
-    size = max(0, hi - lo + 1)
-    if size > room:
-        raise PresentationError(f"range of {name!r} takes the family past "
-                                f"{MAX_SCAN_INSTANCES} instances")
-    for value in range(lo, hi + 1):
-        bindings[name] = value
-        yield from _grid_bindings(grid, bindings, index + 1, room // size)
+def _grid_bindings(grid):
+    """Each binding of the names of ``grid``, in grid order, a fresh dict
+    each.  The ranges turn as an odometer, not by recursion, so no count
+    of ranges meets the interpreter's recursion limit."""
+    names = [name for name, _, _ in grid]
+    # values: one per range entered; room: the cap divided by the sizes
+    # of the entered ranges, each of which keeps the room it was given.
+    values, ranges, room = [], [], MAX_SCAN_INSTANCES
+    while True:
+        # A name ranged twice reads as its innermost binding.
+        bindings = dict(zip(names, values))
+        if len(ranges) == len(grid):
+            yield bindings
+        else:
+            name, *bounds = grid[len(ranges)]
+            lo, hi = (_eval_int(str(bound), bindings) for bound in bounds)
+            size = max(0, hi - lo + 1)
+            if size > room:
+                raise PresentationError(
+                    f"range of {name!r} takes the family past "
+                    f"{MAX_SCAN_INSTANCES} instances")
+            ranges.append((iter(range(lo, hi + 1)), room))
+            room //= max(size, 1)
+        # Turn the innermost range with a value left, leaving spent ones.
+        while ranges:
+            value = next(ranges[-1][0], None)
+            if value is not None:
+                values[len(ranges) - 1:] = [value]
+                break
+            room = ranges.pop()[1]
+        else:
+            return
 
 
 @lru_cache(maxsize=1 << 10)  # one read for check_families and family_scan

@@ -49,25 +49,22 @@ holds over a whole span of steps, or over every step from one on
 coefficient at each leg's pole, where 2k changes sign, and bounds each
 region once (``pencils.region_floors``).  A region is dead when its base
 plus floors exceeds the bound, and when every region is, the sweep ends
-before it builds a direction: on S2((2,-1),(3,1),(800,1)) each of the
-99 case-3 degrees ends there.  Otherwise each direction stacks the spans
-of its window in live regions, each carrying its region's base plus
-floors, which hold on every part that halving leaves; a span is
-dropped when that exceeds the bound as read when it is popped.  A
-direction with a live span first builds each leg's slope-pencil
-certificate (exact Euclid on linear forms, see ``pencils``), whose N
-bound holds at every step from the leg's own threshold t_min on.  It
-bisects its spans left-first and stops at the first where its base
-plus the bounds of the legs past their t_min, which hold at every
-later step, exceed the bound.  The last span of a direction is its
-tail, every step past the window, carrying the least bound of the
-regions it meets: unless that, the legs' lead floors from the
-window's end on or their certificates exclude it, it marks the class
-non-exhaustive, so nothing is silently dropped.  A single step that
-survives is checked once more before it is priced: each leg's cap
-slope at that step is two ints, whose exact N ``slope_genus`` reads
-from a cache, and the step is priced only when its base plus those N
-is at most the bound.
+before it builds a direction: on S2((2,-1),(3,1),(800,1)) each of the 99
+case-3 degrees ends there.  Otherwise each direction walks the steps of
+its window's live regions in increasing order.  One with a live region,
+or a live tail of every step past the window, first builds each leg's
+slope-pencil certificate (exact Euclid on linear forms, see
+``pencils``), whose N bound holds at every step from the leg's own
+threshold t_min on.  At each step it reads the bound: it leaves a region
+once the region's base plus floors exceeds it, and stops at the first
+step where its base plus the bounds of the legs past their t_min, which
+hold at every later step, exceed it.  When the window is used up, the
+tail carries the least bound of the regions it meets: unless that, the
+legs' lead floors from the window's end on or their certificates exclude
+it, it marks the class non-exhaustive, so nothing is silently dropped.
+A step that passes the certificates is priced only when its base plus
+the exact N of its legs' cap slopes, each two ints that ``slope_genus``
+looks up in a cache, is at most the bound.
 In case 3 and the case-1 inner sweep that sum is the candidate's exact
 genus (case 3's pinned fiber caps with the meridian, N = 0); in the
 case-1 outer sweep it is the lower bound its inner sweep is pruned by.
@@ -87,14 +84,14 @@ outer sweep and each inner sweep.
 ``compute_norms`` builds one ``_SearchState`` per presentation, which
 resolves the budget once and is all that each enumerator reads.  It
 offers the pseudo-vertical surfaces first, then runs case 4, case 1 and
-case 3, in that order.  On an all-odd presentation
-the low degrees of case 1 usually hold the minimum, and case 3's degree
-loop then mostly stops at p = 2: on S2((19,-16),(19,-1),(25,-23)) the
-best genus is 15 after case 1 but 61 after case 3.  On the all-odd
-ladder S2((a,2),(a+2,5),(a-2,-3)) the search prices 4 candidates and
-makes 3,399 search ``gcd`` calls at a = 61 and 77,801 at a = 121, where
-a scan executes 2.3 and 31.4 million bytecodes (``tools/opcount.py``);
-a = 121 takes about 0.3 s on a 2-CPU Linux host under Python 3.11.
+case 3, in that order.  On an all-odd presentation the low degrees of
+case 1 usually hold the minimum, and case 3's degree loop then mostly
+stops at p = 2: on S2((19,-16),(19,-1),(25,-23)) the best genus is 15
+after case 1 but 61 after case 3.  On the all-odd ladder
+S2((a,2),(a+2,5),(a-2,-3)) the search prices 4 candidates and makes
+3,399 search ``gcd`` calls at a = 61 and 77,801 at a = 121, where a scan
+executes 1.7 and 22.3 million bytecodes (``tools/opcount.py``); a = 121
+takes 0.26-0.35 s on a 2-CPU Linux host under Python 3.11.
 ``_sweep`` is a generator of the coefficients that survive its floors
 and the exact check.  Each enumerator, a plain call, prices every one
 into the search state before the sweep's next step, so the bounds stay
@@ -331,20 +328,10 @@ def _sweep(state, cls, lam, base, legs, center):
     are cut at every leg's pole, where its longitude form changes sign,
     and ``pencils.region_floors`` bounds each region; a region is dead
     when its base plus floors exceeds the bound of ``cls``, and when
-    every region is, the sweep ends there.  Otherwise each direction
-    stacks one span [t0, t1] per live region its window meets, with
-    that region's base plus floors, over its tail (steps, None) of every
-    step past the window with the least of those it meets, if live.
-    With a live span it builds the legs' certificates and pops the spans
-    left-first.  It drops a span whose carried bound exceeds the bound,
-    stops once ``_certified_bound`` at t0, a bound at every later step,
-    exceeds it, halves a longer span, both halves keeping the carried
-    bound, and yields a single step when ``_worth_pricing`` holds.  The
-    tail survives only when ``_lead_bound`` from its first step does not
-    exceed the bound either, and then marks ``cls`` capped, the one
-    place a sweep does: what lies past the window may still be cheaper.
+    every region is, the sweep ends there.  Otherwise ``_direction``
+    walks each direction's live regions in step order.
 
-    The bound of ``cls`` is read afresh at every span, so what the
+    The bound of ``cls`` is read afresh at every step, so what the
     caller prices between two yields prunes the rest of the sweep.
     Callers drain the generator: the capped mark is set only when a
     direction ends, so a sweep abandoned early would flag nothing.
@@ -367,37 +354,50 @@ def _sweep(state, cls, lam, base, legs, center):
             # Its step t is s = -1 - t of the line.
             cuts, bounds = [-cut for cut in reversed(cuts)], bounds[::-1]
         steps = (state.window - abs(mu0 - center)) // 2 + 1  # in window
-        need = state.need[cls]
-        # Region r holds the steps cuts[r-1] <= t < cuts[r]; the window's
-        # spans are those of regions lo..hi, cut at cuts[lo:hi].  Each
-        # span carries its region's bound, the tail the least of those
-        # of the regions it meets.
-        lo, hi = bisect_right(cuts, 0), bisect_left(cuts, steps)
-        edges = [0] + cuts[lo:hi] + [steps]
-        tail = min(bounds[bisect_right(cuts, steps):])
-        spans = [(steps, None, tail)] if tail <= need else []
-        for r in range(hi, lo - 1, -1):
-            t0, t1 = edges[r - lo], edges[r - lo + 1] - 1
-            if t0 <= t1 and bounds[r] <= need:
-                spans.append((t0, t1, bounds[r]))
-        if not spans:
-            continue
-        certs = _certificates(pencils)
-        while spans:
-            t0, t1, bound = spans.pop()
+        yield from _direction(state, cls, base, pencils, cuts, bounds,
+                              steps, mu0, step)
+
+
+def _direction(state, cls, base, pencils, cuts, bounds, steps, mu0, step):
+    """The coefficients ``mu0 + step*t`` worth pricing over one direction
+    of ``_sweep``, walking its window's steps 0 <= t < ``steps``.
+
+    Region r holds the steps cuts[r-1] <= t < cuts[r] and carries
+    bounds[r]; the tail, every step from ``steps`` on, the least bound of
+    the regions it meets.  Unless one of them is live, carrying at most
+    the bound of ``cls``, the direction ends before it builds the legs'
+    certificates.  Over the live regions' steps in increasing order it
+    leaves a region once its bound exceeds that of ``cls``, ends once
+    ``_certified_bound`` at t, a bound at every later step, does, and
+    yields when ``_worth_pricing`` holds.  Then the tail marks ``cls``
+    capped, the one place a sweep does, unless its bound, the
+    certificates or the lead floors from ``steps`` on exceed the bound.
+    """
+    need = state.need[cls]
+    lo, hi = bisect_right(cuts, 0), bisect_left(cuts, steps)
+    edges = [0] + cuts[lo:hi] + [steps]
+    regions = []
+    for r in range(lo, hi + 1):
+        t0, t1 = edges[r - lo], edges[r - lo + 1]
+        if t0 < t1 and bounds[r] <= need:
+            regions.append((bounds[r], t0, t1))
+    tail = min(bounds[bisect_right(cuts, steps):])
+    if not regions and tail > need:
+        return
+    certs = _certificates(pencils)
+    for bound, t0, t1 in regions:
+        for t in range(t0, t1):
             need = state.need[cls]
             if bound > need:
-                continue
-            if _certified_bound(base, certs, t0) > need:
                 break
-            if t1 is None:
-                if _lead_bound(base, pencils, t0) <= need:
-                    state.capped.add(cls)
-            elif t0 < t1:
-                mid = (t0 + t1) // 2
-                spans += [(mid + 1, t1, bound), (t0, mid, bound)]
-            elif _worth_pricing(state, cls, base, pencils, t0):
-                yield mu0 + step * t0
+            if _certified_bound(base, certs, t) > need:
+                return
+            if _worth_pricing(state, cls, base, pencils, t):
+                yield mu0 + step * t
+    need = state.need[cls]
+    if tail <= need and _certified_bound(base, certs, steps) <= need and \
+            _lead_bound(base, pencils, steps) <= need:
+        state.capped.add(cls)
 
 
 def _certificates(pencils):

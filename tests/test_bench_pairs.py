@@ -215,3 +215,26 @@ def test_main_writes_worse_than_bound(tmp_path, monkeypatch, capsys):
                "--workload", "mix", "--out", str(out)])
     assert json.loads(out.read_text())["worse_than_bound"] == ["mix:wall_s"]
     assert "worse than bound: ['mix:wall_s']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("claim, message", [
+    ("mix", "--claim mix is not WORKLOAD:METRIC"),
+    ("mix:", "--claim mix: is not WORKLOAD:METRIC"),
+    ("other:wall_s", "--claim other:wall_s names no --workload"),
+    ("mix:wall", "--claim mix:wall: wall is no end_to_end metric of the "
+                 "parent's BENCHMARK.json"),
+], ids=["no_metric", "empty_metric", "other_workload", "misspelt_metric"])
+def test_bad_claim_is_refused_before_any_run(tmp_path, monkeypatch, capsys,
+                                             claim, message):
+    tool = load_tool_module()
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": END_TO_END}))
+    monkeypatch.setattr(tool, "run_once", lambda *args: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                   "--workload", "mix", "--claim", claim])
+    assert exit_info.value.code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import functools
 import io
 import json
 import os
@@ -174,9 +175,12 @@ class TestNorm:
         (("classes", 0, "witness", "class"), "1x1"),
         (("classes", 0, "witness", "genus"), 0),
         (("classes", 0, "witness", "params"), [5, 6, 7]),
+        # An extra key nested past what ``json.dumps`` can write.
+        (("extra",), functools.reduce(lambda inner, _: [inner],
+                                      range(100_000), [])),
     ], ids=["empty", "list", "presentation_int", "classes_int",
             "class_string", "kind_int", "exhaustive_string",
-            "class_label", "genus_zero", "slopes_ints"])
+            "class_label", "genus_zero", "slopes_ints", "deep_extra"])
     def test_malformed_json_record(self, path, value):
         # A record that is not the shape ``to_json_dict`` writes raises
         # the package's error, whatever is wrong with it.
@@ -526,6 +530,11 @@ class TestScan:
         (b"S2((2,-1),(3,1),(8,1)) | if=1..2\n", 1, "bad variable name 'if'"),
         (b"S2((2,-1),(3,1),(8,1)) | n=1..__debug__\n", 2,
          "unbound variable '__debug__'"),
+        # The grid is walked without recursion: 1,200 ranges are no
+        # deeper than one.
+        (b"S2((2,-1),(3,1),(8,1)) | " +
+         b" | ".join(b"v%d=1..1" % i for i in range(1200)) + b"\n", 0,
+         None),
     ], ids=["floor_div_slot", "parenthesised_slot", "hatcher_parentheses",
             "orlik_parentheses", "zero_range_bound", "zero_slot",
             "zero_slot_late", "unbound_name", "trailing_text",
@@ -534,7 +543,8 @@ class TestScan:
             "non_ascii_name", "builtins_in_slot", "builtins_in_bound",
             "bool_slot", "builtins_ranged", "template_line_3",
             "unbound_line_3", "zero_slot_line_2", "bad_range_line_3",
-            "debug_slot", "debug_ranged", "keyword_ranged", "debug_bound"])
+            "debug_slot", "debug_ranged", "keyword_ranged", "debug_bound",
+            "deep_grid"])
     def test_scan_file_defects(self, capsys, tmp_path, monkeypatch, content,
                                code, fragment):
         def refuse(*args):

@@ -454,10 +454,11 @@ def steps_within(pencils, base, bound, steps):
 
 
 def test_sweep_yields_every_step_within_a_fixed_bound(monkeypatch):
-    # ``_sweep`` stops a direction and drops a span on lower bounds only,
-    # so with the class bound held fixed it must yield exactly the steps
-    # within the bound, in order.  Every sweep ``compute_norms`` runs is
-    # replayed over a short window at bounds drawn from its own sums.
+    # ``_sweep`` stops a direction and leaves a region on lower bounds
+    # only, so with the class bound held fixed it must yield exactly the
+    # steps within the bound, in order.  Every sweep ``compute_norms``
+    # runs is replayed over a short window at bounds drawn from its own
+    # sums.
     # Search directions leave the lead floor short of the exact sum past
     # each onset (see test_lead_bound_holds_past_each_onset), so the
     # pencil (2t + 2, 1), where it is exact at every step, is swept too:
@@ -504,14 +505,15 @@ def test_sweep_yields_every_step_within_a_fixed_bound(monkeypatch):
 
 
 def test_sweep_caps_exactly_where_both_tail_bounds_admit(monkeypatch):
-    # A direction's last span is its tail, every step from the window's
-    # end on: with the bound held fixed, the class is capped exactly when
-    # in some direction the tail meets a live region of the sweep's line
-    # (``region_floors``: base plus floors at most the bound) and neither
-    # the legs' floors nor their certified bounds there exceed it.  Every
-    # sweep ``compute_norms`` runs is replayed; the cases that the floors
-    # alone, the certificates alone or the regions alone leave uncapped
-    # are counted, so dropping any of the three tests fails.
+    # A direction tests its tail, every step from the window's end on,
+    # once its window is walked: with the bound held fixed, the class is
+    # capped exactly when in some direction the tail meets a live region
+    # of the sweep's line (``region_floors``: base plus floors at most
+    # the bound) and neither the legs' floors nor their certified bounds
+    # there exceed it.  Every sweep ``compute_norms`` runs is replayed;
+    # the cases that the floors alone, the certificates alone or the
+    # regions alone leave uncapped are counted, so dropping any of the
+    # three tests fails.
     sweep, sweeps = sfsnorm.search._sweep, []
     monkeypatch.setattr(sfsnorm.search, "_sweep",
                         lambda *args: sweeps.append(args[2:6]) or sweep(*args))

@@ -17,17 +17,21 @@ standard library's compiled files as usual.  Nothing but
 ``perfbench/run.py`` and its last line of output is used.
 
 The output holds, for each workload and end-to-end metric, the medians
-of the two sides over the pairs, the change in percent (null against
-a parent median of 0), the parent's interquartile range, and in how
-many pairs the change was lower and higher; then every completed pair, and every pair with a failed run and
-the reason: a non-zero exit, a run past RUN_TIMEOUT_S, a last line
-that is not a JSON object, or a run that does not report ``"correct":
-true``.  ``--claim`` states the named metric's result as the file's
-claim.  ``worse_than_bound`` lists, as ``WORKLOAD:METRIC``, each
-end-to-end metric of the parent's ``BENCHMARK.json`` whose change median
-is worse than the parent's, in the metric's ``better`` direction, by
-more than its ``bound`` times the parent median; the list is printed
-on stderr too.  It is null when the parent has no ``BENCHMARK.json``.
+of the two sides over the pairs, the change in percent (null against a
+parent median of 0), the parent's interquartile range, and in how many
+pairs the change was lower and higher; then every completed pair, and
+every pair with a failed run and the reason: a non-zero exit, a run
+past RUN_TIMEOUT_S, a last line that is not a JSON object, or a run
+that does not report ``"correct": true``.  ``--claim`` states the
+named metric's result as the file's claim; a claim that is not
+``WORKLOAD:METRIC`` of a ``--workload``, or whose metric is not an
+``end_to_end`` name of the parent's ``BENCHMARK.json`` when it has
+one, is refused before any run.  ``worse_than_bound`` lists, as
+``WORKLOAD:METRIC``, each end-to-end metric of the parent's
+``BENCHMARK.json`` whose change median is worse than the parent's, in
+the metric's ``better`` direction, by more than its ``bound`` times
+the parent median; the list is printed on stderr too.  It is null when
+the parent has no ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -229,8 +233,17 @@ def main(argv=None):
         if not (Path(checkout) / "perfbench" / "run.py").is_file():
             parser.error(f"no perfbench/run.py in the {side} checkout "
                          f"{checkout}")
-    if args.claim and args.claim.split(":", 1)[0] not in args.workload:
-        parser.error(f"--claim {args.claim} names no --workload")
+    end_to_end = load_end_to_end(args.parent_dir)
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        if not (workload and metric):
+            parser.error(f"--claim {args.claim} is not WORKLOAD:METRIC")
+        if workload not in args.workload:
+            parser.error(f"--claim {args.claim} names no --workload")
+        if end_to_end is not None and \
+                metric not in [e["name"] for e in end_to_end]:
+            parser.error(f"--claim {args.claim}: {metric} is no end_to_end "
+                         f"metric of the parent's BENCHMARK.json")
     for side, checkout in checkouts.items():
         cached = bytecode_dirs(checkout)
         if cached:
@@ -246,7 +259,6 @@ def main(argv=None):
                                "medians": medians(runs),
                                "runs": runs,
                                "failed_runs": failed}
-    end_to_end = load_end_to_end(args.parent_dir)
     try:
         claim = claim_text(workloads, args.claim, end_to_end or ()) \
             if args.claim else None
